@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from statistics import NormalDist
 
 import numpy as np
 
@@ -29,10 +30,9 @@ from .errors import (
 )
 from .estimator import estimate_lrcov, project_psd
 from .fpca import eigendecompose, eigenvalue_ci
-from .grid import Grid, l2_norm_surface, surface_integral
+from .grid import Grid, Surface, l2_norm_surface, surface_integral
 from .kernels import KERNEL_NAMES, make_kernel
 from .mc import BandwidthRule, ExperimentSpec, bias_rate_check, run_experiment
-from .normal import normal_quantile
 from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = ["main", "build_parser"]
@@ -179,7 +179,10 @@ def _resolve_bandwidth(settings: dict, sample, kernel):
     rule = BandwidthRule.parse(settings["h"])
     if rule.kind == "plugin" and settings["m_trunc"] is not None:
         rule = BandwidthRule("plugin", pilot_h=rule.pilot_h, m_trunc=int(settings["m_trunc"]))
-    bandwidth, sel = rule.resolve(sample, kernel)
+    try:
+        bandwidth, sel = rule.resolve(sample, kernel)
+    except KernelSpecError as exc:  # a kernel without a plug-in rule is a configuration error
+        raise ConfigError(str(exc)) from None
     return rule, bandwidth, sel
 
 
@@ -275,19 +278,8 @@ def cmd_bandwidth(args) -> int:
     )
     sample = io.read_curves(_require_data(args))
     pilot = _pick(args.h_rule, cfg, "pilot_h", None)
-    if pilot is None:
-        q = kernel.char_exponent
-        if not math.isfinite(q):
-            raise ConfigError(f"{kernel.name} has no plug-in bandwidth rule")
-        pilot = float(sample.n_obs) ** (1.0 / (1.0 + 2.0 * q))
-    else:
-        try:
-            pilot = float(pilot)
-        except (TypeError, ValueError):
-            raise ConfigError(f"pilot bandwidth must be a number, got {pilot!r}") from None
-    m_trunc = cfg.get("m_trunc")
-    rule = BandwidthRule("plugin", pilot_h=pilot, m_trunc=None if m_trunc is None else int(m_trunc))
-    _, sel = rule.resolve(sample, kernel)
+    settings = {"h": "plugin" if pilot is None else f"plugin:{pilot}", "m_trunc": cfg.get("m_trunc")}
+    _, _, sel = _resolve_bandwidth(settings, sample, kernel)
     out = _out_dir(args, cfg)
     io.write_json(
         f"{out}/bandwidth.json",
@@ -309,7 +301,7 @@ def cmd_bandwidth(args) -> int:
             "config": {
                 "kernel": kernel.name,
                 "flat_width": kernel.flat_width,
-                "pilot_h": pilot,
+                "pilot_h": sel.pilot_h,
                 "m_trunc": sel.m_trunc,
             },
             "clamped": sel.clamped,
@@ -346,7 +338,8 @@ def cmd_simulate(args) -> int:
             "c_integral": surface_integral(truth_set.c),
             "eigenvalues": truth_set.eigen.eigenvalues,
             "gamma_norms": {
-                str(lag): l2_norm_surface(s) for lag, s in sorted(truth_set.gammas.items())
+                str(lag): l2_norm_surface(Surface(grid, gam))
+                for lag, gam in enumerate(truth_set.gammas)
             },
         },
     )
@@ -371,7 +364,7 @@ def _write_qq_csv(path: str, values: np.ndarray) -> None:
     loc = float(np.mean(z))
     scale = float(np.std(z, ddof=1))
     probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = loc + scale * np.array([normal_quantile(p) for p in probs])
+    theo = loc + scale * np.array([NormalDist().inv_cdf(p) for p in probs])
     io.write_matrix_csv(path, np.column_stack([theo, z]), header=["normal", "empirical"])
 
 

@@ -11,29 +11,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError, KernelSpecError
-from .grid import Grid, Quartic, Surface, l2_norm_surface, surface_integral
+from .grid import Grid, Surface, l2_norm_surface, surface_integral
 from .kernels import KernelSpec, kernel_value
 
 __all__ = [
     "CurveSample",
     "Bandwidth",
-    "AutocovSet",
     "LrcovEstimate",
     "SpectralDensityEstimate",
     "BiasKernel",
     "BandwidthSelection",
-    "autocov",
-    "compute_autocov_set",
+    "lag_products",
     "estimate_lrcov",
     "estimate_lrcov_naive",
     "estimate_spectral_density",
     "bias_kernel",
-    "asymptotic_covariance_L",
     "gamma1_norm_sq",
     "amse",
     "optimal_bandwidth",
@@ -89,30 +86,6 @@ def _as_h(bandwidth: BandwidthLike) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class AutocovSet:
-    """Autocovariance surfaces for lags 0..max_lag; negative lags by transposition."""
-
-    grid: Grid
-    surfaces: tuple  # Surface for lag 0, 1, ..., max_lag
-    n_obs: int
-    centered: bool
-    unbiased: bool
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.surfaces) - 1
-
-    def surface(self, lag: int) -> Surface:
-        a = abs(int(lag))
-        if a >= self.n_obs:
-            return Surface(self.grid, np.zeros((self.grid.n_points,) * 2))
-        if a > self.max_lag:
-            raise ContractViolationError(f"lag {lag} beyond stored range {self.max_lag}")
-        s = self.surfaces[a]
-        return s if lag >= 0 else s.transpose()
-
-
-@dataclass(frozen=True, eq=False)
 class LrcovEstimate:
     surface: Surface
     kernel: KernelSpec
@@ -156,39 +129,52 @@ def _observation_matrix(sample: CurveSample, centered: bool) -> np.ndarray:
     return y - y.mean(axis=0) if centered else y
 
 
-def _divisor(n: int, lag: int, unbiased: bool) -> float:
-    return float(n - lag) if unbiased else float(n)
+def _warn_rate(kernel: KernelSpec, h: float, n: int) -> None:
+    q = kernel.char_exponent
+    if math.isfinite(q) and h**q > n:
+        warnings.warn(
+            f"h^{q:g} = {h**q:.3g} exceeds N = {n}; the leading bias approximation degrades",
+            stacklevel=3,
+        )
 
 
-def _window_lags(kernel: KernelSpec, h: float, n: int) -> int:
-    return min(n - 1, int(math.floor(kernel.support_radius * h)))
+def _lag_weights(kernel: KernelSpec, h: float, n: int, unbiased: bool) -> np.ndarray:
+    """K(k/h)/d_k for lag 0 up to the last lag with nonzero weight, halved at lag 0.
 
-
-def autocov(sample: CurveSample, lag: int, centered: bool = True, unbiased: bool = False) -> Surface:
-    """Empirical autocovariance surface at a single lag.
-
-    Entry (t, s) pairs the earlier curve at t with the later curve at s, so
-    reversing the lag sign transposes the surface.  Lags at or beyond the
-    sample length return the zero surface.
+    Applied to the lag products as A, the estimate is A + A.T: every lag
+    enters together with its transpose and lag 0 exactly once.
     """
-    n = sample.n_obs
-    a = abs(int(lag))
-    if a >= n:
-        return Surface(sample.grid, np.zeros((sample.grid.n_points,) * 2))
-    y = _observation_matrix(sample, centered)
-    cross = y[: n - a].T @ y[a:] / _divisor(n, a, unbiased)
-    if lag < 0:
-        cross = cross.T
-    return Surface(sample.grid, cross)
+    lags = np.arange(min(n - 1, int(math.floor(kernel.support_radius * h))) + 1)
+    w = kernel_value(kernel, lags / h)
+    w = w[: np.flatnonzero(w)[-1] + 1]  # K(0) = 1, and K is nonincreasing in |u|
+    w = w / (n - lags[: len(w)] if unbiased else n)
+    w[0] *= 0.5
+    return w
 
 
-def compute_autocov_set(
-    sample: CurveSample, max_lag: int, centered: bool = True, unbiased: bool = False
-) -> AutocovSet:
-    if not 0 <= max_lag < sample.n_obs:
+def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
+    """Undivided lag cross products of an (N, G) array, one (G, G) slice per lag.
+
+    Slice k, for k = 0..max_lag, sums y[j] y[j+k]^T over j: entry (t, s) pairs
+    the earlier curve at t with the later curve at s, so lag -k is the
+    transpose of slice k.  Every lag-window quantity is a weighted sum of
+    these slices.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise DimensionError(f"lag products need an (N, G) array, got shape {y.shape}")
+    n = y.shape[0]
+    if not 0 <= max_lag < n:
         raise ContractViolationError(f"max_lag must lie in [0, N), got {max_lag}")
-    surfaces = tuple(autocov(sample, i, centered, unbiased) for i in range(max_lag + 1))
-    return AutocovSet(sample.grid, surfaces, sample.n_obs, centered, unbiased)
+    out = np.empty((max_lag + 1, y.shape[1], y.shape[1]))
+    for k in range(max_lag + 1):
+        out[k] = y[: n - k].T @ y[k:]
+    return out
+
+
+def _symmetric_sum(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
+    a = np.tensordot(weights, products[: len(weights)], axes=1)
+    return a + a.T
 
 
 def estimate_lrcov(
@@ -200,28 +186,15 @@ def estimate_lrcov(
 ) -> LrcovEstimate:
     """Lag-window estimate of the long-run covariance surface.
 
-    Accumulates K(i/h)-weighted autocovariances lag by lag; each lag costs one
-    G x (N-i) by (N-i) x G product, and opposite lags enter as mutual
-    transposes, so the result is exactly symmetric.
+    Weights the lag products by K(i/h) over their divisor; opposite lags
+    enter as mutual transposes, so the result is exactly symmetric.
     """
     h = _as_h(bandwidth)
     n = sample.n_obs
-    q = kernel.char_exponent
-    if math.isfinite(q) and h**q > n:
-        warnings.warn(
-            f"h^{q:g} = {h**q:.3g} exceeds N = {n}; the leading bias approximation degrades",
-            stacklevel=2,
-        )
-    y = _observation_matrix(sample, centered)
-    lag0 = y.T @ y
-    acc = (lag0 + lag0.T) / (2.0 * _divisor(n, 0, unbiased))
-    for i in range(1, _window_lags(kernel, h, n) + 1):
-        w = kernel_value(kernel, i / h)
-        if w == 0.0:
-            continue
-        cross = y[: n - i].T @ y[i:]
-        acc += (w / _divisor(n, i, unbiased)) * (cross + cross.T)
-    return LrcovEstimate(Surface(sample.grid, acc), kernel, Bandwidth(h), n)
+    _warn_rate(kernel, h, n)
+    w = _lag_weights(kernel, h, n, unbiased)
+    products = lag_products(_observation_matrix(sample, centered), len(w) - 1)
+    return LrcovEstimate(Surface(sample.grid, _symmetric_sum(w, products)), kernel, Bandwidth(h), n)
 
 
 def estimate_lrcov_naive(
@@ -249,7 +222,7 @@ def estimate_lrcov_naive(
         else:
             for j in range(-lag, n):
                 gam += np.outer(y[j], y[j + lag])
-        total += w * gam / _divisor(n, abs(lag), unbiased)
+        total += w * gam / float(n - abs(lag) if unbiased else n)
     return LrcovEstimate(Surface(sample.grid, total), kernel, Bandwidth(h), n)
 
 
@@ -271,78 +244,35 @@ def estimate_spectral_density(
         raise ContractViolationError(f"frequency must lie in [0, 2*pi), got {omega}")
     h = _as_h(bandwidth)
     n = sample.n_obs
-    y = _observation_matrix(sample, centered)
-    lag0 = y.T @ y
-    real = (lag0 + lag0.T) / (2.0 * _divisor(n, 0, unbiased))
-    imag = np.zeros_like(real)
-    for i in range(1, _window_lags(kernel, h, n) + 1):
-        w = kernel_value(kernel, i / h)
-        if w == 0.0:
-            continue
-        cross = y[: n - i].T @ y[i:] / _divisor(n, i, unbiased)
-        real += w * math.cos(omega * i) * (cross + cross.T)
-        imag -= w * math.sin(omega * i) * (cross - cross.T)
+    w = _lag_weights(kernel, h, n, unbiased)
+    lags = np.arange(len(w))
+    products = lag_products(_observation_matrix(sample, centered), len(w) - 1)
+    real = _symmetric_sum(w * np.cos(omega * lags), products)
+    b = np.tensordot(w * np.sin(omega * lags), products, axes=1)
     two_pi = 2.0 * math.pi
     return SpectralDensityEstimate(
-        omega, Surface(sample.grid, real / two_pi), Surface(sample.grid, imag / two_pi)
+        omega, Surface(sample.grid, real / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
     )
 
 
-GammaSource = Union[AutocovSet, Mapping[int, Surface]]
-
-
-def _gamma_at(gammas: GammaSource, lag: int) -> Surface | None:
-    if isinstance(gammas, AutocovSet):
-        return gammas.surface(lag)
-    got = gammas.get(lag)
-    if got is None:
-        got = gammas.get(-lag)
-        got = got.transpose() if got is not None else None
-    return got
-
-
-def bias_kernel(gammas: GammaSource, kernel: KernelSpec, max_lag: int) -> BiasKernel:
+def bias_kernel(gammas: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKernel:
     """Leading-bias surface: flatness coefficient times |lag|^q-weighted autocovariances.
 
-    ``gammas`` is either an AutocovSet or a mapping lag -> surface (and lags
-    absent from a mapping count as zero, which is exact for finite-order
-    truths).  Refused for the flat-top kernel, whose bias decays faster than
-    any power.
+    ``gammas`` is an (L+1, G, G) array of autocovariances at lags 0..L; lags
+    beyond L count as zero, which is exact for finite-order truths.  Refused
+    for the flat-top kernel, whose bias decays faster than any power.
     """
     q = kernel.char_exponent
     if not math.isfinite(q):
         raise KernelSpecError(f"{kernel.name} admits no power-law bias expansion")
     if max_lag < 0:
         raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
-    if isinstance(gammas, AutocovSet):
-        grid = gammas.grid
-    else:
-        try:
-            grid = next(iter(gammas.values())).grid
-        except StopIteration:
-            raise ContractViolationError("empty autocovariance mapping") from None
-    g = grid.n_points
-    acc = np.zeros((g, g))
-    for lag in range(1, max_lag + 1):
-        gam = _gamma_at(gammas, lag)
-        if gam is None:
-            continue
-        acc += float(lag) ** q * (gam.values + gam.values.T)
-    return BiasKernel(Surface(grid, kernel.char_coefficient * acc), q, max_lag)
-
-
-def asymptotic_covariance_L(c: Surface, kernel: KernelSpec) -> Quartic:
-    """Dense limiting covariance tensor of the scaled estimation error.
-
-    Materializes G^4 entries, so it is refused beyond G = 64; the harness
-    contracts the same quantity against test functions without ever building it.
-    """
-    g = c.grid.n_points
-    if g > 64:
-        raise ContractViolationError(f"refusing to materialize a {g}^4 tensor; contract it instead")
-    v = c.values
-    tensor = np.einsum("ts,uv->tsuv", v, v) + np.einsum("tu,sv->tsuv", v, v)
-    return Quartic(c.grid, kernel.square_integral * tensor)
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
+        raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
+    lags = np.arange(min(max_lag, len(gammas) - 1) + 1, dtype=float)
+    acc = _symmetric_sum(lags**q, gammas)
+    return BiasKernel(Surface(Grid(gammas.shape[1]), kernel.char_coefficient * acc), q, max_lag)
 
 
 def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
@@ -407,8 +337,9 @@ def plugin_bandwidth(
 ) -> BandwidthSelection:
     """Data-driven bandwidth: pilot estimates feed the closed-form rule.
 
-    The pilot long-run surface and the lag-truncated bias surface are both
-    estimated at ``pilot_h``; the resulting h is clamped to [1, N/2].
+    The pilot long-run surface at ``pilot_h`` and the lag-truncated bias
+    surface are both read from one set of lag products; the resulting h is
+    clamped to [1, N/2].
     ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
     """
     n = sample.n_obs
@@ -417,12 +348,15 @@ def plugin_bandwidth(
         m_trunc = min(int(math.floor(ph)), int(math.floor(math.sqrt(n))))
     if not 0 <= m_trunc < n:
         raise ContractViolationError(f"lag truncation {m_trunc} out of range [0, N)")
-    if float(np.max(np.abs(_observation_matrix(sample, True)))) == 0.0:
+    y = _observation_matrix(sample, True)
+    if float(np.max(np.abs(y))) == 0.0:
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
-    pilot = estimate_lrcov(sample, kernel, ph)
-    gammas = compute_autocov_set(sample, m_trunc)
-    f_hat = bias_kernel(gammas, kernel, m_trunc)
-    sel = optimal_bandwidth(pilot.surface, f_hat, kernel, n)
+    _warn_rate(kernel, ph, n)
+    w = _lag_weights(kernel, ph, n, False)
+    products = lag_products(y, max(len(w) - 1, m_trunc))
+    pilot = Surface(sample.grid, _symmetric_sum(w, products))
+    f_hat = bias_kernel(products[: m_trunc + 1] / n, kernel, m_trunc)
+    sel = optimal_bandwidth(pilot, f_hat, kernel, n)
     h = sel.bandwidth.h
     lo, hi = 1.0, n / 2.0
     clamped = not lo <= h <= hi

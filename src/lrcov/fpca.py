@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from .errors import ContractViolationError, DimensionError, SeparationError
 from .estimator import Bandwidth, BandwidthLike, BiasKernel
 from .grid import Curve, Grid, Surface, inner_product
 from .kernels import KernelSpec
-from .normal import normal_quantile
 
 __all__ = [
     "SEPARATION_RTOL",
@@ -46,7 +46,6 @@ class EigenSystem:
     grid: Grid
     eigenvalues: np.ndarray
     eigenfunctions: tuple
-    source: Surface | None = None
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -104,7 +103,7 @@ def eigendecompose(s: Surface) -> EigenSystem:
         if col[np.argmax(np.abs(col))] < 0:
             col = -col
         funcs.append(Curve(s.grid, col))
-    return EigenSystem(s.grid, w, tuple(funcs), source=s)
+    return EigenSystem(s.grid, w, tuple(funcs))
 
 
 def align_sign(estimate: Curve, reference: Curve) -> Curve:
@@ -221,6 +220,6 @@ def eigenvalue_ci(
         raise ContractViolationError(
             f"eigenvalue {level} is {lam:.3g} <= 0; interval undefined (project to PSD first?)"
         )
-    z = normal_quantile(0.5 * (1.0 + conf))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + conf))
     half = z * math.sqrt(h / n_obs) * lam * math.sqrt(2.0 * kernel.square_integral)
     return ConfidenceInterval(lam - half, lam + half)

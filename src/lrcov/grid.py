@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "Curve",
     "Surface",
-    "Quartic",
     "inner_product",
     "l2_norm_curve",
     "l2_norm_surface",
@@ -88,25 +87,6 @@ class Surface:
 
     def transpose(self) -> "Surface":
         return Surface(self.grid, self.values.T.copy())
-
-
-@dataclass(frozen=True, eq=False)
-class Quartic:
-    """A function of four arguments on the grid; dense (G, G, G, G) storage."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = self.grid.n_points
-        object.__setattr__(self, "values", _as_values(self.values, (g, g, g, g), "quartic"))
-
-    def bilinear(self, a: Surface, b: Surface) -> float:
-        """Integrate values(t,s,t',s')·a(t,s)·b(t',s') over all four arguments."""
-        _require_same_grid(self.grid, a.grid)
-        _require_same_grid(self.grid, b.grid)
-        g = self.grid.n_points
-        return float(np.einsum("tsuv,ts,uv->", self.values, a.values, b.values)) / g**4
 
 
 def _require_same_grid(a: Grid, b: Grid) -> None:

@@ -92,13 +92,16 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
 
     A single leading header row is recognized by containing non-numeric text;
     everywhere else a bad or non-finite cell is an error naming its row and
-    column.
+    column.  A leading byte-order mark and trailing blank lines are ignored;
+    a blank line between data rows is an error.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
+    while lines and not lines[-1].strip():
+        lines.pop()
     header = None
     rows = []
     n_cols = None

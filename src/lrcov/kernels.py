@@ -3,9 +3,9 @@
 Each kernel carries the constants the asymptotic formulas need: the support
 radius, the characteristic exponent and coefficient governing the weight's
 flatness at zero (sign kept as-is; all the standard windows curve downward),
-the square integral, and a Lipschitz bound.  ``char_exponent_check``
-recomputes the flatness coefficient numerically so a typo in the stored
-constants cannot survive the test suite.
+and the square integral.  ``char_exponent_check`` recomputes the flatness
+coefficient numerically so a typo in the stored constants cannot survive the
+test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class KernelSpec:
     char_exponent: float  # math.inf for flat-top
     char_coefficient: float  # nan when char_exponent is infinite
     square_integral: float
-    lipschitz_bound: float
     flat_width: float = math.nan  # flat-top plateau half-width, nan otherwise
 
     def __call__(self, u):
@@ -59,19 +58,17 @@ def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
     the half-width of the plateau (strictly between 0 and 1).
     """
     if name == "bartlett":
-        return KernelSpec("bartlett", 1.0, 1.0, -1.0, 2.0 / 3.0, 1.0)
+        return KernelSpec("bartlett", 1.0, 1.0, -1.0, 2.0 / 3.0)
     if name == "parzen":
-        return KernelSpec("parzen", 1.0, 2.0, -6.0, 151.0 / 280.0, 2.0)
+        return KernelSpec("parzen", 1.0, 2.0, -6.0, 151.0 / 280.0)
     if name == "tukey-hanning":
-        return KernelSpec("tukey-hanning", 1.0, 2.0, -np.pi**2 / 4.0, 0.75, np.pi / 2.0)
+        return KernelSpec("tukey-hanning", 1.0, 2.0, -np.pi**2 / 4.0, 0.75)
     if name == "flat-top":
         if not (0.0 < flat_width < 1.0):
             raise KernelSpecError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
         # square integral: plateau contributes 2*rho, the two linear ramps 2*(1-rho)/3
         ksq = 2.0 * flat_width + 2.0 * (1.0 - flat_width) / 3.0
-        return KernelSpec(
-            "flat-top", 1.0, math.inf, math.nan, ksq, 1.0 / (1.0 - flat_width), flat_width
-        )
+        return KernelSpec("flat-top", 1.0, math.inf, math.nan, ksq, flat_width)
     raise KernelSpecError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
 
 

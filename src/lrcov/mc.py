@@ -21,7 +21,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .estimator import (
     BandwidthSelection,
     CurveSample,
     estimate_lrcov,
+    lag_products,
     plugin_bandwidth,
 )
 from .fpca import (
@@ -41,7 +43,6 @@ from .fpca import (
 )
 from .grid import Curve, Grid, Surface
 from .kernels import KernelSpec, kernel_value, make_kernel
-from .normal import normal_cdf
 from .simulate import DgpSpec, TruthSet, generate, replication_rng, truth
 
 __all__ = [
@@ -102,7 +103,7 @@ class BandwidthRule:
             return BandwidthRule("fixed", value=float(s))
         except ValueError:
             pass
-        kind, _, rest = s.partition(":")
+        kind, sep, rest = s.partition(":")
         kind = kind.strip().lower()
         try:
             if kind == "fixed":
@@ -111,7 +112,7 @@ class BandwidthRule:
                 coef_s, _, power_s = rest.partition(",")
                 return BandwidthRule("power", coef=float(coef_s), power=float(power_s))
             if kind == "plugin":
-                pilot = float(rest) if rest else None
+                pilot = float(rest) if sep else None
                 return BandwidthRule("plugin", pilot_h=pilot)
         except ValueError as exc:
             raise ConfigError(f"cannot parse bandwidth rule {text!r}: {exc}") from None
@@ -246,40 +247,15 @@ class McReport:
     eigen_error_samples: np.ndarray = None
 
     def to_dict(self) -> dict:
-        corr = None
-        if self.eigen_error_correlation is not None:
-            corr = [[float(v) for v in row] for row in self.eigen_error_correlation]
+        corr = self.eigen_error_correlation
         return {
-            "replications": int(self.replications),
-            "workers": int(self.workers),
-            "runtime_seconds": float(self.runtime_seconds),
-            "h": {"mean": float(self.h_mean), "min": float(self.h_min), "max": float(self.h_max)},
-            "projections": [
-                {
-                    "index": int(p.index),
-                    "mean": float(p.mean),
-                    "variance": float(p.variance),
-                    "skewness": float(p.skewness),
-                    "ex_kurtosis": float(p.ex_kurtosis),
-                    "ks_distance": float(p.ks_distance),
-                    "predicted_variance": float(p.predicted_variance),
-                }
-                for p in self.projection_stats
-            ],
-            "eigen_levels": [
-                {
-                    "level": int(e.level),
-                    "error_mean": float(e.error_mean),
-                    "error_sd": float(e.error_sd),
-                    "predicted_sd": float(e.predicted_sd),
-                    "predicted_mean_shift": float(e.predicted_mean_shift),
-                    "deviation_mean": float(e.deviation_mean),
-                    "predicted_deviation": float(e.predicted_deviation),
-                    "deviation_tail_bound": float(e.deviation_tail_bound),
-                }
-                for e in self.eigen_stats
-            ],
-            "eigen_error_correlation": corr,
+            "replications": self.replications,
+            "workers": self.workers,
+            "runtime_seconds": self.runtime_seconds,
+            "h": {"mean": self.h_mean, "min": self.h_min, "max": self.h_max},
+            "projections": [asdict(p) for p in self.projection_stats],
+            "eigen_levels": [asdict(e) for e in self.eigen_stats],
+            "eigen_error_correlation": None if corr is None else corr.tolist(),
         }
 
 
@@ -312,7 +288,8 @@ def ks_distance(values: np.ndarray, loc: float | None = None, scale: float | Non
         scale = float(np.std(x, ddof=1))
     if not (scale > 0 and math.isfinite(scale)):
         raise ContractViolationError("degenerate sample: zero or non-finite scale")
-    f = normal_cdf((x - loc) / scale)
+    cdf = NormalDist(loc, scale).cdf
+    f = np.array([cdf(v) for v in x])
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
@@ -482,27 +459,7 @@ class BiasRateReport:
     no_bias_detected: bool
 
     def to_dict(self) -> dict:
-        return {
-            "points": [
-                {
-                    "h": float(p.h),
-                    "err_raw": float(p.err_raw),
-                    "err_debiased": float(p.err_debiased),
-                    "noise_sd": float(p.noise_sd),
-                    "signal": bool(p.signal),
-                }
-                for p in self.points
-            ],
-            "slope": None if self.slope is None else float(self.slope),
-            "slope_unweighted": None
-            if self.slope_unweighted is None
-            else float(self.slope_unweighted),
-            "constant_ratio": None
-            if self.constant_ratio is None
-            else float(self.constant_ratio),
-            "sign_agreement": bool(self.sign_agreement),
-            "no_bias_detected": bool(self.no_bias_detected),
-        }
+        return asdict(self)
 
 
 def _wls_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -513,6 +470,21 @@ def _wls_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float
     sxx = np.sum(w * (x - xb) ** 2)
     slope = float(np.sum(w * (x - xb) * (y - yb)) / sxx)
     return slope, float(yb - slope * xb)
+
+
+def _window_weights(kernel: KernelSpec, h_list: list, n_obs: int, unbiased: bool) -> np.ndarray:
+    """Lag-window weights K(k/h)/d_k over the widest window, one row per h, halved at lag 0."""
+    lags = np.arange(min(n_obs - 1, int(math.floor(kernel.support_radius * max(h_list)))) + 1)
+    weights = np.array([kernel_value(kernel, lags / h) for h in h_list])
+    weights /= n_obs - lags if unbiased else n_obs
+    weights[:, 0] *= 0.5
+    return weights
+
+
+def _window_estimates(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """One lag-window estimate per row of ``weights``, each exactly symmetric."""
+    a = np.tensordot(weights, products, axes=1)
+    return a + a.transpose(0, 2, 1)
 
 
 def bias_rate_check(
@@ -544,25 +516,15 @@ def bias_rate_check(
     c_true = truth_set.c.values
     f_true = truth_set.bias.surface.values
     f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
-    max_lag = min(n_obs - 1, int(math.floor(kernel.support_radius * max(h_list))))
-    weights = [
-        np.array([kernel_value(kernel, i / h) for i in range(max_lag + 1)]) for h in h_list
-    ]
-    sums = [np.zeros((g, g)) for _ in h_list]
-    sq_sums = [np.zeros((g, g)) for _ in h_list]
+    # uncentered, unbiased divisor: each lag surface has exact expectation
+    weights = _window_weights(kernel, h_list, n_obs, unbiased=True)
+    sums = np.zeros((len(h_list), g, g))
+    sq_sums = np.zeros_like(sums)
     for r in range(replications):
-        rng = replication_rng(master_seed, r)
-        y = generate(dgp, n_obs, grid, rng).values
-        # uncentered, unbiased divisor: each lag surface has exact expectation
-        terms = []
-        for i in range(max_lag + 1):
-            cross = y[: n_obs - i].T @ y[i:] / (n_obs - i)
-            terms.append((cross + cross.T) / 2.0 if i == 0 else cross + cross.T)
-        terms = np.array(terms)
-        for k in range(len(h_list)):
-            est = np.tensordot(weights[k], terms, axes=1)
-            sums[k] += est
-            sq_sums[k] += est**2
+        y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
+        est = _window_estimates(weights, lag_products(y, weights.shape[1] - 1))
+        sums += est
+        sq_sums += est**2
     points = []
     for k, h in enumerate(h_list):
         mean = sums[k] / replications
@@ -631,21 +593,10 @@ def mse_curve(
     truth_set = truth(dgp, grid, kernel)
     g = grid.n_points
     c_true = truth_set.c.values
-    max_lag = min(n_obs - 1, int(math.floor(kernel.support_radius * max(h_list))))
-    weights = [
-        np.array([kernel_value(kernel, i / h) for i in range(max_lag + 1)]) for h in h_list
-    ]
+    weights = _window_weights(kernel, h_list, n_obs, unbiased=False)
     acc = np.zeros(len(h_list))
     for r in range(replications):
-        rng = replication_rng(master_seed, r)
-        y = generate(dgp, n_obs, grid, rng).values
-        y = y - y.mean(axis=0)
-        terms = []
-        for i in range(max_lag + 1):
-            cross = y[: n_obs - i].T @ y[i:] / n_obs
-            terms.append((cross + cross.T) / 2.0 if i == 0 else cross + cross.T)
-        terms = np.array(terms)
-        for k in range(len(h_list)):
-            dev = np.tensordot(weights[k], terms, axes=1) - c_true
-            acc[k] += float(np.sum(dev**2)) / g**2
+        y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
+        est = _window_estimates(weights, lag_products(y - y.mean(axis=0), weights.shape[1] - 1))
+        acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
     return [(h, float(acc[k] / replications)) for k, h in enumerate(h_list)]

@@ -124,7 +124,7 @@ class TruthSet:
     """Exact population quantities for a DgpSpec on a given grid."""
 
     grid: Grid
-    gammas: dict  # lag (>= 0) -> Surface; negative lags equal transposes
+    gammas: np.ndarray  # (L+1, G, G), lags 0..L; lag -k is the transpose of lag k
     c: Surface
     eigen: EigenSystem
     bias: BiasKernel | None = None
@@ -210,13 +210,13 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     s2 = np.asarray(spec.noise.sigmas) ** 2
     noise_surface = (phi.T * s2) @ phi
     coeffs, long_run = _gamma_coeffs(spec)
-    gammas = {ell: Surface(grid, coef * noise_surface) for ell, coef in enumerate(coeffs)}
+    gammas = np.asarray(coeffs)[:, None, None] * noise_surface
     if spec.kind == "far1":
         c = Surface(grid, long_run * noise_surface)
     else:
-        c_vals = gammas[0].values.copy()
+        c_vals = gammas[0].copy()
         for ell in range(1, len(coeffs)):
-            c_vals += gammas[ell].values + gammas[ell].values.T
+            c_vals += gammas[ell] + gammas[ell].T
         c = Surface(grid, c_vals)
     order = np.argsort(-s2, kind="stable")
     lam = long_run * s2[order]

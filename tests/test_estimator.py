@@ -17,19 +17,18 @@ from lrcov import (
     KernelSpecError,
     Surface,
     amse,
-    asymptotic_covariance_L,
-    autocov,
     bias_kernel,
-    compute_autocov_set,
     estimate_lrcov,
     estimate_lrcov_naive,
     estimate_spectral_density,
     gamma1_norm_sq,
     generate,
     l2_norm_surface,
+    lag_products,
     make_kernel,
     optimal_bandwidth,
     plugin_bandwidth,
+    predicted_projection_variance,
     project_psd,
     replication_rng,
     truth,
@@ -58,42 +57,57 @@ def test_bandwidth_validation():
         Bandwidth(math.inf)
 
 
+def autocov_oracle(y, lag):
+    """Direct sum over time of outer products; a negative lag pairs later with earlier."""
+    n, g = y.shape
+    out = np.zeros((g, g))
+    for j in range(max(0, -lag), min(n, n - lag)):
+        out += np.outer(y[j], y[j + lag])
+    return out
+
+
 def test_autocov_two_point_example():
-    s = scalar_sample(1.0, 3.0)
-    assert autocov(s, 0).values[0, 0] == pytest.approx(1.0)
-    assert autocov(s, 1).values[0, 0] == pytest.approx(-0.5)
-    # convention: lags at or beyond N give the zero surface
-    assert autocov(s, 2).values[0, 0] == 0.0
-    assert autocov(s, -5).values[0, 0] == 0.0
+    y = np.array([[-1.0], [1.0]])  # the sample (1, 3), centered
+    p = lag_products(y, 1) / 2.0
+    assert p[0, 0, 0] == pytest.approx(1.0)
+    assert p[1, 0, 0] == pytest.approx(-0.5)
+    with pytest.raises(ContractViolationError):
+        lag_products(y, 2)  # no lag at or beyond N
 
 
 def test_autocov_negative_lag_is_transpose():
     rng = np.random.default_rng(0)
-    s = CurveSample(Grid(5), rng.normal(size=(20, 5)))
+    y = rng.normal(size=(20, 5))
+    p = lag_products(y, 7)
     for i in (1, 3, 7):
-        assert_allclose(autocov(s, -i).values, autocov(s, i).values.T, atol=0)
+        assert_allclose(autocov_oracle(y, -i), p[i].T, rtol=1e-13, atol=1e-13)
 
 
 def test_autocov_unbiased_divisor():
-    s = scalar_sample(1.0, 3.0)
-    assert autocov(s, 1, unbiased=True).values[0, 0] == pytest.approx(-1.0)
+    y = np.array([[-1.0], [1.0]])
+    assert lag_products(y, 1)[1, 0, 0] / (2 - 1) == pytest.approx(-1.0)
 
 
 def test_autocov_uncentered():
-    s = scalar_sample(1.0, 3.0)
+    y = np.array([[1.0], [3.0]])
     # no demeaning: (1*1 + 3*3)/2 and (1*3)/2
-    assert autocov(s, 0, centered=False).values[0, 0] == pytest.approx(5.0)
-    assert autocov(s, 1, centered=False).values[0, 0] == pytest.approx(1.5)
+    p = lag_products(y, 1) / 2.0
+    assert p[0, 0, 0] == pytest.approx(5.0)
+    assert p[1, 0, 0] == pytest.approx(1.5)
 
 
 def test_autocov_set_lookup():
     rng = np.random.default_rng(1)
-    s = CurveSample(Grid(3), rng.normal(size=(12, 3)))
-    acs = compute_autocov_set(s, max_lag=4)
-    assert_allclose(acs.surface(-2).values, acs.surface(2).values.T)
-    assert np.all(acs.surface(15).values == 0.0)  # |lag| >= N
-    with pytest.raises(ContractViolationError):
-        acs.surface(5)  # inside the sample but beyond what was computed
+    y = rng.normal(size=(12, 3))
+    p = lag_products(y, 4)
+    assert p.shape == (5, 3, 3)
+    for lag in range(5):
+        assert_allclose(p[lag], autocov_oracle(y, lag), rtol=1e-13, atol=1e-13)
+    for bad in (-1, 12):
+        with pytest.raises(ContractViolationError):
+            lag_products(y, bad)
+    with pytest.raises(DimensionError):
+        lag_products(y[:, 0], 1)
 
 
 def test_estimate_two_point_example():
@@ -108,9 +122,8 @@ def test_bartlett_small_h_gives_lag_zero_only():
     rng = np.random.default_rng(2)
     s = CurveSample(Grid(4), rng.normal(size=(25, 4)))
     est = estimate_lrcov(s, BARTLETT, 1.0)
-    g0 = autocov(s, 0)
-    sym = (g0.values + g0.values.T) / 2.0
-    assert_allclose(est.surface.values, sym, atol=1e-15)
+    g0 = lag_products(s.values - s.values.mean(axis=0), 0)[0] / 25
+    assert_allclose(est.surface.values, (g0 + g0.T) / 2.0, atol=1e-15)
 
 
 def test_estimate_transpose_symmetric_exactly():
@@ -204,18 +217,14 @@ def test_spectral_density_domain():
 
 
 def test_bias_kernel_iid_zero():
-    g = Grid(2)
-    gammas = {0: Surface(g, np.eye(2))}
-    f = bias_kernel(gammas, BARTLETT, max_lag=3)
+    f = bias_kernel(np.eye(2)[None], BARTLETT, max_lag=3)
     assert np.all(f.surface.values == 0.0)
     assert f.char_exponent == 1
 
 
 def test_bias_kernel_scalar_ma1():
     # MA(1), theta = 0.5, sigma = 1: gamma_1 = 0.5 so F = -1 * 2 * 0.5
-    g = Grid(1)
-    gammas = {0: Surface(g, np.array([[1.25]])), 1: Surface(g, np.array([[0.5]]))}
-    f = bias_kernel(gammas, BARTLETT, max_lag=1)
+    f = bias_kernel(np.array([[[1.25]], [[0.5]]]), BARTLETT, max_lag=1)
     assert f.surface.values[0, 0] == pytest.approx(-1.0)
 
 
@@ -228,21 +237,33 @@ def test_bias_kernel_truncation_stable():
 
 
 def test_bias_kernel_refuses_flat_top():
-    g = Grid(1)
-    gammas = {0: Surface(g, np.array([[1.0]]))}
     with pytest.raises(KernelSpecError):
-        bias_kernel(gammas, make_kernel("flat-top"), max_lag=1)
+        bias_kernel(np.ones((1, 1, 1)), make_kernel("flat-top"), max_lag=1)
+
+
+def dense_limit_tensor(c, kernel):
+    """The limiting covariance of the scaled error as a dense G^4 tensor (test oracle)."""
+    v = c.values
+    return kernel.square_integral * (
+        np.einsum("ts,uv->tsuv", v, v) + np.einsum("tu,sv->tsuv", v, v)
+    )
+
+
+def contract(tensor, f):
+    g = f.grid.n_points
+    return float(np.einsum("ts,tsuv,uv->", f.values, tensor, f.values)) / g**4
 
 
 def test_asymptotic_covariance_L():
     g = Grid(4)
     zero = Surface(g, np.zeros((4, 4)))
-    assert np.all(asymptotic_covariance_L(zero, BARTLETT).values == 0.0)
+    assert np.all(dense_limit_tensor(zero, BARTLETT) == 0.0)
+    assert predicted_projection_variance(zero, BARTLETT, Surface(g, np.ones((4, 4)))) == 0.0
 
     rng = np.random.default_rng(8)
     m = rng.normal(size=(4, 4))
     c = Surface(g, m + m.T)
-    L = asymptotic_covariance_L(c, BARTLETT).values
+    L = dense_limit_tensor(c, BARTLETT)
     cv = c.values
     ksq = BARTLETT.square_integral
     # diagonal slice reduces to C(t,s)^2 + C(t,t)C(s,s)
@@ -250,18 +271,28 @@ def test_asymptotic_covariance_L():
         for s in range(4):
             expected = (cv[t, s] * cv[t, s] + cv[t, t] * cv[s, s]) * ksq
             assert L[t, s, t, s] == pytest.approx(expected, rel=1e-12)
+    for _ in range(3):
+        f = Surface(g, rng.normal(size=(4, 4)))
+        want = contract(L, f)
+        assert predicted_projection_variance(c, BARTLETT, f) == pytest.approx(want, rel=1e-12)
 
 
 def test_asymptotic_covariance_L_scalar():
     c = Surface(Grid(1), np.array([[2.0]]))  # sigma^2 = 2
-    L = asymptotic_covariance_L(c, BARTLETT)
-    assert L.values[0, 0, 0, 0] == pytest.approx(2.0 * 4.0 * (2.0 / 3.0))
+    expected = 2.0 * 4.0 * (2.0 / 3.0)
+    assert dense_limit_tensor(c, BARTLETT)[0, 0, 0, 0] == pytest.approx(expected)
+    one = Surface(Grid(1), np.ones((1, 1)))
+    assert predicted_projection_variance(c, BARTLETT, one) == pytest.approx(expected, rel=1e-15)
 
 
-def test_asymptotic_covariance_L_refuses_large_grid():
+def test_projection_variance_beyond_dense_tensor_limit():
+    # G = 65 is past where a G^4 tensor is reasonable; the contraction needs none.
+    # C = f = phi phi^T with unit-norm phi: both terms of the variance equal 1
     g = Grid(65)
-    with pytest.raises(ContractViolationError):
-        asymptotic_covariance_L(Surface(g, np.zeros((65, 65))), BARTLETT)
+    phi = np.sqrt(2.0) * np.cos(2.0 * np.pi * g.points)
+    c = Surface(g, np.outer(phi, phi))
+    got = predicted_projection_variance(c, BARTLETT, c)
+    assert got == pytest.approx(BARTLETT.square_integral * 2.0, rel=1e-12)
 
 
 def test_gamma1_norm_sq():
@@ -278,13 +309,13 @@ def test_gamma1_norm_sq():
 def test_amse_monotonicity():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_bias = bias_kernel({0: c}, BARTLETT, max_lag=1)
+    zero_bias = bias_kernel(c.values[None], BARTLETT, max_lag=1)
     hs = [2.0, 4.0, 8.0, 16.0]
     vals = [amse(c, zero_bias, BARTLETT, h, 500) for h in hs]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # pure variance: increasing
 
     zero_c = Surface(g, np.array([[0.0]]))
-    f = bias_kernel({0: zero_c, 1: Surface(g, np.array([[0.5]]))}, BARTLETT, max_lag=1)
+    f = bias_kernel(np.array([[[0.0]], [[0.5]]]), BARTLETT, max_lag=1)
     vals = [amse(zero_c, f, BARTLETT, h, 500) for h in hs]
     assert all(b < a for a, b in zip(vals, vals[1:]))  # pure bias: decreasing
 
@@ -316,7 +347,7 @@ def test_optimal_bandwidth_matches_grid_search():
 def test_optimal_bandwidth_fallback_on_zero_bias():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_f = bias_kernel({0: c}, BARTLETT, max_lag=1)
+    zero_f = bias_kernel(c.values[None], BARTLETT, max_lag=1)
     with pytest.warns(UserWarning):
         sel = optimal_bandwidth(c, zero_f, BARTLETT, 1000)
     assert sel.fallback

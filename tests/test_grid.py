@@ -6,7 +6,6 @@ from lrcov import (
     Curve,
     DimensionError,
     Grid,
-    Quartic,
     Surface,
     apply_operator,
     curve_integral,
@@ -175,15 +174,3 @@ def test_values_must_be_finite():
     with pytest.raises(DimensionError):
         Surface(g, np.full((3, 3), np.inf))
 
-
-def test_quartic_bilinear_contraction():
-    # <T, a ox b> with T = outer product of two surfaces factorizes
-    g = Grid(3)
-    rng = np.random.default_rng(9)
-    u = rng.normal(size=(3, 3))
-    w = rng.normal(size=(3, 3))
-    t = Quartic(g, np.einsum("ts,uv->tsuv", u, w))
-    a = Surface(g, rng.normal(size=(3, 3)))
-    b = Surface(g, rng.normal(size=(3, 3)))
-    expected = (np.sum(u * a.values) / 9.0) * (np.sum(w * b.values) / 9.0)
-    assert t.bilinear(a, b) == pytest.approx(expected, rel=1e-12)

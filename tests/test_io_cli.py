@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from lrcov import (
     DataFormatError,
     estimate_lrcov,
     make_kernel,
-    normal_quantile,
     plugin_bandwidth,
 )
 from lrcov import io
@@ -76,6 +76,23 @@ def test_blank_line_is_an_error(tmp_path):
     p = write(tmp_path / "blank.csv", "1\n\n3\n")
     with pytest.raises(DataFormatError, match="row 2"):
         io.read_matrix_csv(p)
+
+
+def test_byte_order_mark_keeps_first_row(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes("1,2\n3,4\n5,6\n".encode("utf-8-sig"))
+    values, header = io.read_matrix_csv(str(p))
+    assert header is None
+    assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    p.write_bytes("a,b\n1,2\n".encode("utf-8-sig"))
+    assert io.read_matrix_csv(str(p))[1] == ["a", "b"]
+
+
+def test_trailing_blank_lines_are_ignored(tmp_path):
+    values, _ = io.read_matrix_csv(write(tmp_path / "tail.csv", "1,2\n3,4\n\n \n"))
+    assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DataFormatError, match="row 2"):
+        io.read_matrix_csv(write(tmp_path / "mid.csv", "1,2\n\n3,4\n\n"))
 
 
 def test_header_width_mismatch(tmp_path):
@@ -272,7 +289,7 @@ def test_fpca_outputs_and_ci_arithmetic(tmp_path):
     assert list(table[:, 0]) == [1.0, 2.0]
     assert table[0, 1] > table[1, 1] > 0
     # interval arithmetic must reproduce the library formula exactly
-    z = normal_quantile(0.975)
+    z = NormalDist().inv_cdf(0.975)
     for row in table:
         lam = row[1]
         half = z * math.sqrt(4.0 / 200.0) * lam * math.sqrt(2.0 * (2.0 / 3.0))
@@ -344,6 +361,18 @@ def test_bandwidth_flat_top_refused(tmp_path, capsys):
     data = write(tmp_path / "d.csv", "1\n2\n3\n4\n")
     assert main(["bandwidth", "--data", data, "--kernel", "flat-top"]) == 3
     assert "plug-in" in capsys.readouterr().err
+
+
+def test_flat_top_plugin_is_a_config_error_in_every_command(tmp_path, capsys):
+    data = write(tmp_path / "d.csv", "1\n2\n4\n3\n5\n")
+    flat = ["--data", data, "--kernel", "flat-top", "--out", str(tmp_path / "out")]
+    for argv in (
+        ["estimate", *flat, "--h", "plugin"],
+        ["fpca", *flat, "--h", "plugin:2"],
+        ["bandwidth", *flat, "--h", "2"],
+    ):
+        assert main(argv) == 3, argv
+        assert "plug-in" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- cli: simulate

@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,14 +15,12 @@ from lrcov import (
     Grid,
     KernelSpecError,
     Surface,
-    asymptotic_covariance_L,
     bias_rate_check,
     estimate_lrcov,
     generate,
     ks_distance,
     make_kernel,
     mse_curve,
-    normal_quantile,
     plugin_bandwidth,
     predicted_projection_variance,
     replication_rng,
@@ -29,6 +28,7 @@ from lrcov import (
     sample_moments,
     truth,
 )
+from lrcov import io
 
 BARTLETT = make_kernel("bartlett")
 SCALAR_IID = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0,)))
@@ -61,7 +61,7 @@ def test_bandwidth_rule_parse_forms():
 
 
 def test_bandwidth_rule_parse_errors():
-    for bad in ("power:1", "banana:2", "fixed:-1", "fixed:zzz", True, None, "power:1,1.5"):
+    for bad in ("power:1", "banana:2", "fixed:-1", "fixed:zzz", True, None, "power:1,1.5", "plugin:"):
         with pytest.raises(ConfigError):
             BandwidthRule.parse(bad)
 
@@ -159,7 +159,10 @@ def test_predicted_projection_variance_tensor_oracle():
     c = Surface(g, m @ m.T)
     f_vals = rng.normal(size=(8, 8))
     f = Surface(g, f_vals + f_vals.T)
-    tensor = asymptotic_covariance_L(c, BARTLETT).values
+    v = c.values
+    tensor = BARTLETT.square_integral * (
+        np.einsum("ts,uv->tsuv", v, v) + np.einsum("tu,sv->tsuv", v, v)
+    )
     direct = float(np.einsum("ts,tsuv,uv->", f.values, tensor, f.values)) / 8**4
     fast = predicted_projection_variance(c, BARTLETT, f)
     assert fast == pytest.approx(direct, rel=1e-10)
@@ -189,7 +192,7 @@ def test_sample_moments_refusals():
 
 def test_ks_distance_quantile_grid():
     # points placed exactly at the 1%..99% quantiles: distance is 1/100
-    q = normal_quantile(np.arange(1, 100) / 100.0)
+    q = np.array([NormalDist().inv_cdf(p) for p in np.arange(1, 100) / 100.0])
     d = ks_distance(q, loc=0.0, scale=1.0)
     assert d == pytest.approx(0.01, abs=1e-7)
     assert d <= 0.02
@@ -360,3 +363,76 @@ def test_mse_curve_ma1_is_u_shaped():
     values = [v for _, v in curve]
     assert values[1] < values[0]  # too-small h pays bias
     assert values[1] < values[2]  # too-large h pays variance
+
+
+def hand_written_report_dicts(report, bias):
+    """The serialization both reports carried as explicit field lists."""
+    mc = {
+        "replications": int(report.replications),
+        "workers": int(report.workers),
+        "runtime_seconds": float(report.runtime_seconds),
+        "h": {"mean": float(report.h_mean), "min": float(report.h_min), "max": float(report.h_max)},
+        "projections": [
+            {
+                "index": int(p.index),
+                "mean": float(p.mean),
+                "variance": float(p.variance),
+                "skewness": float(p.skewness),
+                "ex_kurtosis": float(p.ex_kurtosis),
+                "ks_distance": float(p.ks_distance),
+                "predicted_variance": float(p.predicted_variance),
+            }
+            for p in report.projection_stats
+        ],
+        "eigen_levels": [
+            {
+                "level": int(e.level),
+                "error_mean": float(e.error_mean),
+                "error_sd": float(e.error_sd),
+                "predicted_sd": float(e.predicted_sd),
+                "predicted_mean_shift": float(e.predicted_mean_shift),
+                "deviation_mean": float(e.deviation_mean),
+                "predicted_deviation": float(e.predicted_deviation),
+                "deviation_tail_bound": float(e.deviation_tail_bound),
+            }
+            for e in report.eigen_stats
+        ],
+        "eigen_error_correlation": [[float(v) for v in row] for row in report.eigen_error_correlation],
+    }
+    bias_dict = {
+        "points": [
+            {
+                "h": float(p.h),
+                "err_raw": float(p.err_raw),
+                "err_debiased": float(p.err_debiased),
+                "noise_sd": float(p.noise_sd),
+                "signal": bool(p.signal),
+            }
+            for p in bias.points
+        ],
+        "slope": float(bias.slope),
+        "slope_unweighted": float(bias.slope_unweighted),
+        "constant_ratio": float(bias.constant_ratio),
+        "sign_agreement": bool(bias.sign_agreement),
+        "no_bias_detected": bool(bias.no_bias_detected),
+    }
+    return mc, bias_dict
+
+
+def test_report_json_is_byte_identical_to_hand_written_fields(tmp_path):
+    ma1 = DgpSpec(kind="fma", noise=GaussianNoiseSpec((2.0, 1.0)), theta=(0.5,))
+    g8 = Grid(8)
+    spec = scalar_experiment(
+        dgp=ma1, grid=g8, projections=(Surface(g8, np.ones((8, 8))),), eigen_levels=(1, 2),
+        replications=12,
+    )
+    report = run_experiment(spec)
+    bias = bias_rate_check(ma1, BARTLETT, 400, [2.0, 4.0, 8.0], 12, Grid(8), 7)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    io.write_json(str(got), {"report": report.to_dict(), "bias_check": bias.to_dict()})
+    mc, bias_dict = hand_written_report_dicts(report, bias)
+    io.write_json(str(want), {"report": mc, "bias_check": bias_dict})
+    assert got.read_bytes() == want.read_bytes()
+    # plain json can write both as they are: no numpy scalars, no raw samples
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(mc, sort_keys=True)
+    assert json.dumps(bias.to_dict(), sort_keys=True) == json.dumps(bias_dict, sort_keys=True)

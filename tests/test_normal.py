@@ -1,14 +1,23 @@
-"""The normal CDF/quantile pair is hand-rolled (documented rational
-approximations), so it is pinned against high-precision reference values and
-cross-checked against scipy where available."""
+"""The normal law comes from the standard library's ``statistics.NormalDist``.
 
+These tests pin the three places lrcov uses it against scipy: the cdf inside
+``ks_distance``, the quantile behind ``eigenvalue_ci``'s z, and the
+``normal`` column of the QQ tables that ``mc-verify`` writes.
+"""
+
+import json
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
+from scipy.stats import kstest
 
-from lrcov import ContractViolationError, normal_cdf, normal_pdf, normal_quantile
+from lrcov import ContractViolationError, Grid, Surface, eigendecompose, eigenvalue_ci, io
+from lrcov import ks_distance, make_kernel
+from lrcov.cli import main
+
+BARTLETT = make_kernel("bartlett")
 
 # reference quantiles, 17 significant digits
 QUANTILES = {
@@ -22,56 +31,98 @@ QUANTILES = {
 }
 
 
+def ci_z(conf):
+    """The z behind eigenvalue_ci, read back from the half-width of a level-1 interval."""
+    eigen = eigendecompose(Surface(Grid(2), np.diag([2.0, 1.0])))  # eigenvalues 1, 1/2
+    lam, n, h = 1.0, 8, 1.0
+    ci = eigenvalue_ci(eigen, BARTLETT, n, h, 1, conf)
+    scale = math.sqrt(h / n) * lam * math.sqrt(2.0 * BARTLETT.square_integral)
+    return (ci.upper - lam) / scale
+
+
+def qq_table(tmp_path, replications):
+    cfg = {
+        "experiment": {
+            "dgp": {"kind": "iid", "sigmas": [1.0]},
+            "kernel": "bartlett",
+            "n_obs": 60,
+            "grid_points": 1,
+            "h": 3,
+            "replications": replications,
+            "master_seed": 4,
+        }
+    }
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["mc-verify", "--config", str(path), "--out", out]) == 0
+    table, header = io.read_matrix_csv(f"{out}/qq_projection_0.csv")
+    assert header == ["normal", "empirical"]
+    return table
+
+
 def test_cdf_reference_points():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-9)
-    assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-7)
-    assert normal_cdf(-1.959963984540054) == pytest.approx(0.025, abs=1e-7)
+    # fitted law N(0, 1) at the 2.5/5/25/50/75/95/97.5% points: the largest
+    # gap between the empirical and the normal cdf is 0.25 - 0.05 = 0.2
+    z75, z95, z975 = QUANTILES[0.75], QUANTILES[0.95], QUANTILES[0.975]
+    x = np.array([-z975, -z95, -z75, 0.0, 0.0, z75, z95, z975])
+    assert ks_distance(x, loc=0.0, scale=1.0) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_cdf_absolute_error_bound():
-    # documented bound for the rational erf approximation is 7.5e-8
-    x = np.linspace(-8, 8, 4001)
-    err = np.abs(normal_cdf(x) - ndtr(x))
-    assert np.max(err) <= 7.5e-8
+    rng = np.random.default_rng(3)
+    for n in (8, 50, 1000):
+        x = rng.standard_t(5, size=n) * 2.0 + 1.0
+        loc, scale = float(np.mean(x)), float(np.std(x, ddof=1))
+        want = kstest(x, "norm", args=(loc, scale)).statistic
+        assert abs(ks_distance(x) - want) <= 1e-12
+        want = kstest(x, "norm").statistic
+        assert abs(ks_distance(x, loc=0.0, scale=1.0) - want) <= 1e-12
 
 
 def test_cdf_symmetry_and_monotone():
-    x = np.linspace(-6, 6, 1001)
-    assert np.max(np.abs(normal_cdf(x) + normal_cdf(-x) - 1.0)) <= 1e-12
-    assert np.all(np.diff(normal_cdf(x)) >= 0)
-
-
-def test_pdf_matches_formula():
-    x = np.linspace(-5, 5, 101)
-    expected = np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi)
-    np.testing.assert_allclose(normal_pdf(x), expected, rtol=1e-14)
+    x = np.random.default_rng(4).exponential(size=200)
+    d = ks_distance(x)
+    # the fitted law reflects with the sample, and location/scale drop out
+    assert ks_distance(-x) == pytest.approx(d, abs=1e-12)
+    assert ks_distance(3.0 * x - 7.0) == pytest.approx(d, abs=1e-12)
+    # moving a known law away from the sample only increases the distance
+    ds = [ks_distance(x, loc=float(np.mean(x)) + s, scale=1.0) for s in (0.0, 0.5, 1.0, 2.0)]
+    assert all(b > a for a, b in zip(ds, ds[1:]))
 
 
 def test_quantile_reference_points():
     for p, z in QUANTILES.items():
-        assert normal_quantile(p) == pytest.approx(z, abs=1e-7)
-        assert normal_quantile(1.0 - p) == pytest.approx(-z, abs=1e-7)
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)
+        assert ci_z(2.0 * p - 1.0) == pytest.approx(z, abs=1e-12)
 
 
-def test_quantile_against_scipy_dense():
-    p = np.linspace(1e-6, 1 - 1e-6, 2001)
-    err = np.abs(np.array([normal_quantile(v) for v in p]) - ndtri(p))
-    assert np.max(err) <= 1e-6
+def test_quantile_against_scipy_dense(tmp_path):
+    table = qq_table(tmp_path, 400)
+    z = table[:, 1]
+    n = len(z)
+    assert np.all(np.diff(z) >= 0)  # the empirical column is sorted
+    loc, scale = float(np.mean(z)), float(np.std(z, ddof=1))
+    want = loc + scale * ndtri((np.arange(1, n + 1) - 0.5) / n)
+    assert np.max(np.abs(table[:, 0] - want)) <= 1e-12 * scale
 
 
 def test_quantile_tails():
-    # deep tails, both regimes of the rational approximation
-    for p in (1e-9, 1e-5, 0.02, 0.98, 1 - 1e-5, 1 - 1e-9):
-        assert normal_quantile(p) == pytest.approx(ndtri(p), rel=1e-6, abs=1e-6)
+    for conf in (0.96, 0.999, 1.0 - 2e-5, 1.0 - 2e-9):
+        assert ci_z(conf) == pytest.approx(ndtri(0.5 * (1.0 + conf)), rel=1e-12)
 
 
 def test_quantile_domain():
+    eigen = eigendecompose(Surface(Grid(2), np.diag([2.0, 1.0])))
     for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ContractViolationError):
-            normal_quantile(bad)
+            eigenvalue_ci(eigen, BARTLETT, 8, 1.0, 1, bad)
 
 
-def test_round_trip():
-    for p in (0.01, 0.2, 0.5, 0.9, 0.999):
-        assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=2e-7)
+def test_round_trip(tmp_path):
+    # the QQ column sits at the (i - 1/2)/n quantiles of its fitted law, so
+    # its distance to that law is exactly 1/(2n)
+    table = qq_table(tmp_path, 100)
+    z = table[:, 1]
+    loc, scale = float(np.mean(z)), float(np.std(z, ddof=1))
+    d = ks_distance(table[:, 0], loc=loc, scale=scale)
+    assert d == pytest.approx(0.5 / len(z), abs=1e-12)
