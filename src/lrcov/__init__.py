@@ -18,18 +18,7 @@ from .errors import (
     LrcovError,
     SeparationError,
 )
-from .grid import (
-    Curve,
-    Grid,
-    Surface,
-    apply_operator,
-    curve_integral,
-    fourier_basis,
-    inner_product,
-    l2_norm_curve,
-    l2_norm_surface,
-    surface_integral,
-)
+from .grid import Grid, Surface, fourier_basis, l2_norm_surface, surface_integral
 from .kernels import KERNEL_NAMES, KernelSpec, char_exponent_check, kernel_value, make_kernel
 from .estimator import (
     Bandwidth,
@@ -86,14 +75,9 @@ __all__ = [
     "KernelSpecError",
     "SeparationError",
     "Grid",
-    "Curve",
     "Surface",
-    "inner_product",
-    "l2_norm_curve",
     "l2_norm_surface",
-    "curve_integral",
     "surface_integral",
-    "apply_operator",
     "fourier_basis",
     "KernelSpec",
     "KERNEL_NAMES",

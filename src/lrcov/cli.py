@@ -23,10 +23,14 @@ import numpy as np
 from . import io
 from .errors import (
     ConfigError,
+    ContractViolationError,
     DataFormatError,
+    DimensionError,
     KernelSpecError,
     LrcovError,
     SeparationError,
+    config_number,
+    config_numbers,
 )
 from .estimator import estimate_lrcov, project_psd
 from .fpca import eigendecompose, eigenvalue_ci
@@ -250,8 +254,7 @@ def cmd_fpca(args) -> int:
     io.write_matrix_csv(
         f"{out}/eigenvalues.csv", np.array(rows), header=["level", "eigenvalue", "ci_low", "ci_high"]
     )
-    funcs = np.column_stack([eigen.eigenfunctions[k].values for k in range(p)])
-    io.write_matrix_csv(f"{out}/eigenfunctions.csv", funcs)
+    io.write_matrix_csv(f"{out}/eigenfunctions.csv", eigen.eigenfunctions[:p].T)
     io.write_json(
         f"{out}/metadata.json",
         {
@@ -318,17 +321,16 @@ def cmd_simulate(args) -> int:
     for key in ("dgp", "n_obs", "grid_points"):
         if key not in cfg:
             raise ConfigError(f"simulate config requires {key!r}")
-    n_obs = int(cfg["n_obs"])
-    grid_points = int(cfg["grid_points"])
-    if n_obs < 2:
-        raise ConfigError(f"need n_obs >= 2, got {n_obs}")
-    if grid_points < 1:
-        raise ConfigError(f"need grid_points >= 1, got {grid_points}")
+    n_obs = config_number(cfg["n_obs"], "n_obs", integer=True, low=2)
+    grid_points = config_number(cfg["grid_points"], "grid_points", integer=True, low=1)
     dgp = DgpSpec.from_dict(cfg["dgp"])
-    seed = _pick(args.seed, cfg, "seed", dgp.seed)
+    seed = config_number(_pick(args.seed, cfg, "seed", dgp.seed), "seed", integer=True, low=0)
     grid = Grid(grid_points)
-    sample = generate(dgp, n_obs, grid, replication_rng(int(seed), 0))
-    truth_set = truth(dgp, grid)
+    try:
+        truth_set = truth(dgp, grid)
+    except DimensionError as exc:  # more noise components than the grid resolves
+        raise ConfigError(str(exc)) from None
+    sample = generate(dgp, n_obs, grid, replication_rng(seed, 0))
     out = _out_dir(args, cfg)
     io.write_curves_csv(f"{out}/sample.csv", sample)
     io.write_json(
@@ -351,7 +353,7 @@ def cmd_simulate(args) -> int:
                 "dgp": dgp.to_dict(),
                 "n_obs": n_obs,
                 "grid_points": grid_points,
-                "seed": int(seed),
+                "seed": seed,
             },
         },
     )
@@ -373,13 +375,13 @@ def cmd_mc_verify(args) -> int:
     if args.config is None:
         raise ConfigError("mc-verify requires --config")
     cfg = _load_config(args.config, allowed, "mc-verify")
-    if "experiment" not in cfg:
-        raise ConfigError("mc-verify config requires 'experiment'")
+    if not isinstance(cfg.get("experiment"), dict):
+        raise ConfigError("mc-verify config requires an 'experiment' object")
     exp_raw = dict(cfg["experiment"])
     if args.seed is not None:
-        exp_raw["master_seed"] = int(args.seed)
+        exp_raw["master_seed"] = args.seed
     spec = ExperimentSpec.from_dict(exp_raw)
-    # reject a malformed bias_check before the experiment burns any time
+    # reject a malformed bias_check, and run it, before the experiment burns any time
     bias_cfg = cfg.get("bias_check")
     if bias_cfg is not None:
         if not isinstance(bias_cfg, dict):
@@ -387,9 +389,18 @@ def cmd_mc_verify(args) -> int:
         unknown = set(bias_cfg) - {"h", "replications"}
         if unknown:
             raise ConfigError(f"unknown bias_check keys: {sorted(unknown)}")
-        for key in ("h", "replications"):
-            if key not in bias_cfg:
-                raise ConfigError(f"bias_check requires {key!r}")
+        try:
+            bias_report = bias_rate_check(
+                spec.dgp,
+                spec.kernel,
+                spec.n_obs,
+                config_numbers(bias_cfg.get("h"), "bias_check h"),
+                config_number(bias_cfg.get("replications"), "bias_check replications", integer=True),
+                spec.grid,
+                master_seed=spec.master_seed,
+            )
+        except (ContractViolationError, KernelSpecError) as exc:  # its arguments are refused
+            raise ConfigError(f"bias_check: {exc}") from None
     report = run_experiment(spec)
     out = _out_dir(args, cfg)
     payload = {"experiment": exp_raw, "report": report.to_dict(), "bias_check": None}
@@ -398,15 +409,6 @@ def cmd_mc_verify(args) -> int:
     for j, level in enumerate(spec.eigen_levels):
         _write_qq_csv(f"{out}/qq_eigen_{level}.csv", report.eigen_error_samples[:, j])
     if bias_cfg is not None:
-        bias_report = bias_rate_check(
-            spec.dgp,
-            spec.kernel,
-            spec.n_obs,
-            [float(h) for h in bias_cfg["h"]],
-            int(bias_cfg["replications"]),
-            spec.grid,
-            master_seed=spec.master_seed,
-        )
         payload["bias_check"] = bias_report.to_dict()
         rows = [
             [

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes; library code raises them
 directly so programmatic callers can discriminate failure modes.
 """
 
+import math
+
 
 class LrcovError(Exception):
     """Base class for all package errors."""
@@ -32,3 +34,20 @@ class KernelSpecError(LrcovError):
 
 class SeparationError(LrcovError):
     """Eigenvalue separation too small for the requested spectral inference."""
+
+
+def config_number(value, what: str, integer: bool = False, low: float = -math.inf):
+    """A finite number from a config, an int if ``integer``, at least ``low``; else ConfigError."""
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite or (integer and value != int(value)) or value < low:
+        bound = "" if low == -math.inf else f" >= {low}"
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{what} must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def config_numbers(values, what: str, integer: bool = False, low: float = -math.inf) -> tuple:
+    """A list of numbers read from a config, each checked by ``config_number``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(config_number(v, what, integer, low) for v in values)

@@ -3,8 +3,9 @@
 Discretization convention: a surface S acts as the integral operator with the
 midpoint rule, so the matrix actually decomposed is S/G; matrix eigenvectors
 are rescaled by sqrt(G) to make the returned eigenfunctions unit-norm under
-the same quadrature.  Inference refuses to touch eigenvalues whose spacing
-falls below a relative separation floor instead of returning garbage.
+the same quadrature, and returned as the rows of one array.  Inference
+refuses to touch eigenvalues whose spacing falls below a relative separation
+floor instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionError, SeparationError
 from .estimator import Bandwidth, BandwidthLike, BiasKernel
-from .grid import Curve, Grid, Surface, inner_product
+from .grid import Grid, Surface, _as_values
 from .kernels import KernelSpec
 
 __all__ = [
@@ -41,23 +42,21 @@ SEPARATION_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (descending) and unit-norm eigenfunctions of a symmetric surface."""
+    """Descending eigenvalues and unit-norm eigenfunctions, the rows of a ``(count, G)`` array."""
 
     grid: Grid
     eigenvalues: np.ndarray
-    eigenfunctions: tuple
+    eigenfunctions: np.ndarray
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.ndim != 1 or len(lam) != len(self.eigenfunctions):
-            raise DimensionError("eigenvalue/eigenfunction count mismatch")
+        if lam.ndim != 1:
+            raise DimensionError(f"eigenvalues must be one-dimensional, got shape {lam.shape}")
+        funcs = _as_values(self.eigenfunctions, (len(lam), self.grid.n_points), "eigenfunctions")
         if np.any(np.diff(lam) > 1e-12 * max(1.0, float(np.max(np.abs(lam), initial=0.0)))):
             raise ContractViolationError("eigenvalues must be sorted in descending order")
-        for f in self.eigenfunctions:
-            if f.grid.n_points != self.grid.n_points:
-                raise DimensionError("eigenfunction grid mismatch")
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
+        object.__setattr__(self, "eigenfunctions", funcs)
 
     @property
     def count(self) -> int:
@@ -95,24 +94,19 @@ def eigendecompose(s: Surface) -> EigenSystem:
     sym = 0.5 * (s.values + s.values.T)
     w, v = np.linalg.eigh(sym / g)
     order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order] * math.sqrt(g)
-    funcs = []
-    for k in range(g):
-        col = v[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            col = -col
-        funcs.append(Curve(s.grid, col))
-    return EigenSystem(s.grid, w, tuple(funcs))
+    funcs = v.T[order] * math.sqrt(g)
+    peaks = funcs[np.arange(g), np.argmax(np.abs(funcs), axis=1)]
+    funcs[peaks < 0] *= -1.0
+    return EigenSystem(s.grid, w[order], funcs)
 
 
-def align_sign(estimate: Curve, reference: Curve) -> Curve:
-    """Flip ``estimate`` so it correlates non-negatively with ``reference``.
-
-    An exactly orthogonal pair (inner product zero) is left unflipped.
+def align_sign(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Flip each row of the ``(..., G)`` array ``estimates`` whose inner product
+    with the curve ``reference`` is negative; an exactly orthogonal row stays.
     """
-    s = -1.0 if inner_product(estimate, reference) < 0.0 else 1.0
-    return Curve(estimate.grid, s * estimate.values)
+    estimates = np.asarray(estimates, dtype=float)
+    flip = estimates @ np.asarray(reference, dtype=float) < 0.0
+    return np.where(flip[..., None], -estimates, estimates)
 
 
 def _require_separation(eigenvalues: np.ndarray, level: int) -> None:
@@ -146,7 +140,7 @@ def eigenvalue_clt_params(
     sd = lam * math.sqrt(2.0 * kernel.square_integral)
     mean_shift = 0.0
     if bias is not None and drift != 0.0:
-        v = truth.eigenfunctions[level - 1].values
+        v = truth.eigenfunctions[level - 1]
         g = truth.grid.n_points
         mean_shift = drift * float(v @ bias.surface.values @ v) / g**2
     return EigenvalueLimit(sd, mean_shift)

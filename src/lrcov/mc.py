@@ -26,7 +26,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, KernelSpecError
+from .errors import ConfigError, ContractViolationError, DimensionError, KernelSpecError
+from .errors import config_number, config_numbers
 from .estimator import (
     Bandwidth,
     BandwidthSelection,
@@ -41,7 +42,7 @@ from .fpca import (
     eigenfunction_deviation_msd,
     eigenvalue_clt_params,
 )
-from .grid import Curve, Grid, Surface
+from .grid import Grid, Surface, fourier_basis
 from .kernels import KernelSpec, kernel_value, make_kernel
 from .simulate import DgpSpec, TruthSet, generate, replication_rng, truth
 
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 WORKER_ENV_VAR = "LRCOV_THREADS"
+KS_MIN_VALUES = 8
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,22 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.n_obs < 2:
             raise ConfigError(f"need n_obs >= 2, got {self.n_obs}")
-        if self.replications < 2:
-            raise ConfigError(f"need at least 2 replications, got {self.replications}")
+        min_reps = KS_MIN_VALUES if self.projections else 2  # ks_distance needs the former
+        if self.replications < min_reps:
+            raise ConfigError(f"need at least {min_reps} replications, got {self.replications}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
+        components = self.dgp.noise.n_components
+        try:
+            fourier_basis(self.grid, components)
+        except DimensionError as exc:
+            raise ConfigError(str(exc)) from None
         levels = tuple(int(l) for l in self.eigen_levels)
-        if any(l < 1 for l in levels):
-            raise ConfigError(f"eigen levels are 1-based, got {levels}")
+        if any(not 1 <= l <= components for l in levels):
+            raise ConfigError(f"eigen levels must lie in 1..{components}, got {levels}")
         object.__setattr__(self, "projections", tuple(self.projections))
         object.__setattr__(self, "eigen_levels", levels)
 
@@ -186,25 +194,26 @@ class ExperimentSpec:
             kernel = make_kernel(raw["kernel"], raw.get("flat_width", 0.5))
         except KernelSpecError as exc:
             raise ConfigError(str(exc)) from None
-        grid = Grid(int(raw["grid_points"]))
-        projections = []
-        for p in raw.get("projections", ["ones"]):
-            if p == "ones":
-                projections.append(Surface(grid, np.ones((grid.n_points,) * 2)))
-            else:
-                projections.append(Surface(grid, np.asarray(p, dtype=float)))
+        grid = Grid(config_number(raw["grid_points"], "grid_points", integer=True, low=1))
+        ones = np.ones((grid.n_points,) * 2)
+        try:
+            projections = [
+                Surface(grid, ones if p == "ones" else p) for p in raw.get("projections", ["ones"])
+            ]
+        except (TypeError, ValueError) as exc:  # DimensionError is a ValueError
+            raise ConfigError(f"bad projection surface: {exc}") from None
         return ExperimentSpec(
             dgp=DgpSpec.from_dict(raw["dgp"]),
             kernel=kernel,
-            n_obs=int(raw["n_obs"]),
+            n_obs=config_number(raw["n_obs"], "n_obs", integer=True),
             grid=grid,
             h_rule=BandwidthRule.parse(raw["h"]),
-            replications=int(raw["replications"]),
+            replications=config_number(raw["replications"], "replications", integer=True),
             projections=tuple(projections),
-            eigen_levels=tuple(raw.get("eigen_levels", ())),
-            master_seed=int(raw.get("master_seed", 0)),
-            workers=int(raw.get("workers", 1)),
-            drift=raw.get("drift"),
+            eigen_levels=config_numbers(raw.get("eigen_levels", []), "eigen_levels", integer=True),
+            master_seed=config_number(raw.get("master_seed", 0), "master_seed", integer=True, low=0),
+            workers=config_number(raw.get("workers", 1), "workers", integer=True),
+            drift=None if raw.get("drift") is None else config_number(raw["drift"], "drift"),
         )
 
 
@@ -280,8 +289,8 @@ def ks_distance(values: np.ndarray, loc: float | None = None, scale: float | Non
     """Kolmogorov-Smirnov distance to a normal law (fitted by moments if not given)."""
     x = np.sort(np.asarray(values, dtype=float))
     n = len(x)
-    if n < 8:
-        raise ContractViolationError(f"need at least 8 values for a distribution distance, got {n}")
+    if n < KS_MIN_VALUES:
+        raise ContractViolationError(f"a KS distance needs {KS_MIN_VALUES}+ values, got {n}")
     if loc is None:
         loc = float(np.mean(x))
     if scale is None:
@@ -337,7 +346,7 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> list:
         if n_levels:
             eig = eigendecompose(est.surface)
             lams = eig.eigenvalues[:n_levels].copy()
-            vhats = np.vstack([eig.eigenfunctions[k].values for k in range(n_levels)])
+            vhats = eig.eigenfunctions[:n_levels].copy()
         out.append((r, bw.h, projs, lams, vhats))
     return out
 
@@ -345,6 +354,9 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> list:
 def run_experiment(spec: ExperimentSpec) -> McReport:
     """Run the replications, center at the Monte Carlo mean, compare to theory."""
     t0 = time.perf_counter()
+    truth_set = truth(spec.dgp, spec.grid, spec.kernel)
+    # refuse inseparable eigen levels before any replication runs
+    msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
     workers = _effective_workers(spec.workers, spec.replications)
     chunks = [
         range(k, spec.replications, workers) for k in range(workers)
@@ -361,7 +373,6 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     n = spec.n_obs
     h_arr = np.array([h for _, h, _, _, _ in results])
     scale = np.sqrt(n / h_arr)
-    truth_set = truth(spec.dgp, spec.grid, spec.kernel)
 
     projection_stats = []
     a = np.vstack([p for _, _, p, _, _ in results])  # (R, n_proj)
@@ -392,23 +403,19 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
         drift = spec.drift
         if drift is None:
             drift = n / h_rep ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
+        lams = np.vstack([lam for _, _, _, lam, _ in results])  # (R, n_levels)
+        vhats = np.stack([v for _, _, _, _, v in results])  # (R, n_levels, G)
         errs = np.empty((len(results), len(spec.eigen_levels)))
         devs = np.empty_like(errs)
-
-
-        for i, (_, h, _, lams, vhats) in enumerate(results):
-            for j, level in enumerate(spec.eigen_levels):
-                lam_true = float(truth_set.eigen.eigenvalues[level - 1])
-                v_true = truth_set.eigen.eigenfunctions[level - 1]
-                errs[i, j] = math.sqrt(n / h) * (lams[level - 1] - lam_true)
-                aligned = align_sign(Curve(spec.grid, vhats[level - 1]), v_true)
-                diff = aligned.values - v_true.values
-                devs[i, j] = (n / h) * float(np.mean(diff**2))
-        for j, level in enumerate(spec.eigen_levels):
+        for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
+            lam_true = truth_set.eigen.eigenvalues[level - 1]
+            v_true = truth_set.eigen.eigenfunctions[level - 1]
+            errs[:, j] = scale * (lams[:, level - 1] - lam_true)
+            diff = align_sign(vhats[:, level - 1], v_true) - v_true
+            devs[:, j] = (n / h_arr) * np.mean(diff**2, axis=1)
             limit = eigenvalue_clt_params(
                 truth_set.eigen, spec.kernel, truth_set.bias, drift, level
             )
-            msd = eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, level)
             mean, var, _, _ = sample_moments(errs[:, j])
             eigen_stats.append(
                 EigenLevelStats(

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number, config_numbers
 from .estimator import BiasKernel, CurveSample, bias_kernel
 from .fpca import EigenSystem
-from .grid import Curve, Grid, Surface, fourier_basis
+from .grid import Grid, Surface, fourier_basis
 from .kernels import KernelSpec
 
 __all__ = [
@@ -111,11 +111,11 @@ class DgpSpec:
             raise ConfigError("dgp spec requires 'kind' and 'sigmas'")
         return DgpSpec(
             kind=raw["kind"],
-            noise=GaussianNoiseSpec(tuple(raw["sigmas"])),
-            theta=tuple(raw.get("theta", ())),
-            rho=raw.get("rho", 0.0),
-            seed=raw.get("seed", 0),
-            burn_in=raw.get("burn_in", 200),
+            noise=GaussianNoiseSpec(config_numbers(raw["sigmas"], "dgp sigmas")),
+            theta=config_numbers(raw.get("theta", []), "dgp theta"),
+            rho=config_number(raw.get("rho", 0.0), "dgp rho"),
+            seed=config_number(raw.get("seed", 0), "dgp seed", integer=True, low=0),
+            burn_in=config_number(raw.get("burn_in", 200), "dgp burn_in", integer=True),
         )
 
 
@@ -133,11 +133,6 @@ class TruthSet:
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent stream for one replication; ordering-free and worker-count-free."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
-
-
-def _basis_matrix(noise: GaussianNoiseSpec, grid: Grid) -> np.ndarray:
-    funcs = fourier_basis(grid, noise.n_components)
-    return np.vstack([f.values for f in funcs])
 
 
 def generate(
@@ -169,7 +164,7 @@ def generate(
         for i in range(n_obs):
             state = spec.rho * state + main[i]
             scores[i] = state
-    phi = _basis_matrix(spec.noise, grid)
+    phi = fourier_basis(grid, spec.noise.n_components)
     return CurveSample(grid, (scores * spec.noise.sigmas) @ phi)
 
 
@@ -206,7 +201,7 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     The bias surface is built per kernel and is None for the flat-top kernel,
     which has no power-law bias.
     """
-    phi = _basis_matrix(spec.noise, grid)
+    phi = fourier_basis(grid, spec.noise.n_components)
     s2 = np.asarray(spec.noise.sigmas) ** 2
     noise_surface = (phi.T * s2) @ phi
     coeffs, long_run = _gamma_coeffs(spec)
@@ -220,8 +215,7 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
         c = Surface(grid, c_vals)
     order = np.argsort(-s2, kind="stable")
     lam = long_run * s2[order]
-    funcs = tuple(Curve(grid, phi[k]) for k in order)
-    eigen = EigenSystem(grid, lam, funcs)
+    eigen = EigenSystem(grid, lam, phi[order])
     bias = None
     if kernel is not None and math.isfinite(kernel.char_exponent):
         bias = bias_kernel(gammas, kernel, max_lag=len(coeffs) - 1)

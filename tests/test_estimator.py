@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from lrcov import (
     Bandwidth,
     ContractViolationError,
-    Curve,
     CurveSample,
     DgpSpec,
     DimensionError,

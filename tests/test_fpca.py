@@ -8,19 +8,17 @@ from lrcov import (
     Bandwidth,
     BiasKernel,
     ContractViolationError,
-    Curve,
+    DimensionError,
     EigenSystem,
     Grid,
     SeparationError,
     Surface,
     align_sign,
-    apply_operator,
     eigendecompose,
     eigenfunction_deviation_msd,
     eigenvalue_ci,
     eigenvalue_clt_params,
     fourier_basis,
-    inner_product,
     make_kernel,
 )
 
@@ -32,7 +30,7 @@ def spectrum_surface(grid, eigenvalues):
     basis = fourier_basis(grid, len(eigenvalues))
     vals = np.zeros((grid.n_points, grid.n_points))
     for lam, phi in zip(eigenvalues, basis):
-        vals += lam * np.outer(phi.values, phi.values)
+        vals += lam * np.outer(phi, phi)
     return Surface(grid, vals)
 
 
@@ -40,7 +38,16 @@ def system(eigenvalues, grid=None):
     """EigenSystem with an exact spectrum over fourier eigenfunctions."""
     g = grid or Grid(32)
     basis = fourier_basis(g, len(eigenvalues))
-    return EigenSystem(g, np.asarray(eigenvalues, dtype=float), tuple(basis))
+    return EigenSystem(g, np.asarray(eigenvalues, dtype=float), basis)
+
+
+def test_eigensystem_requires_count_by_grid_array():
+    g = Grid(4)
+    funcs = fourier_basis(g, 2)
+    assert EigenSystem(g, [2.0, 1.0], funcs).eigenfunctions.shape == (2, 4)
+    for bad in (funcs.T, funcs[:1], funcs[0], np.stack([funcs, funcs])):
+        with pytest.raises(DimensionError):
+            EigenSystem(g, [2.0, 1.0], bad)
 
 
 def test_eigendecompose_rank_one():
@@ -49,7 +56,7 @@ def test_eigendecompose_rank_one():
     es = eigendecompose(Surface(g, 2.0 * np.outer(phi, phi)))
     assert es.eigenvalues[0] == pytest.approx(2.0, rel=1e-10)
     assert np.max(np.abs(es.eigenvalues[1:])) <= 1e-10
-    v = es.eigenfunctions[0].values
+    v = es.eigenfunctions[0]
     sign = 1.0 if v @ phi > 0 else -1.0
     assert np.max(np.abs(sign * v - phi)) <= 1e-8
 
@@ -59,7 +66,7 @@ def test_eigendecompose_constant_surface():
     es = eigendecompose(Surface(g, np.ones((8, 8))))
     assert es.eigenvalues[0] == pytest.approx(1.0, rel=1e-12)
     assert np.max(np.abs(es.eigenvalues[1:])) <= 1e-12
-    assert_allclose(np.abs(es.eigenfunctions[0].values), np.ones(8), rtol=1e-10)
+    assert_allclose(np.abs(es.eigenfunctions[0]), np.ones(8), rtol=1e-10)
 
 
 def test_eigendecompose_three_mode_spectrum():
@@ -83,7 +90,7 @@ def test_eigendecompose_reconstruction():
     es = eigendecompose(s)
     rebuilt = np.zeros((12, 12))
     for lam, f in zip(es.eigenvalues, es.eigenfunctions):
-        rebuilt += lam * np.outer(f.values, f.values)
+        rebuilt += lam * np.outer(f, f)
     scale = np.max(np.abs(s.values))
     assert np.max(np.abs(rebuilt - s.values)) <= 1e-6 * scale
 
@@ -103,11 +110,9 @@ def test_eigendecompose_orthonormal():
     g = Grid(16)
     m = rng.normal(size=(16, 16))
     es = eigendecompose(Surface(g, m + m.T))
-    for j in range(es.count):
-        for k in range(j, es.count):
-            want = 1.0 if j == k else 0.0
-            ip = inner_product(es.eigenfunctions[j], es.eigenfunctions[k])
-            assert abs(ip - want) <= 1e-8
+    funcs = es.eigenfunctions
+    assert funcs.shape == (16, 16)
+    assert np.max(np.abs(funcs @ funcs.T / 16 - np.eye(16))) <= 1e-8
 
 
 def test_eigendecompose_operator_identity():
@@ -117,9 +122,8 @@ def test_eigendecompose_operator_identity():
     s = Surface(g, m + m.T)
     es = eigendecompose(s)
     tol = 1e-6 * max(abs(es.eigenvalues[0]), 1.0)
-    for lam, f in zip(es.eigenvalues, es.eigenfunctions):
-        image = apply_operator(s, f)
-        assert np.max(np.abs(image.values - lam * f.values)) <= tol
+    image = s.values @ es.eigenfunctions.T / 16  # column k: the operator applied to row k
+    assert np.max(np.abs(image - es.eigenfunctions.T * es.eigenvalues)) <= tol
 
 
 def test_eigendecompose_deterministic_sign():
@@ -128,28 +132,30 @@ def test_eigendecompose_deterministic_sign():
     m = rng.normal(size=(9, 9))
     es = eigendecompose(Surface(g, m + m.T))
     for f in es.eigenfunctions:
-        assert f.values[np.argmax(np.abs(f.values))] > 0
+        assert f[np.argmax(np.abs(f))] > 0
 
 
 def test_align_sign():
-    g = Grid(4)
-    ref = Curve(g, np.array([1.0, 1.0, 1.0, 1.0]))
-    flipped = align_sign(Curve(g, np.array([-1.0, -1.0, -1.0, -1.0])), ref)
-    assert_allclose(flipped.values, ref.values)
-    kept = align_sign(Curve(g, np.array([2.0, 0.0, 0.0, 0.0])), ref)
-    assert kept.values[0] == 2.0
+    ref = np.ones(4)
+    assert_allclose(align_sign(-ref, ref), ref)
+    kept = align_sign(np.array([2.0, 0.0, 0.0, 0.0]), ref)
+    assert kept[0] == 2.0
     # orthogonal estimate: tie broken toward no flip
-    orth = align_sign(Curve(g, np.array([1.0, -1.0, 1.0, -1.0])), ref)
-    assert orth.values[0] == 1.0
+    orth = align_sign(np.array([1.0, -1.0, 1.0, -1.0]), ref)
+    assert orth[0] == 1.0
+    # a stack of curves is aligned row by row
+    stack = np.array([[-1.0, -1.0, -1.0, -1.0], [2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0]])
+    assert_allclose(align_sign(stack, ref), [ref, kept, orth])
+    assert_allclose(align_sign(stack[None], ref), [[ref, kept, orth]])
 
 
 def test_align_sign_nonnegative_correlation():
     rng = np.random.default_rng(25)
-    g = Grid(6)
-    for _ in range(50):
-        a = Curve(g, rng.normal(size=6))
-        b = Curve(g, rng.normal(size=6))
-        assert inner_product(align_sign(a, b), b) >= 0.0
+    a = rng.normal(size=(50, 6))
+    b = rng.normal(size=6)
+    aligned = align_sign(a, b)
+    assert np.all(aligned @ b >= 0.0)
+    assert_allclose(np.abs(aligned), np.abs(a))
 
 
 def test_clt_params_no_drift_no_shift():

@@ -503,3 +503,64 @@ def test_mc_verify_config_errors(tmp_path, capsys, monkeypatch):
     # a bad bias_check must fail before the experiment runs or writes anything
     assert list(workdir.iterdir()) == []
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- cli: bad settings
+
+
+def mc_config(bias_check=None, **experiment):
+    base = {
+        "dgp": {"kind": "fma", "sigmas": [1.0, 0.5], "theta": [0.5]},
+        "kernel": "bartlett",
+        "n_obs": 100,
+        "grid_points": 4,
+        "h": 3,
+        "replications": 12,
+        "eigen_levels": [1, 2],
+    }
+    return {"experiment": {**base, **experiment}, "bias_check": bias_check}
+
+
+NYQUIST_SIGMAS = {"kind": "iid", "sigmas": [1.0, 0.8, 0.6, 0.7]}  # the 4th is zero on 4 points
+
+BAD_SETTINGS = {
+    "workers-string": ("mc-verify", mc_config(workers="x")),
+    "sigmas-string": ("mc-verify", mc_config(dgp={"kind": "iid", "sigmas": "ab"})),
+    "theta-string": ("mc-verify", mc_config(dgp={"kind": "fma", "sigmas": [1.0], "theta": ["x"]})),
+    "level-beyond-components": ("mc-verify", mc_config(eigen_levels=[3])),
+    "too-few-replications": ("mc-verify", mc_config(replications=5)),
+    "fractional-n-obs": ("mc-verify", mc_config(n_obs=50.7)),
+    "zero-grid-points": ("mc-verify", mc_config(grid_points=0)),
+    "sigmas-beyond-grid": ("mc-verify", mc_config(grid_points=1)),
+    "nyquist-sigmas": ("mc-verify", mc_config(dgp=NYQUIST_SIGMAS, eigen_levels=[1])),
+    "drift-string": ("mc-verify", mc_config(drift="x")),
+    "negative-seed": ("mc-verify", mc_config(master_seed=-1)),
+    "projection-string": ("mc-verify", mc_config(projections=["x"])),
+    "projection-shape": ("mc-verify", mc_config(projections=[[[1.0]]])),
+    "bias-h-string": ("mc-verify", mc_config(bias_check={"h": ["x"], "replications": 4})),
+    "bias-h-zero": ("mc-verify", mc_config(bias_check={"h": [0, 2, 4], "replications": 4})),
+    "bias-flat-top": (
+        "mc-verify",
+        mc_config(kernel="flat-top", bias_check={"h": [2, 4, 8], "replications": 4}),
+    ),
+    "sim-fractional-n-obs": ("simulate", dict(SIM_CFG, n_obs=50.7)),
+    "sim-zero-grid-points": ("simulate", dict(SIM_CFG, grid_points=0)),
+    "sim-seed-string": ("simulate", dict(SIM_CFG, seed="x")),
+    "sim-burn-in-float": ("simulate", dict(SIM_CFG, dgp={**SIM_CFG["dgp"], "burn_in": 1.5})),
+    "sim-nyquist-sigmas": ("simulate", dict(SIM_CFG, dgp=NYQUIST_SIGMAS, grid_points=4)),
+    "sim-sigmas-beyond-grid": ("simulate", dict(SIM_CFG, grid_points=1)),
+}
+
+
+@pytest.mark.parametrize("command, cfg", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_bad_settings_exit_3_before_any_replication(tmp_path, capsys, monkeypatch, command, cfg):
+    def refuse(*args):
+        raise AssertionError("a replication ran before the configuration was checked")
+
+    monkeypatch.setattr("lrcov.mc._replicate_range", refuse)
+    path = write(tmp_path / "cfg.json", json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+

@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
@@ -14,6 +17,7 @@ from lrcov import (
     GaussianNoiseSpec,
     Grid,
     KernelSpecError,
+    SeparationError,
     Surface,
     bias_rate_check,
     estimate_lrcov,
@@ -263,6 +267,48 @@ def test_run_experiment_worker_determinism():
     for workers in (2, 5):
         spec = scalar_experiment(replications=9, eigen_levels=(1,), workers=workers)
         assert canonical(run_experiment(spec)) == base
+
+
+def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):
+    # Python 3.14 moves the default start method on Linux from fork to forkserver
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    spec = ExperimentSpec(
+        dgp=DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0, 0.5)), theta=(0.5,)),
+        kernel=BARTLETT,
+        n_obs=120,
+        grid=Grid(4),
+        h_rule=BandwidthRule.parse("plugin"),
+        replications=10,
+        projections=(Surface(Grid(4), np.ones((4, 4))),),
+        eigen_levels=(1, 2),
+        master_seed=5,
+        workers=2,
+    )
+    runs = {}
+    for method in ("fork", "spawn"):
+        pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr("lrcov.mc.ProcessPoolExecutor", pool)
+        report = run_experiment(spec)
+        assert report.workers == 2
+        d = report.to_dict()
+        del d["runtime_seconds"]
+        runs[method] = (
+            json.dumps(d, sort_keys=True),
+            report.projection_samples.tobytes(),
+            report.eigen_error_samples.tobytes(),
+        )
+    assert runs["fork"] == runs["spawn"]
+
+
+def test_run_experiment_refuses_tied_levels_before_replicating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a replication ran before the eigen levels were checked")
+
+    monkeypatch.setattr("lrcov.mc._replicate_range", refuse)
+    tied = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0, 1.0)))
+    spec = scalar_experiment(dgp=tied, grid=Grid(4), projections=(), eigen_levels=(1,))
+    with pytest.raises(SeparationError):
+        run_experiment(spec)
 
 
 def test_run_experiment_worker_env_cap(monkeypatch):

@@ -87,6 +87,15 @@ def test_time_reversal_leaves_the_estimate_unchanged(case):
 
 
 @PROPERTY
+@given(cases(), st.floats(-10.0, 10.0))
+def test_adding_a_constant_curve_leaves_the_centered_estimate_unchanged(case, a):
+    y = case["sample"].values
+    shift = a * float(np.max(np.abs(y))) * case["rng"].normal(size=y.shape[1])
+    c = estimate(case).surface.values
+    assert_close(estimate(case, y + shift).surface.values, c, case, 1e-12)
+
+
+@PROPERTY
 @given(cases())
 def test_grid_permutation_permutes_the_estimate(case):
     perm = case["rng"].permutation(case["sample"].grid.n_points)

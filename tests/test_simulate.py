@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from lrcov import (
     ConfigError,
     DgpSpec,
+    DimensionError,
     GaussianNoiseSpec,
     Grid,
     generate,
@@ -104,7 +105,19 @@ def test_truth_eigensystem_sorted_by_scale():
     t = truth(DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0, 2.0)), theta=(0.5,)), G8)
     assert_allclose(t.eigen.eigenvalues, [9.0, 2.25], rtol=1e-13)
     # the larger-scale component rides the second basis function
-    assert_allclose(t.eigen.eigenfunctions[1].values, np.ones(8), rtol=1e-12)
+    assert_allclose(t.eigen.eigenfunctions[1], np.ones(8), rtol=1e-12)
+
+
+def test_truth_eigenvalues_are_those_of_the_long_run_surface():
+    # the largest noise basis each grid resolves: up to G - 1 components on an even grid
+    sigmas = (1.0, 0.8, 0.6, 0.7, 0.3, 0.9, 0.2)
+    for g in (2, 3, 4, 5, 6, 7, 8, 16):
+        noise = GaussianNoiseSpec(sigmas[: g if g % 2 else g - 1])
+        t = truth(DgpSpec(kind="fma", noise=noise, theta=(0.5,)), Grid(g))
+        want = np.linalg.eigvalsh(t.c.values / g)[::-1][: noise.n_components]
+        assert_allclose(t.eigen.eigenvalues, want, rtol=1e-12, atol=1e-14)
+    with pytest.raises(DimensionError):  # the 4th component would sit on the Nyquist cosine
+        truth(DgpSpec(kind="iid", noise=GaussianNoiseSpec(sigmas[:4])), Grid(4))
 
 
 def test_truth_bias_surface_presence():
