@@ -31,7 +31,20 @@ def test_surface_norm_examples():
     assert l2_norm_surface(Surface(g, np.full((3, 3), 3.0))) == pytest.approx(3.0)
     g2 = Grid(2)
     assert l2_norm_surface(Surface(g2, np.eye(2))) == pytest.approx(np.sqrt(0.5))
-    assert surface_integral(Surface(Grid(5), np.full((5, 5), 1.5))) == pytest.approx(1.5)
+
+
+def test_curve_norm_and_integrals():
+    # a curve is a row of G values; under the midpoint rule its norm is sqrt(c @ c / G),
+    # its integral c.sum() / G, and the surface c(t)c(s) has norm ||c||^2 and integral (int c)^2
+    g = Grid(5)
+    c = np.full(5, 2.0)
+    assert np.sqrt(c @ c / g.n_points) == pytest.approx(2.0)
+    assert c.sum() / g.n_points == pytest.approx(2.0)
+    outer = Surface(g, np.outer(c, c))
+    assert l2_norm_surface(outer) == pytest.approx(4.0)
+    assert surface_integral(outer) == pytest.approx(4.0)
+    s = Surface(g, np.full((5, 5), 1.5))
+    assert surface_integral(s) == pytest.approx(1.5)
 
 
 def test_fourier_basis_first_is_constant():
