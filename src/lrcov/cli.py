@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -29,13 +32,15 @@ from .errors import (
     KernelSpecError,
     LrcovError,
     SeparationError,
+    config_flag,
     config_number,
     config_numbers,
+    config_object,
 )
 from .estimator import estimate_lrcov, project_psd
 from .fpca import eigendecompose, eigenvalue_ci
 from .grid import Grid, Surface, l2_norm_surface, surface_integral
-from .kernels import KERNEL_NAMES, make_kernel
+from .kernels import KERNEL_NAMES, KernelSpec, make_kernel
 from .mc import BandwidthRule, ExperimentSpec, bias_rate_check, run_experiment
 from .simulate import DgpSpec, generate, replication_rng, truth
 
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = add_command("estimate", "estimate the long-run covariance surface", True)
     add_kernel_flags(est)
-    est.add_argument("--h", dest="h_rule", metavar="RULE",
+    est.add_argument("--h", metavar="RULE",
                      help="bandwidth: NUMBER, fixed:H, power:COEF,EXP, or plugin")
     est.add_argument("--unbiased", action="store_const", const=True, default=None,
                      help="divide lag i by N-i instead of N")
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = add_command("fpca", "eigenvalues and eigenfunctions with confidence intervals", True)
     add_kernel_flags(fp)
-    fp.add_argument("--h", dest="h_rule", metavar="RULE", help="bandwidth rule")
+    fp.add_argument("--h", metavar="RULE", help="bandwidth rule")
     fp.add_argument("--unbiased", action="store_const", const=True, default=None)
     fp.add_argument("--psd", action="store_const", const=True, default=None,
                     help="project the estimate onto the PSD cone before decomposing")
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bw = add_command("bandwidth", "data-driven plug-in bandwidth", True)
     add_kernel_flags(bw)
-    bw.add_argument("--h", dest="h_rule", metavar="PILOT", help="pilot bandwidth (a number)")
+    bw.add_argument("--h", dest="pilot_h", type=float, metavar="PILOT", help="pilot bandwidth")
 
     sim = add_command("simulate", "generate a synthetic sample plus its exact truth", False)
     sim.add_argument("--seed", type=int, help="master seed")
@@ -112,56 +117,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None, allowed: set, command: str) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return raw
+def _load_config(args, required=(), optional=()) -> dict:
+    """The --config object (empty without one), with every required key and only known ones."""
+    raw = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+    return config_object(raw, f"{args.command} config", required, (*optional, "out"))
 
 
-def _make_kernel(name: str, flat_width) -> "KernelSpec":
+def _pick(args, cfg: dict, key: str, default, check=lambda value, what: value):
+    """The flag beats the config and the config beats the default.
+
+    A config value passes ``check`` even when a flag overrides it, and so
+    does the flag; without ``check`` the value is checked where it is used.
+    """
+    value = check(cfg[key], key) if key in cfg else default
+    flag = getattr(args, key, None)
+    return value if flag is None else check(flag, key)
+
+
+def _path(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _make_kernel(name, flat_width: float) -> KernelSpec:
     try:
-        return make_kernel(name, 0.5 if flat_width is None else float(flat_width))
+        return make_kernel(name, flat_width)
     except KernelSpecError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _require_data(args) -> str:
-    if getattr(args, "data", None) is None:
+def _read_data(args):
+    if args.data is None:
         raise ConfigError(f"{args.command} requires --data")
-    return args.data
-
-
-def _out_dir(args, cfg: dict) -> str:
-    return io.ensure_dir(args.out or cfg.get("out") or ".")
-
-
-def _pick(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
-
-
-def _estimation_settings(args, cfg: dict) -> dict:
-    return {
-        "kernel": _pick(args.kernel, cfg, "kernel", "bartlett"),
-        "flat_width": _pick(args.flat_width, cfg, "flat_width", 0.5),
-        "h": _pick(args.h_rule, cfg, "h", "power:1,0.3333"),
-        "unbiased": bool(_pick(args.unbiased, cfg, "unbiased", False)),
-        "psd": bool(_pick(args.psd, cfg, "psd", False)),
-        "m_trunc": cfg.get("m_trunc"),
-    }
+    return io.read_curves(args.data)
 
 
 def _selection_trace(rule: BandwidthRule, h: float, sel) -> dict:
@@ -179,111 +176,105 @@ def _selection_trace(rule: BandwidthRule, h: float, sel) -> dict:
     return trace
 
 
-def _resolve_bandwidth(settings: dict, sample, kernel):
-    rule = BandwidthRule.parse(settings["h"])
-    if rule.kind == "plugin" and settings["m_trunc"] is not None:
-        rule = BandwidthRule("plugin", pilot_h=rule.pilot_h, m_trunc=int(settings["m_trunc"]))
-    try:
-        bandwidth, sel = rule.resolve(sample, kernel)
-    except KernelSpecError as exc:  # a kernel without a plug-in rule is a configuration error
-        raise ConfigError(str(exc)) from None
-    return rule, bandwidth, sel
+_ESTIMATE_KEYS = ("kernel", "flat_width", "h", "unbiased", "psd", "m_trunc")
+_lag_count = partial(config_number, integer=True, low=0)
 
 
-def cmd_estimate(args) -> int:
-    allowed = {"kernel", "flat_width", "h", "unbiased", "psd", "m_trunc", "out"}
-    cfg = _load_config(args.config, allowed, "estimate")
-    settings = _estimation_settings(args, cfg)
-    sample = io.read_curves(_require_data(args))
+def _estimate(args, cfg: dict):
+    """Settings, then data, then bandwidth, then the estimate; shared by estimate and fpca.
+
+    Every setting is checked before the data file is read.
+    """
+    settings = {
+        "kernel": _pick(args, cfg, "kernel", "bartlett"),
+        "flat_width": _pick(args, cfg, "flat_width", 0.5, config_number),
+        "h": _pick(args, cfg, "h", "power:1,0.3333"),
+        "unbiased": _pick(args, cfg, "unbiased", False, config_flag),
+        "psd": _pick(args, cfg, "psd", False, config_flag),
+        "m_trunc": _pick(args, cfg, "m_trunc", None, _lag_count),
+    }
     kernel = _make_kernel(settings["kernel"], settings["flat_width"])
-    rule, bandwidth, sel = _resolve_bandwidth(settings, sample, kernel)
+    rule = replace(BandwidthRule.parse(settings["h"]), m_trunc=settings["m_trunc"])
+    rule.check_kernel(kernel)
+    sample = _read_data(args)
+    bandwidth, sel = rule.resolve(sample, kernel)
     est = estimate_lrcov(sample, kernel, bandwidth, unbiased=settings["unbiased"])
     if settings["psd"]:
         est = project_psd(est)
-    out = _out_dir(args, cfg)
+    meta = {
+        "command": args.command,
+        "data": args.data,
+        "n_obs": sample.n_obs,
+        "grid_points": sample.grid.n_points,
+        "config": settings,
+        "kernel": kernel.name,
+        "psd_applied": settings["psd"],
+        "h_selection": _selection_trace(rule, bandwidth.h, sel),
+    }
+    return est, meta
+
+
+def cmd_estimate(args) -> int:
+    cfg = _load_config(args, optional=_ESTIMATE_KEYS)
+    out = _pick(args, cfg, "out", ".", _path)
+    est, meta = _estimate(args, cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_surface_csv(f"{out}/estimate.csv", est.surface)
-    io.write_json(
-        f"{out}/metadata.json",
-        {
-            "command": "estimate",
-            "data": args.data,
-            "n_obs": sample.n_obs,
-            "grid_points": sample.grid.n_points,
-            "config": settings,
-            "kernel": kernel.name,
-            "psd_applied": settings["psd"],
-            "h_selection": _selection_trace(rule, bandwidth.h, sel),
-        },
-    )
+    io.write_json(f"{out}/metadata.json", meta)
     return EXIT_OK
 
 
 def cmd_fpca(args) -> int:
-    allowed = {"kernel", "flat_width", "h", "unbiased", "psd", "m_trunc", "p", "level", "out"}
-    cfg = _load_config(args.config, allowed, "fpca")
-    settings = _estimation_settings(args, cfg)
-    p = int(_pick(args.p, cfg, "p", 1))
-    conf = float(_pick(args.level, cfg, "level", 0.95))
-    if p < 1:
-        raise ConfigError(f"p must be >= 1, got {p}")
+    cfg = _load_config(args, optional=(*_ESTIMATE_KEYS, "p", "level"))
+    p = _pick(args, cfg, "p", 1, partial(config_number, integer=True, low=1))
+    conf = _pick(args, cfg, "level", 0.95, config_number)
     if not 0.0 < conf < 1.0:
         raise ConfigError(f"confidence level must lie in (0, 1), got {conf}")
-    sample = io.read_curves(_require_data(args))
-    if p > sample.grid.n_points:
-        raise ConfigError(f"p = {p} exceeds the grid size {sample.grid.n_points}")
-    kernel = _make_kernel(settings["kernel"], settings["flat_width"])
-    rule, bandwidth, sel = _resolve_bandwidth(settings, sample, kernel)
-    est = estimate_lrcov(sample, kernel, bandwidth, unbiased=settings["unbiased"])
-    if settings["psd"]:
-        est = project_psd(est)
+    out = _pick(args, cfg, "out", ".", _path)
+    est, meta = _estimate(args, cfg)
+    grid_points = est.surface.grid.n_points
+    if p > grid_points:
+        raise ConfigError(f"p = {p} exceeds the grid size {grid_points}")
     eigen = eigendecompose(est.surface)
     rows = []
     for level in range(1, p + 1):
         lam = float(eigen.eigenvalues[level - 1])
         if lam > 0.0:
-            ci = eigenvalue_ci(eigen, kernel, sample.n_obs, bandwidth, level, conf)
+            ci = eigenvalue_ci(eigen, est.kernel, est.n_obs, est.bandwidth, level, conf)
             rows.append([level, lam, ci.lower, ci.upper])
         else:
             # interval undefined for a non-positive estimate; row kept for audit
             rows.append([level, lam, math.nan, math.nan])
-    gaps = [
+    meta["config"] |= {"p": p, "level": conf}
+    meta["separation_gaps"] = [
         float(eigen.eigenvalues[k] - (eigen.eigenvalues[k + 1] if k + 1 < eigen.count else 0.0))
         for k in range(p)
     ]
-    out = _out_dir(args, cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_matrix_csv(
         f"{out}/eigenvalues.csv", np.array(rows), header=["level", "eigenvalue", "ci_low", "ci_high"]
     )
     io.write_matrix_csv(f"{out}/eigenfunctions.csv", eigen.eigenfunctions[:p].T)
-    io.write_json(
-        f"{out}/metadata.json",
-        {
-            "command": "fpca",
-            "data": args.data,
-            "n_obs": sample.n_obs,
-            "grid_points": sample.grid.n_points,
-            "config": settings | {"p": p, "level": conf},
-            "kernel": kernel.name,
-            "psd_applied": settings["psd"],
-            "h_selection": _selection_trace(rule, bandwidth.h, sel),
-            "separation_gaps": gaps,
-        },
-    )
+    io.write_json(f"{out}/metadata.json", meta)
     return EXIT_OK
 
 
 def cmd_bandwidth(args) -> int:
-    allowed = {"kernel", "flat_width", "pilot_h", "m_trunc", "out"}
-    cfg = _load_config(args.config, allowed, "bandwidth")
+    cfg = _load_config(args, optional=("kernel", "flat_width", "pilot_h", "m_trunc"))
     kernel = _make_kernel(
-        _pick(args.kernel, cfg, "kernel", "bartlett"),
-        _pick(args.flat_width, cfg, "flat_width", 0.5),
+        _pick(args, cfg, "kernel", "bartlett"),
+        _pick(args, cfg, "flat_width", 0.5, config_number),
     )
-    sample = io.read_curves(_require_data(args))
-    pilot = _pick(args.h_rule, cfg, "pilot_h", None)
-    settings = {"h": "plugin" if pilot is None else f"plugin:{pilot}", "m_trunc": cfg.get("m_trunc")}
-    _, _, sel = _resolve_bandwidth(settings, sample, kernel)
-    out = _out_dir(args, cfg)
+    rule = BandwidthRule(
+        "plugin",
+        pilot_h=_pick(args, cfg, "pilot_h", None, config_number),
+        m_trunc=_pick(args, cfg, "m_trunc", None, _lag_count),
+    )
+    rule.check_kernel(kernel)
+    out = _pick(args, cfg, "out", ".", _path)
+    sample = _read_data(args)
+    _, sel = rule.resolve(sample, kernel)
+    os.makedirs(out, exist_ok=True)
     io.write_json(
         f"{out}/bandwidth.json",
         {
@@ -314,24 +305,19 @@ def cmd_bandwidth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    allowed = {"dgp", "n_obs", "grid_points", "seed", "out"}
-    if args.config is None:
-        raise ConfigError("simulate requires --config")
-    cfg = _load_config(args.config, allowed, "simulate")
-    for key in ("dgp", "n_obs", "grid_points"):
-        if key not in cfg:
-            raise ConfigError(f"simulate config requires {key!r}")
+    cfg = _load_config(args, required=("dgp", "n_obs", "grid_points"), optional=("seed",))
     n_obs = config_number(cfg["n_obs"], "n_obs", integer=True, low=2)
     grid_points = config_number(cfg["grid_points"], "grid_points", integer=True, low=1)
     dgp = DgpSpec.from_dict(cfg["dgp"])
-    seed = config_number(_pick(args.seed, cfg, "seed", dgp.seed), "seed", integer=True, low=0)
+    seed = _pick(args, cfg, "seed", dgp.seed, partial(config_number, integer=True, low=0))
+    out = _pick(args, cfg, "out", ".", _path)
     grid = Grid(grid_points)
     try:
         truth_set = truth(dgp, grid)
     except DimensionError as exc:  # more noise components than the grid resolves
         raise ConfigError(str(exc)) from None
     sample = generate(dgp, n_obs, grid, replication_rng(seed, 0))
-    out = _out_dir(args, cfg)
+    os.makedirs(out, exist_ok=True)
     io.write_curves_csv(f"{out}/sample.csv", sample)
     io.write_json(
         f"{out}/truth.json",
@@ -371,38 +357,30 @@ def _write_qq_csv(path: str, values: np.ndarray) -> None:
 
 
 def cmd_mc_verify(args) -> int:
-    allowed = {"experiment", "bias_check", "out"}
-    if args.config is None:
-        raise ConfigError("mc-verify requires --config")
-    cfg = _load_config(args.config, allowed, "mc-verify")
-    if not isinstance(cfg.get("experiment"), dict):
-        raise ConfigError("mc-verify config requires an 'experiment' object")
-    exp_raw = dict(cfg["experiment"])
-    if args.seed is not None:
-        exp_raw["master_seed"] = args.seed
+    cfg = _load_config(args, required=("experiment",), optional=("bias_check",))
+    out = _pick(args, cfg, "out", ".", _path)
+    exp_raw = cfg["experiment"]
+    if args.seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
+        exp_raw = {**exp_raw, "master_seed": args.seed}
     spec = ExperimentSpec.from_dict(exp_raw)
     # reject a malformed bias_check, and run it, before the experiment burns any time
     bias_cfg = cfg.get("bias_check")
     if bias_cfg is not None:
-        if not isinstance(bias_cfg, dict):
-            raise ConfigError("bias_check must be an object")
-        unknown = set(bias_cfg) - {"h", "replications"}
-        if unknown:
-            raise ConfigError(f"unknown bias_check keys: {sorted(unknown)}")
+        config_object(bias_cfg, "bias_check", required=("h", "replications"))
         try:
             bias_report = bias_rate_check(
                 spec.dgp,
                 spec.kernel,
                 spec.n_obs,
-                config_numbers(bias_cfg.get("h"), "bias_check h"),
-                config_number(bias_cfg.get("replications"), "bias_check replications", integer=True),
+                config_numbers(bias_cfg["h"], "bias_check h"),
+                config_number(bias_cfg["replications"], "bias_check replications", integer=True),
                 spec.grid,
                 master_seed=spec.master_seed,
             )
         except (ContractViolationError, KernelSpecError) as exc:  # its arguments are refused
             raise ConfigError(f"bias_check: {exc}") from None
     report = run_experiment(spec)
-    out = _out_dir(args, cfg)
+    os.makedirs(out, exist_ok=True)
     payload = {"experiment": exp_raw, "report": report.to_dict(), "bias_check": None}
     for j in range(report.projection_samples.shape[1]):
         _write_qq_csv(f"{out}/qq_projection_{j}.csv", report.projection_samples[:, j])

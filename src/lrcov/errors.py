@@ -51,3 +51,23 @@ def config_numbers(values, what: str, integer: bool = False, low: float = -math.
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
     return tuple(config_number(v, what, integer, low) for v in values)
+
+
+def config_flag(value, what: str) -> bool:
+    """A JSON boolean from a config; anything else, "false" and 0 included, is a ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def config_object(raw, what: str, required=(), optional=()) -> dict:
+    """An object from a config with every ``required`` key and no key beyond ``optional``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object, got {type(raw).__name__}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"{what} requires {missing}")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return raw

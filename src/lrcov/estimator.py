@@ -76,10 +76,13 @@ class Bandwidth:
 BandwidthLike = Union[Bandwidth, float, int]
 
 
+def _checked_h(bandwidth: BandwidthLike) -> float:
+    """The h of a Bandwidth, or of a bare number that ``Bandwidth`` accepts."""
+    return (bandwidth if isinstance(bandwidth, Bandwidth) else Bandwidth(bandwidth)).h
+
+
 def _as_h(bandwidth: BandwidthLike) -> float:
-    h = bandwidth.h if isinstance(bandwidth, Bandwidth) else float(bandwidth)
-    if not (math.isfinite(h) and h > 0):
-        raise ContractViolationError(f"bandwidth must be positive and finite, got {h}")
+    h = _checked_h(bandwidth)
     if h < 1.0:
         warnings.warn(f"bandwidth {h} < 1 keeps only the lag-0 term", stacklevel=3)
     return h
@@ -124,9 +127,8 @@ class BandwidthSelection:
     m_trunc: int | None = None
 
 
-def _observation_matrix(sample: CurveSample, centered: bool) -> np.ndarray:
-    y = sample.values
-    return y - y.mean(axis=0) if centered else y
+def _centered(sample: CurveSample) -> np.ndarray:
+    return sample.values - sample.values.mean(axis=0)
 
 
 def _warn_rate(kernel: KernelSpec, h: float, n: int) -> None:
@@ -182,7 +184,6 @@ def estimate_lrcov(
     kernel: KernelSpec,
     bandwidth: BandwidthLike,
     unbiased: bool = False,
-    centered: bool = True,
 ) -> LrcovEstimate:
     """Lag-window estimate of the long-run covariance surface.
 
@@ -193,7 +194,7 @@ def estimate_lrcov(
     n = sample.n_obs
     _warn_rate(kernel, h, n)
     w = _lag_weights(kernel, h, n, unbiased)
-    products = lag_products(_observation_matrix(sample, centered), len(w) - 1)
+    products = lag_products(_centered(sample), len(w) - 1)
     return LrcovEstimate(Surface(sample.grid, _symmetric_sum(w, products)), kernel, Bandwidth(h), n)
 
 
@@ -202,7 +203,6 @@ def estimate_lrcov_naive(
     kernel: KernelSpec,
     bandwidth: BandwidthLike,
     unbiased: bool = False,
-    centered: bool = True,
 ) -> LrcovEstimate:
     """Reference implementation: explicit sum over every lag and time index.
 
@@ -211,7 +211,7 @@ def estimate_lrcov_naive(
     h = _as_h(bandwidth)
     n = sample.n_obs
     g = sample.grid.n_points
-    y = _observation_matrix(sample, centered)
+    y = _centered(sample)
     total = np.zeros((g, g))
     for lag in range(-(n - 1), n):
         w = kernel_value(kernel, lag / h)
@@ -232,7 +232,6 @@ def estimate_spectral_density(
     bandwidth: BandwidthLike,
     omega: float,
     unbiased: bool = False,
-    centered: bool = True,
 ) -> SpectralDensityEstimate:
     """Smoothed spectral density surface at a single frequency.
 
@@ -246,7 +245,7 @@ def estimate_spectral_density(
     n = sample.n_obs
     w = _lag_weights(kernel, h, n, unbiased)
     lags = np.arange(len(w))
-    products = lag_products(_observation_matrix(sample, centered), len(w) - 1)
+    products = lag_products(_centered(sample), len(w) - 1)
     real = _symmetric_sum(w * np.cos(omega * lags), products)
     b = np.tensordot(w * np.sin(omega * lags), products, axes=1)
     two_pi = 2.0 * math.pi
@@ -293,9 +292,7 @@ def amse(
         )
     if n_obs < 2:
         raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
-    h = bandwidth.h if isinstance(bandwidth, Bandwidth) else float(bandwidth)
-    if not (math.isfinite(h) and h > 0):
-        raise ContractViolationError(f"bandwidth must be positive and finite, got {h}")
+    h = _checked_h(bandwidth)
     return (h / n_obs) * gamma1_norm_sq(c, kernel) + h ** (-2.0 * q) * l2_norm_surface(bias.surface) ** 2
 
 
@@ -348,7 +345,7 @@ def plugin_bandwidth(
         m_trunc = min(int(math.floor(ph)), int(math.floor(math.sqrt(n))))
     if not 0 <= m_trunc < n:
         raise ContractViolationError(f"lag truncation {m_trunc} out of range [0, N)")
-    y = _observation_matrix(sample, True)
+    y = _centered(sample)
     if float(np.max(np.abs(y))) == 0.0:
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
     _warn_rate(kernel, ph, n)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError, SeparationError
-from .estimator import Bandwidth, BandwidthLike, BiasKernel
+from .estimator import BandwidthLike, BiasKernel, _checked_h
 from .grid import Grid, Surface, _as_values
 from .kernels import KernelSpec
 
@@ -205,9 +205,7 @@ def eigenvalue_ci(
         raise ContractViolationError(f"confidence level must lie in (0, 1), got {conf}")
     if n_obs < 2:
         raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
-    h = bandwidth.h if isinstance(bandwidth, Bandwidth) else float(bandwidth)
-    if not (math.isfinite(h) and h > 0):
-        raise ContractViolationError(f"bandwidth must be positive and finite, got {h}")
+    h = _checked_h(bandwidth)
     _require_separation(eigen.eigenvalues, level)
     lam = float(eigen.eigenvalues[level - 1])
     if lam <= 0.0:

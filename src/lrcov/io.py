@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "write_surface_csv",
     "read_surface_csv",
     "write_json",
-    "ensure_dir",
 ]
 
 
@@ -168,8 +166,3 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

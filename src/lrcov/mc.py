@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError, DimensionError, KernelSpecError
-from .errors import config_number, config_numbers
+from .errors import config_number, config_numbers, config_object
 from .estimator import (
     Bandwidth,
     BandwidthSelection,
@@ -120,6 +120,11 @@ class BandwidthRule:
             raise ConfigError(f"cannot parse bandwidth rule {text!r}: {exc}") from None
         raise ConfigError(f"unknown bandwidth rule {text!r}")
 
+    def check_kernel(self, kernel: KernelSpec) -> None:
+        """ConfigError for the plug-in rule with a kernel of infinite characteristic exponent."""
+        if self.kind == "plugin" and not math.isfinite(kernel.char_exponent):
+            raise ConfigError(f"{kernel.name} has no plug-in bandwidth rule")
+
     def resolve(
         self, sample: CurveSample, kernel: KernelSpec
     ) -> tuple[Bandwidth, BandwidthSelection | None]:
@@ -161,6 +166,7 @@ class ExperimentSpec:
             raise ConfigError(f"need at least {min_reps} replications, got {self.replications}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        self.h_rule.check_kernel(self.kernel)
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
@@ -177,21 +183,14 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentSpec":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"experiment spec must be an object, got {type(raw).__name__}")
-        allowed = {
-            "dgp", "kernel", "flat_width", "n_obs", "grid_points", "h",
-            "replications", "projections", "eigen_levels", "master_seed",
-            "workers", "drift",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-        for key in ("dgp", "kernel", "n_obs", "grid_points", "h", "replications"):
-            if key not in raw:
-                raise ConfigError(f"experiment spec requires {key!r}")
+        config_object(
+            raw, "experiment",
+            ("dgp", "kernel", "n_obs", "grid_points", "h", "replications"),
+            ("flat_width", "projections", "eigen_levels", "master_seed", "workers", "drift"),
+        )
+        flat_width = config_number(raw.get("flat_width", 0.5), "flat_width")
         try:
-            kernel = make_kernel(raw["kernel"], raw.get("flat_width", 0.5))
+            kernel = make_kernel(raw["kernel"], flat_width)
         except KernelSpecError as exc:
             raise ConfigError(str(exc)) from None
         grid = Grid(config_number(raw["grid_points"], "grid_points", integer=True, low=1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, config_number, config_numbers
+from .errors import ConfigError, config_number, config_numbers, config_object
 from .estimator import BiasKernel, CurveSample, bias_kernel
 from .fpca import EigenSystem
 from .grid import Grid, Surface, fourier_basis
@@ -101,14 +101,7 @@ class DgpSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "DgpSpec":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"dgp spec must be an object, got {type(raw).__name__}")
-        allowed = {"kind", "sigmas", "theta", "rho", "seed", "burn_in"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown dgp keys: {sorted(unknown)}")
-        if "kind" not in raw or "sigmas" not in raw:
-            raise ConfigError("dgp spec requires 'kind' and 'sigmas'")
+        config_object(raw, "dgp", ("kind", "sigmas"), ("theta", "rho", "seed", "burn_in"))
         return DgpSpec(
             kind=raw["kind"],
             noise=GaussianNoiseSpec(config_numbers(raw["sigmas"], "dgp sigmas")),

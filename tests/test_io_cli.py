@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_write_json_preserves_types(tmp_path):
             "nested": {"n": np.int64(7)},
         },
     )
-    text = open(p).read()
+    text = Path(p).read_text()
     assert text.endswith("\n")
     back = json.loads(text)
     assert back["f"] == 1.5
@@ -158,7 +159,7 @@ def test_estimate_two_point_example(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     surface, _ = io.read_matrix_csv(f"{out}/estimate.csv")
     assert surface.shape == (1, 1) and surface[0, 0] == 1.0
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert meta["command"] == "estimate"
     assert meta["n_obs"] == 2 and meta["grid_points"] == 1
     assert meta["config"]["kernel"] == "bartlett"
@@ -170,18 +171,21 @@ def test_estimate_defaults_and_config_file(tmp_path):
     rng = np.random.default_rng(41)
     rows = "\n".join(",".join(io.format_float(v) for v in row) for row in rng.normal(size=(40, 2)))
     data = write(tmp_path / "d.csv", rows + "\n")
-    cfg = write(tmp_path / "cfg.json", json.dumps({"kernel": "parzen", "h": 3, "unbiased": True}))
+    settings = {"kernel": "parzen", "h": 3, "unbiased": True, "psd": True, "m_trunc": 3}
+    cfg = write(tmp_path / "cfg.json", json.dumps(settings))
     out = str(tmp_path / "out")
     rc = main(["estimate", "--data", data, "--config", cfg, "--out", out])
     assert rc == 0
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert meta["kernel"] == "parzen"
     assert meta["config"]["unbiased"] is True
+    assert meta["config"]["psd"] is True and meta["psd_applied"] is True
+    assert meta["config"]["m_trunc"] == 3
     # flags beat the config file
     out2 = str(tmp_path / "out2")
     rc = main(["estimate", "--data", data, "--config", cfg, "--kernel", "bartlett", "--out", out2])
     assert rc == 0
-    assert json.load(open(f"{out2}/metadata.json"))["kernel"] == "bartlett"
+    assert json.loads(Path(f"{out2}/metadata.json").read_text())["kernel"] == "bartlett"
 
 
 def test_estimate_matches_library(tmp_path):
@@ -204,7 +208,7 @@ def test_estimate_psd_flag(tmp_path):
     io.write_matrix_csv(data, values)
     out = str(tmp_path / "out")
     assert main(["estimate", "--data", data, "--h", "8", "--psd", "--out", out]) == 0
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert meta["psd_applied"] is True
     surface, _ = io.read_matrix_csv(f"{out}/estimate.csv")
     assert np.min(np.linalg.eigvalsh(surface / 3.0)) >= -1e-12
@@ -217,7 +221,7 @@ def test_estimate_plugin_trace_in_metadata(tmp_path):
     io.write_matrix_csv(data, x.reshape(-1, 1))
     out = str(tmp_path / "out")
     assert main(["estimate", "--data", data, "--h", "plugin:4", "--out", out]) == 0
-    trace = json.load(open(f"{out}/metadata.json"))["h_selection"]
+    trace = json.loads(Path(f"{out}/metadata.json").read_text())["h_selection"]
     assert trace["rule"] == "plugin"
     plug = trace["plugin"]
     assert plug["pilot_h"] == 4.0 and plug["m_trunc"] == 4
@@ -299,7 +303,7 @@ def test_fpca_outputs_and_ci_arithmetic(tmp_path):
     assert fh is None and funcs.shape == (3, 2)
     # unit norm under the integral inner product
     assert float(np.mean(funcs[:, 0] ** 2)) == pytest.approx(1.0, rel=1e-10)
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert len(meta["separation_gaps"]) == 2
     assert all(g > 0 for g in meta["separation_gaps"])
 
@@ -310,7 +314,7 @@ def test_fpca_nonpositive_eigenvalue_gets_nan_interval(tmp_path):
     out = str(tmp_path / "out")
     rc = main(["fpca", "--data", data, "--h", "1", "--p", "2", "--out", out])
     assert rc == 0
-    lines = open(f"{out}/eigenvalues.csv").read().splitlines()
+    lines = Path(f"{out}/eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "level,eigenvalue,ci_low,ci_high"
     first = lines[1].split(",")
     assert float(first[2]) < float(first[1]) < float(first[3])
@@ -344,7 +348,7 @@ def test_bandwidth_json_contract(tmp_path):
     cfg = write(tmp_path / "cfg.json", json.dumps({"pilot_h": 4}))
     rc = main(["bandwidth", "--data", data, "--config", cfg, "--out", out])
     assert rc == 0
-    payload = json.load(open(f"{out}/bandwidth.json"))
+    payload = json.loads(Path(f"{out}/bandwidth.json").read_text())
     assert set(payload) == {"h_plugin", "c0_hat", "F_norm_hat", "C_integral_hat", "fallback_used"}
     sel = plugin_bandwidth(io.read_curves(data), make_kernel("bartlett"), 4.0)
     assert payload["h_plugin"] == sel.bandwidth.h
@@ -352,7 +356,7 @@ def test_bandwidth_json_contract(tmp_path):
     assert payload["F_norm_hat"] == sel.f_norm
     assert payload["C_integral_hat"] == sel.c_integral
     assert payload["fallback_used"] is sel.fallback
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert meta["config"]["pilot_h"] == 4.0
     assert meta["config"]["m_trunc"] == sel.m_trunc
 
@@ -391,18 +395,18 @@ def test_simulate_outputs_and_determinism(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", "--config", cfg, "--out", out1]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-    bytes1 = open(f"{out1}/sample.csv", "rb").read()
-    assert bytes1 == open(f"{out2}/sample.csv", "rb").read()
+    bytes1 = Path(f"{out1}/sample.csv").read_bytes()
+    assert bytes1 == Path(f"{out2}/sample.csv").read_bytes()
     sample, _ = io.read_matrix_csv(f"{out1}/sample.csv")
     assert sample.shape == (50, 8)
-    truth_doc = json.load(open(f"{out1}/truth.json"))
+    truth_doc = json.loads(Path(f"{out1}/truth.json").read_text())
     # long-run integral: (1 + theta)^2 times the noise integral, which is
     # sigma_1^2 because only the constant basis function has nonzero mean
     assert truth_doc["c_integral"] == pytest.approx(2.25, rel=1e-12)
     assert truth_doc["eigenvalues"] == sorted(truth_doc["eigenvalues"], reverse=True)
     assert np.array(truth_doc["c"]).shape == (8, 8)
     assert set(truth_doc["gamma_norms"]) == {"0", "1"}
-    meta = json.load(open(f"{out1}/metadata.json"))
+    meta = json.loads(Path(f"{out1}/metadata.json").read_text())
     assert meta["config"]["seed"] == 3
     assert meta["config"]["dgp"]["theta"] == [0.5]
 
@@ -415,7 +419,7 @@ def test_simulate_seed_flag_wins(tmp_path):
     a, _ = io.read_matrix_csv(f"{out1}/sample.csv")
     b, _ = io.read_matrix_csv(f"{out2}/sample.csv")
     assert not np.array_equal(a, b)
-    assert json.load(open(f"{out1}/metadata.json"))["config"]["seed"] == 7
+    assert json.loads(Path(f"{out1}/metadata.json").read_text())["config"]["seed"] == 7
 
 
 def test_simulate_config_errors(tmp_path, capsys):
@@ -451,7 +455,7 @@ def test_mc_verify_smoke(tmp_path):
     out = str(tmp_path / "out")
     rc = main(["mc-verify", "--config", cfg, "--out", out])
     assert rc == 0
-    report = json.load(open(f"{out}/report.json"))
+    report = json.loads(Path(f"{out}/report.json").read_text())
     assert report["experiment"]["master_seed"] == 2
     assert report["report"]["replications"] == 12
     assert len(report["report"]["projections"]) == 1
@@ -465,11 +469,11 @@ def test_mc_verify_smoke(tmp_path):
     assert qe.shape == (12, 2)
     # bias.csv may carry nan in the log-error column by design (noise-floor
     # dominated points), so inspect it as text rather than as input data
-    bias_lines = open(f"{out}/bias.csv").read().splitlines()
+    bias_lines = Path(f"{out}/bias.csv").read_text().splitlines()
     assert bias_lines[0].split(",")[:2] == ["h", "err_raw"]
     assert len(bias_lines) == 4
     assert all(len(line.split(",")) == 7 for line in bias_lines)
-    meta = json.load(open(f"{out}/metadata.json"))
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
     assert meta["config"]["bias_check"]["replications"] == 20
 
 
@@ -479,8 +483,8 @@ def test_mc_verify_seed_override(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["mc-verify", "--config", cfg, "--seed", "77", "--out", out1]) == 0
     assert main(["mc-verify", "--config", cfg, "--out", out2]) == 0
-    r1 = json.load(open(f"{out1}/report.json"))
-    r2 = json.load(open(f"{out2}/report.json"))
+    r1 = json.loads(Path(f"{out1}/report.json").read_text())
+    r2 = json.loads(Path(f"{out2}/report.json").read_text())
     assert r1["experiment"]["master_seed"] == 77
     assert r2["experiment"]["master_seed"] == 2
     assert r1["report"]["projections"][0]["mean"] != r2["report"]["projections"][0]["mean"]
@@ -543,6 +547,11 @@ BAD_SETTINGS = {
         "mc-verify",
         mc_config(kernel="flat-top", bias_check={"h": [2, 4, 8], "replications": 4}),
     ),
+    "flat-width-string": ("mc-verify", mc_config(flat_width="x")),
+    "flat-width-null": ("mc-verify", mc_config(flat_width=None)),
+    "plugin-flat-top": ("mc-verify", mc_config(kernel="flat-top", h="plugin")),
+    "out-number": ("mc-verify", {**mc_config(), "out": 5}),
+    "sim-out-list": ("simulate", dict(SIM_CFG, out=["run"])),
     "sim-fractional-n-obs": ("simulate", dict(SIM_CFG, n_obs=50.7)),
     "sim-zero-grid-points": ("simulate", dict(SIM_CFG, grid_points=0)),
     "sim-seed-string": ("simulate", dict(SIM_CFG, seed="x")),
@@ -564,3 +573,46 @@ def test_bad_settings_exit_3_before_any_replication(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
+
+
+# the data file is read only after every setting has passed its check
+BAD_ESTIMATION_SETTINGS = {
+    "unbiased-string": ("estimate", {"unbiased": "no"}),
+    "unbiased-number": ("fpca", {"unbiased": 1}),
+    "psd-string": ("fpca", {"psd": "false"}),
+    "m-trunc-fraction": ("estimate", {"h": "plugin", "m_trunc": 2.5}),
+    "m-trunc-string": ("fpca", {"h": "plugin", "m_trunc": "x"}),
+    "m-trunc-negative": ("bandwidth", {"m_trunc": -1}),
+    "p-string": ("fpca", {"p": "x"}),
+    "p-fraction": ("fpca", {"p": 2.7}),
+    "level-string": ("fpca", {"level": "abc"}),
+    "flat-width-string": ("estimate", {"flat_width": "x"}),
+    "fpca-flat-width-string": ("fpca", {"kernel": "flat-top", "flat_width": "x"}),
+    "bandwidth-flat-width-string": ("bandwidth", {"flat_width": "x"}),
+    "out-number": ("estimate", {"out": 5}),
+    "out-bool": ("fpca", {"out": True}),
+    "out-list": ("bandwidth", {"out": ["run"]}),
+    "unknown-kernel": ("estimate", {"kernel": "gauss"}),
+    "bad-h": ("fpca", {"h": "power:1"}),
+    "plugin-flat-top": ("estimate", {"kernel": "flat-top", "h": "plugin"}),
+    "bandwidth-flat-top": ("bandwidth", {"kernel": "flat-top"}),
+    "pilot-string": ("bandwidth", {"pilot_h": "4"}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg", BAD_ESTIMATION_SETTINGS.values(), ids=BAD_ESTIMATION_SETTINGS.keys()
+)
+def test_bad_settings_exit_3_before_the_data_is_read(
+    tmp_path, capsys, monkeypatch, command, cfg
+):
+    def refuse(path):
+        raise AssertionError("the data file was read before the configuration was checked")
+
+    monkeypatch.setattr("lrcov.io.read_curves", refuse)
+    path = write(tmp_path / "cfg.json", json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(tmp_path / "d.csv"), "--config", path, "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
