@@ -19,7 +19,7 @@ from .errors import (
     SeparationError,
 )
 from .grid import Grid, Surface, fourier_basis, l2_norm_surface, surface_integral
-from .kernels import KERNEL_NAMES, KernelSpec, char_exponent_check, kernel_value, make_kernel
+from .kernels import KERNEL_NAMES, KernelSpec, kernel_value, make_kernel
 from .estimator import (
     Bandwidth,
     BandwidthSelection,
@@ -83,7 +83,6 @@ __all__ = [
     "KERNEL_NAMES",
     "make_kernel",
     "kernel_value",
-    "char_exponent_check",
     "CurveSample",
     "Bandwidth",
     "LrcovEstimate",

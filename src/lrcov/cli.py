@@ -180,10 +180,11 @@ _ESTIMATE_KEYS = ("kernel", "flat_width", "h", "unbiased", "psd", "m_trunc")
 _lag_count = partial(config_number, integer=True, low=0)
 
 
-def _estimate(args, cfg: dict):
+def _estimate(args, cfg: dict, p: int = 0):
     """Settings, then data, then bandwidth, then the estimate; shared by estimate and fpca.
 
-    Every setting is checked before the data file is read.
+    Every setting is checked before the data file is read, and ``p`` eigen
+    levels against the grid size right after it.
     """
     settings = {
         "kernel": _pick(args, cfg, "kernel", "bartlett"),
@@ -197,6 +198,8 @@ def _estimate(args, cfg: dict):
     rule = replace(BandwidthRule.parse(settings["h"]), m_trunc=settings["m_trunc"])
     rule.check_kernel(kernel)
     sample = _read_data(args)
+    if p > sample.grid.n_points:
+        raise ConfigError(f"p = {p} exceeds the grid size {sample.grid.n_points}")
     bandwidth, sel = rule.resolve(sample, kernel)
     est = estimate_lrcov(sample, kernel, bandwidth, unbiased=settings["unbiased"])
     if settings["psd"]:
@@ -231,10 +234,7 @@ def cmd_fpca(args) -> int:
     if not 0.0 < conf < 1.0:
         raise ConfigError(f"confidence level must lie in (0, 1), got {conf}")
     out = _pick(args, cfg, "out", ".", _path)
-    est, meta = _estimate(args, cfg)
-    grid_points = est.surface.grid.n_points
-    if p > grid_points:
-        raise ConfigError(f"p = {p} exceeds the grid size {grid_points}")
+    est, meta = _estimate(args, cfg, p)
     eigen = eigendecompose(est.surface)
     rows = []
     for level in range(1, p + 1):

@@ -140,17 +140,17 @@ def _warn_rate(kernel: KernelSpec, h: float, n: int) -> None:
         )
 
 
-def _lag_weights(kernel: KernelSpec, h: float, n: int, unbiased: bool) -> np.ndarray:
-    """K(k/h)/d_k for lag 0 up to the last lag with nonzero weight, halved at lag 0.
+def _lag_weights(kernel: KernelSpec, h_values, n: int, unbiased: bool) -> np.ndarray:
+    """K(k/h)/d_k, one row per h, halved at lag 0.
 
-    Applied to the lag products as A, the estimate is A + A.T: every lag
+    The lags run from 0 to floor(radius * max h), at most N - 1.  Applied to
+    the sample by ``_window_sums`` as A, each estimate is A + A.T: every lag
     enters together with its transpose and lag 0 exactly once.
     """
-    lags = np.arange(min(n - 1, int(math.floor(kernel.support_radius * h))) + 1)
-    w = kernel_value(kernel, lags / h)
-    w = w[: np.flatnonzero(w)[-1] + 1]  # K(0) = 1, and K is nonincreasing in |u|
-    w = w / (n - lags[: len(w)] if unbiased else n)
-    w[0] *= 0.5
+    lags = np.arange(min(n - 1, int(math.floor(kernel.support_radius * max(h_values)))) + 1)
+    w = kernel_value(kernel, lags / np.asarray(h_values, dtype=float)[:, None])
+    w /= n - lags if unbiased else n
+    w[:, 0] *= 0.5
     return w
 
 
@@ -174,9 +174,42 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-def _symmetric_sum(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
-    a = np.tensordot(weights, products[: len(weights)], axes=1)
-    return a + a.T
+# Windows reaching this lag take the FFT path.  A scan of both paths (N 2000
+# and 20000; G 1, 4, 16, 64, 256; L 8 to 128) put the crossover at L = 8-48
+# for G >= 16, 30-60 for G = 4, and from 30 to beyond 128 for G = 1.  64 also
+# keeps the short windows of the Monte Carlo harness (L <= 32) on lag products.
+_FFT_MIN_LAG = 64
+_FFT_COLUMNS = 8  # columns of the sample transformed at a time; bounds the FFT buffers
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length numpy's FFT transforms quickly."""
+    powers = [float(k) ** np.arange(math.ceil(math.log(n, k)) + 1) for k in (2, 3, 5)]
+    sizes = np.multiply.outer(np.multiply.outer(powers[0], powers[1]), powers[2]).ravel()
+    return int(sizes[sizes >= n].min())
+
+
+def _window_sums(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over k of weights[r, k] y[:N-k]^T y[k:], one (G, G) slice per row r.
+
+    ``weights`` is (n_w, L+1) with L < N.  Short windows apply the rows to
+    ``lag_products``.  Long ones use A = Y^T Z, where Z[j] = sum_k w_k y[j+k]
+    is one real-FFT correlation along time, padded to at least N + L so it
+    does not wrap; the columns go through it a few at a time.
+    """
+    max_lag = weights.shape[1] - 1
+    if max_lag < _FFT_MIN_LAG:
+        return np.tensordot(weights, lag_products(y, max_lag), axes=1)
+    n, g = y.shape
+    m = _fft_length(n + max_lag)
+    w_hat = np.conj(np.fft.rfft(weights, m))
+    out = np.empty((len(weights), g, g))
+    for c in range(0, g, _FFT_COLUMNS):
+        y_hat = np.fft.rfft(y[:, c : c + _FFT_COLUMNS].T, m)
+        for r, w_r in enumerate(w_hat):
+            z = np.fft.irfft(y_hat * w_r, m)[:, :n]
+            out[r, :, c : c + _FFT_COLUMNS] = (z @ y).T
+    return out
 
 
 def estimate_lrcov(
@@ -193,9 +226,8 @@ def estimate_lrcov(
     h = _as_h(bandwidth)
     n = sample.n_obs
     _warn_rate(kernel, h, n)
-    w = _lag_weights(kernel, h, n, unbiased)
-    products = lag_products(_centered(sample), len(w) - 1)
-    return LrcovEstimate(Surface(sample.grid, _symmetric_sum(w, products)), kernel, Bandwidth(h), n)
+    a = _window_sums(_centered(sample), _lag_weights(kernel, [h], n, unbiased))[0]
+    return LrcovEstimate(Surface(sample.grid, a + a.T), kernel, Bandwidth(h), n)
 
 
 def estimate_lrcov_naive(
@@ -243,14 +275,12 @@ def estimate_spectral_density(
         raise ContractViolationError(f"frequency must lie in [0, 2*pi), got {omega}")
     h = _as_h(bandwidth)
     n = sample.n_obs
-    w = _lag_weights(kernel, h, n, unbiased)
-    lags = np.arange(len(w))
-    products = lag_products(_centered(sample), len(w) - 1)
-    real = _symmetric_sum(w * np.cos(omega * lags), products)
-    b = np.tensordot(w * np.sin(omega * lags), products, axes=1)
+    w = _lag_weights(kernel, [h], n, unbiased)[0]
+    phase = omega * np.arange(len(w))
+    a, b = _window_sums(_centered(sample), np.stack([w * np.cos(phase), w * np.sin(phase)]))
     two_pi = 2.0 * math.pi
     return SpectralDensityEstimate(
-        omega, Surface(sample.grid, real / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
+        omega, Surface(sample.grid, (a + a.T) / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
     )
 
 
@@ -261,17 +291,27 @@ def bias_kernel(gammas: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKer
     beyond L count as zero, which is exact for finite-order truths.  Refused
     for the flat-top kernel, whose bias decays faster than any power.
     """
-    q = kernel.char_exponent
-    if not math.isfinite(q):
-        raise KernelSpecError(f"{kernel.name} admits no power-law bias expansion")
-    if max_lag < 0:
-        raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
         raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
-    lags = np.arange(min(max_lag, len(gammas) - 1) + 1, dtype=float)
-    acc = _symmetric_sum(lags**q, gammas)
-    return BiasKernel(Surface(Grid(gammas.shape[1]), kernel.char_coefficient * acc), q, max_lag)
+    w = _bias_weights(kernel, max_lag)[: len(gammas)]
+    a = np.tensordot(w, gammas[: len(w)], axes=1)
+    return _bias_from_sum(a, kernel, max_lag)
+
+
+def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
+    """|k|^q for lags 0..max_lag; refused for a kernel of infinite exponent."""
+    if not math.isfinite(kernel.char_exponent):
+        raise KernelSpecError(f"{kernel.name} admits no power-law bias expansion")
+    if max_lag < 0:
+        raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
+    return np.arange(max_lag + 1, dtype=float) ** kernel.char_exponent
+
+
+def _bias_from_sum(a: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKernel:
+    """The bias surface from the one-sided |k|^q-weighted sum A of autocovariances."""
+    surface = Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
+    return BiasKernel(surface, kernel.char_exponent, max_lag)
 
 
 def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
@@ -335,7 +375,7 @@ def plugin_bandwidth(
     """Data-driven bandwidth: pilot estimates feed the closed-form rule.
 
     The pilot long-run surface at ``pilot_h`` and the lag-truncated bias
-    surface are both read from one set of lag products; the resulting h is
+    surface are two weight rows of one window sum; the resulting h is
     clamped to [1, N/2].
     ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
     """
@@ -349,11 +389,14 @@ def plugin_bandwidth(
     if float(np.max(np.abs(y))) == 0.0:
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
     _warn_rate(kernel, ph, n)
-    w = _lag_weights(kernel, ph, n, False)
-    products = lag_products(y, max(len(w) - 1, m_trunc))
-    pilot = Surface(sample.grid, _symmetric_sum(w, products))
-    f_hat = bias_kernel(products[: m_trunc + 1] / n, kernel, m_trunc)
-    sel = optimal_bandwidth(pilot, f_hat, kernel, n)
+    pilot_w = _lag_weights(kernel, [ph], n, False)[0]
+    bias_w = _bias_weights(kernel, m_trunc) / n
+    weights = np.zeros((2, max(len(pilot_w), len(bias_w))))
+    weights[0, : len(pilot_w)] = pilot_w
+    weights[1, : len(bias_w)] = bias_w
+    a, b = _window_sums(y, weights)
+    pilot = Surface(sample.grid, a + a.T)
+    sel = optimal_bandwidth(pilot, _bias_from_sum(b, kernel, m_trunc), kernel, n)
     h = sel.bandwidth.h
     lo, hi = 1.0, n / 2.0
     clamped = not lo <= h <= hi

@@ -24,7 +24,6 @@ __all__ = [
     "read_curves",
     "write_curves_csv",
     "write_surface_csv",
-    "read_surface_csv",
     "write_json",
 ]
 
@@ -135,15 +134,6 @@ def write_curves_csv(path: str, sample: CurveSample) -> None:
 
 def write_surface_csv(path: str, surface: Surface) -> None:
     write_matrix_csv(path, surface.values)
-
-
-def read_surface_csv(path: str) -> Surface:
-    values, _ = read_matrix_csv(path)
-    if values.shape[0] != values.shape[1]:
-        raise DataFormatError(
-            f"{path}: surface must be square, got {values.shape[0]}x{values.shape[1]}"
-        )
-    return Surface(Grid(values.shape[0]), values)
 
 
 def _jsonable(obj):

@@ -3,9 +3,7 @@
 Each kernel carries the constants the asymptotic formulas need: the support
 radius, the characteristic exponent and coefficient governing the weight's
 flatness at zero (sign kept as-is; all the standard windows curve downward),
-and the square integral.  ``char_exponent_check`` recomputes the flatness
-coefficient numerically so a typo in the stored constants cannot survive the
-test suite.
+and the square integral.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from .errors import KernelSpecError
 
-__all__ = ["KernelSpec", "KERNEL_NAMES", "make_kernel", "kernel_value", "char_exponent_check"]
+__all__ = ["KernelSpec", "KERNEL_NAMES", "make_kernel", "kernel_value"]
 
 KERNEL_NAMES = ("bartlett", "parzen", "tukey-hanning", "flat-top")
 
@@ -86,30 +84,3 @@ def kernel_value(spec: KernelSpec, u):
     else:  # pragma: no cover - constructor rejects unknown names
         raise KernelSpecError(f"unknown kernel {spec.name!r}")
     return float(out) if np.isscalar(u) else out
-
-
-def char_exponent_check(spec: KernelSpec, probes=(1e-2, 1e-3, 1e-4)) -> float:
-    """Recompute the flatness coefficient lim (K(x)-1)/x^q numerically.
-
-    Evaluates the ratio at the probe points and extrapolates the geometric
-    error away (Aitken); raises if the result disagrees with the stored
-    constant by more than 1% relative.
-    """
-    if math.isinf(spec.char_exponent):
-        raise KernelSpecError(f"{spec.name} has no finite characteristic exponent")
-    x = np.asarray(sorted(probes, reverse=True), dtype=float)
-    if len(x) < 3:
-        raise KernelSpecError("need at least three probe points")
-    r = (kernel_value(spec, x) - 1.0) / x**spec.char_exponent
-    r1, r2, r3 = r[-3], r[-2], r[-1]
-    d1, d2 = r2 - r1, r3 - r2
-    if abs(d2 - d1) <= 1e-12 * max(abs(r3), 1.0):
-        est = float(r3)
-    else:
-        est = float(r3 - d2 * d2 / (d2 - d1))
-    if abs(est - spec.char_coefficient) > 0.01 * abs(spec.char_coefficient):
-        raise KernelSpecError(
-            f"{spec.name}: numerical flatness coefficient {est:.6g} disagrees with "
-            f"stored {spec.char_coefficient:.6g}"
-        )
-    return est

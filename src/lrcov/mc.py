@@ -32,8 +32,9 @@ from .estimator import (
     Bandwidth,
     BandwidthSelection,
     CurveSample,
+    _lag_weights,
+    _window_sums,
     estimate_lrcov,
-    lag_products,
     plugin_bandwidth,
 )
 from .fpca import (
@@ -43,7 +44,8 @@ from .fpca import (
     eigenvalue_clt_params,
 )
 from .grid import Grid, Surface, fourier_basis
-from .kernels import KernelSpec, kernel_value, make_kernel
+# perfbench traces lrcov.mc.kernel_value, so the name stays importable here
+from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
 from .simulate import DgpSpec, TruthSet, generate, replication_rng, truth
 
 __all__ = [
@@ -92,6 +94,8 @@ class BandwidthRule:
                 raise ConfigError(f"power-rule exponent must lie in (0, 1), got {self.power}")
         elif self.kind != "plugin":
             raise ConfigError(f"unknown bandwidth rule kind {self.kind!r}")
+        elif self.pilot_h is not None and not (math.isfinite(self.pilot_h) and self.pilot_h > 0):
+            raise ConfigError(f"pilot bandwidth must be positive and finite, got {self.pilot_h}")
 
     @staticmethod
     def parse(text) -> "BandwidthRule":
@@ -478,21 +482,6 @@ def _wls_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float
     return slope, float(yb - slope * xb)
 
 
-def _window_weights(kernel: KernelSpec, h_list: list, n_obs: int, unbiased: bool) -> np.ndarray:
-    """Lag-window weights K(k/h)/d_k over the widest window, one row per h, halved at lag 0."""
-    lags = np.arange(min(n_obs - 1, int(math.floor(kernel.support_radius * max(h_list)))) + 1)
-    weights = np.array([kernel_value(kernel, lags / h) for h in h_list])
-    weights /= n_obs - lags if unbiased else n_obs
-    weights[:, 0] *= 0.5
-    return weights
-
-
-def _window_estimates(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """One lag-window estimate per row of ``weights``, each exactly symmetric."""
-    a = np.tensordot(weights, products, axes=1)
-    return a + a.transpose(0, 2, 1)
-
-
 def bias_rate_check(
     dgp: DgpSpec,
     kernel: KernelSpec,
@@ -523,12 +512,13 @@ def bias_rate_check(
     f_true = truth_set.bias.surface.values
     f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
     # uncentered, unbiased divisor: each lag surface has exact expectation
-    weights = _window_weights(kernel, h_list, n_obs, unbiased=True)
+    weights = _lag_weights(kernel, h_list, n_obs, unbiased=True)
     sums = np.zeros((len(h_list), g, g))
     sq_sums = np.zeros_like(sums)
     for r in range(replications):
         y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
-        est = _window_estimates(weights, lag_products(y, weights.shape[1] - 1))
+        a = _window_sums(y, weights)
+        est = a + a.transpose(0, 2, 1)
         sums += est
         sq_sums += est**2
     points = []
@@ -589,9 +579,9 @@ def mse_curve(
 ) -> list:
     """Monte Carlo mean squared error norm of the estimate at each bandwidth.
 
-    One sample per replication is shared across the whole h grid (the lag
-    surfaces are computed once and reweighted), so the curve is smooth in h
-    and ratios between grid points are stable.
+    One sample per replication is shared across the whole h grid (one
+    window sum per replication takes every h as a weight row), so the curve
+    is smooth in h and ratios between grid points are stable.
     """
     h_list = [float(h) for h in h_values]
     if any(h <= 0 for h in h_list):
@@ -599,10 +589,10 @@ def mse_curve(
     truth_set = truth(dgp, grid, kernel)
     g = grid.n_points
     c_true = truth_set.c.values
-    weights = _window_weights(kernel, h_list, n_obs, unbiased=False)
+    weights = _lag_weights(kernel, h_list, n_obs, unbiased=False)
     acc = np.zeros(len(h_list))
     for r in range(replications):
         y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
-        est = _window_estimates(weights, lag_products(y - y.mean(axis=0), weights.shape[1] - 1))
-        acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
+        a = _window_sums(y - y.mean(axis=0), weights)
+        acc += np.sum((a + a.transpose(0, 2, 1) - c_true) ** 2, axis=(1, 2)) / g**2
     return [(h, float(acc[k] / replications)) for k, h in enumerate(h_list)]

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lrcov
 from lrcov import (
     Bandwidth,
     ContractViolationError,
@@ -476,3 +481,19 @@ def test_consistency_ma1_statistical():
         est = estimate_lrcov(s, BARTLETT, h)
         hits += abs(est.surface.values[0, 0] - c_true) / abs(c_true) <= 0.2
     assert hits >= 0.9 * reps
+
+
+def test_long_window_estimate_imports_no_scipy():
+    """numpy is the only runtime dependency, FFT path included."""
+    code = (
+        "import sys, numpy as np, lrcov\n"
+        "y = np.random.default_rng(0).normal(size=(600, 3))\n"
+        "sample = lrcov.CurveSample(lrcov.Grid(3), y)\n"
+        "lrcov.estimate_lrcov(sample, lrcov.make_kernel('bartlett'), 300)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    path = [str(Path(lrcov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

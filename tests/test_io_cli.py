@@ -8,6 +8,9 @@ import pytest
 
 from lrcov import (
     DataFormatError,
+    DimensionError,
+    Grid,
+    Surface,
     estimate_lrcov,
     make_kernel,
     plugin_bandwidth,
@@ -116,8 +119,10 @@ def test_read_curves_needs_two_rows(tmp_path):
 
 def test_read_surface_must_be_square(tmp_path):
     p = write(tmp_path / "rect.csv", "1,2,3\n4,5,6\n")
-    with pytest.raises(DataFormatError, match="square"):
-        io.read_surface_csv(p)
+    values, header = io.read_matrix_csv(p)
+    assert header is None and values.shape == (2, 3)
+    with pytest.raises(DimensionError):
+        Surface(Grid(values.shape[0]), values)
 
 
 def test_write_matrix_validation(tmp_path):
@@ -327,6 +332,18 @@ def test_fpca_p_exceeding_grid_is_config_error(tmp_path, capsys):
     data = write(tmp_path / "d.csv", "1,2\n3,4\n5,6\n")
     assert main(["fpca", "--data", data, "--h", "1", "--p", "3"]) == 3
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_fpca_p_exceeding_grid_exits_3_before_the_estimate(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimate ran before p was checked against the grid")
+
+    monkeypatch.setattr("lrcov.cli.estimate_lrcov", refuse)
+    monkeypatch.setattr("lrcov.mc.plugin_bandwidth", refuse)
+    data = write(tmp_path / "d.csv", "1,2\n3,5\n4,6\n2,7\n")
+    for h in ("1", "plugin"):
+        assert main(["fpca", "--data", data, "--h", h, "--p", "3"]) == 3
+        assert "exceeds the grid size 2" in capsys.readouterr().err
 
 
 def test_fpca_bad_level_is_config_error(tmp_path, capsys):
@@ -550,6 +567,7 @@ BAD_SETTINGS = {
     "flat-width-string": ("mc-verify", mc_config(flat_width="x")),
     "flat-width-null": ("mc-verify", mc_config(flat_width=None)),
     "plugin-flat-top": ("mc-verify", mc_config(kernel="flat-top", h="plugin")),
+    "plugin-pilot-zero": ("mc-verify", mc_config(h="plugin:0")),
     "out-number": ("mc-verify", {**mc_config(), "out": 5}),
     "sim-out-list": ("simulate", dict(SIM_CFG, out=["run"])),
     "sim-fractional-n-obs": ("simulate", dict(SIM_CFG, n_obs=50.7)),
@@ -597,6 +615,9 @@ BAD_ESTIMATION_SETTINGS = {
     "plugin-flat-top": ("estimate", {"kernel": "flat-top", "h": "plugin"}),
     "bandwidth-flat-top": ("bandwidth", {"kernel": "flat-top"}),
     "pilot-string": ("bandwidth", {"pilot_h": "4"}),
+    "pilot-zero": ("bandwidth", {"pilot_h": 0}),
+    "plugin-pilot-negative": ("estimate", {"h": "plugin:-1"}),
+    "plugin-pilot-infinite": ("fpca", {"h": "plugin:inf"}),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lrcov import KERNEL_NAMES, KernelSpecError, char_exponent_check, kernel_value, make_kernel
+from lrcov import KERNEL_NAMES, KernelSpecError, kernel_value, make_kernel
 
 
 def all_kernels():
@@ -112,14 +112,27 @@ def test_square_integral_matches_quadrature():
         assert abs(total - k.square_integral) <= 1e-8
 
 
+def flatness_coefficient(spec, probes=(1e-2, 1e-3, 1e-4)):
+    """lim (K(x) - 1) / x^q at x -> 0, with the geometric error extrapolated away (Aitken)."""
+    x = np.asarray(probes, dtype=float)
+    r1, r2, r3 = (kernel_value(spec, x) - 1.0) / x**spec.char_exponent
+    d1, d2 = r2 - r1, r3 - r2
+    if abs(d2 - d1) <= 1e-12 * max(abs(r3), 1.0):
+        return float(r3)
+    return float(r3 - d2 * d2 / (d2 - d1))
+
+
 def test_char_exponent_check_agrees():
-    assert char_exponent_check(make_kernel("bartlett")) == pytest.approx(-1.0, rel=0.01)
-    assert char_exponent_check(make_kernel("parzen")) == pytest.approx(-6.0, rel=0.01)
-    assert char_exponent_check(make_kernel("tukey-hanning")) == pytest.approx(
-        -math.pi**2 / 4.0, rel=0.01
-    )
+    expected = {"bartlett": -1.0, "parzen": -6.0, "tukey-hanning": -math.pi**2 / 4.0}
+    for name, coefficient in expected.items():
+        spec = make_kernel(name)
+        assert spec.char_coefficient == coefficient
+        assert flatness_coefficient(spec) == pytest.approx(coefficient, rel=0.01)
 
 
 def test_char_exponent_check_refuses_flat_top():
-    with pytest.raises(KernelSpecError):
-        char_exponent_check(make_kernel("flat-top"))
+    spec = make_kernel("flat-top")
+    assert math.isinf(spec.char_exponent) and math.isnan(spec.char_coefficient)
+    # flat of every order: K is exactly 1 on the plateau, so no finite q fits
+    x = np.array([1e-2, 1e-3, 1e-4, spec.flat_width])
+    assert np.all(kernel_value(spec, x) == 1.0)

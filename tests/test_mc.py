@@ -65,7 +65,8 @@ def test_bandwidth_rule_parse_forms():
 
 
 def test_bandwidth_rule_parse_errors():
-    for bad in ("power:1", "banana:2", "fixed:-1", "fixed:zzz", True, None, "power:1,1.5", "plugin:"):
+    bad_pilots = ("plugin:", "plugin:0", "plugin:-1", "plugin:nan", "plugin:inf")
+    for bad in ("power:1", "banana:2", "fixed:-1", "fixed:zzz", True, None, "power:1,1.5", *bad_pilots):
         with pytest.raises(ConfigError):
             BandwidthRule.parse(bad)
 
