@@ -128,6 +128,8 @@ def _load_config(args, required=(), optional=()) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
     return config_object(raw, f"{args.command} config", required, (*optional, "out"))
 
 

@@ -1,9 +1,12 @@
 """CSV and JSON plumbing for the command-line tool.
 
-Numbers are written with shortest round-trip decimal formatting, so
-parse(write(x)) returns x bit-exactly and output files are stable across
+Numbers are written with shortest round-trip decimal formatting (``repr``),
+so parse(write(x)) returns x bit-exactly and output files are stable across
 platforms.  Parsing is strict: ragged rows and unparsable or non-finite cells
-are reported with 1-based row/column positions instead of being coerced.
+are reported with 1-based row/column positions instead of being coerced.  A
+clean file is parsed in one ``np.loadtxt`` call; anything that call refuses
+or might read differently goes through the per-line parser, which names the
+bad cell.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .estimator import CurveSample
 from .grid import Grid, Surface
 
 __all__ = [
-    "format_float",
     "write_matrix_csv",
     "read_matrix_csv",
     "read_curves",
@@ -27,27 +29,23 @@ __all__ = [
     "write_json",
 ]
 
-
-def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same binary float."""
-    return repr(float(x))
+_WRITE_BLOCK_ROWS = 1024
 
 
 def write_matrix_csv(path: str, values: np.ndarray, header: list | None = None) -> None:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise DataFormatError(f"can only write 2-d tables, got shape {a.shape}")
-    lines = []
-    if header is not None:
-        if len(header) != a.shape[1]:
-            raise DataFormatError(
-                f"header has {len(header)} names for {a.shape[1]} columns"
-            )
-        lines.append(",".join(str(name) for name in header))
-    for row in a:
-        lines.append(",".join(format_float(v) for v in row))
+    if header is not None and len(header) != a.shape[1]:
+        raise DataFormatError(f"header has {len(header)} names for {a.shape[1]} columns")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header is not None:
+            fh.write(",".join(str(name) for name in header) + "\n")
+        elif a.shape[0] == 0:
+            fh.write("\n")  # a file of no lines still ends in one newline
+        for i in range(0, a.shape[0], _WRITE_BLOCK_ROWS):
+            block = a[i : i + _WRITE_BLOCK_ROWS].tolist()
+            fh.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
 def _try_floats(line: str) -> list | None:
@@ -84,27 +82,57 @@ def _parse_row(line: str, row_no: int, n_cols: int | None) -> list:
     return out
 
 
+def _parse_bulk(lines: list, header: list | None) -> np.ndarray | None:
+    """The data rows in one ``np.loadtxt`` call, or None unless the result is sure.
+
+    ``loadtxt`` parses a field with the correctly rounded C conversion and
+    accepts a subset of what ``float`` accepts, so an array it returns holds
+    the values the per-line parser would give.  It skips blank lines, so the
+    shape must count every line; non-finite cells and a header of another
+    width are left to the per-line parser, which names them.
+    """
+    if not lines:  # loadtxt warns on no input; the per-line parser reports it
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    n_cols = lines[0].count(",") + 1
+    if values.shape != (len(lines), n_cols) or not np.isfinite(values).all():
+        return None
+    if header is not None and len(header) != n_cols:
+        return None
+    return values
+
+
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     """Strict rectangular CSV parse; returns (values, header or None).
 
     A single leading header row is recognized by containing non-numeric text;
     everywhere else a bad or non-finite cell is an error naming its row and
     column.  A leading byte-order mark and trailing blank lines are ignored;
-    a blank line between data rows is an error.
+    a blank line between data rows is an error, and so is a file that is not
+    UTF-8 text.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
     while lines and not lines[-1].strip():
         lines.pop()
     header = None
+    if lines and _try_floats(lines[0]) is None:
+        header = [s.strip() for s in lines[0].split(",")]
+    values = _parse_bulk(lines[1:] if header is not None else lines, header)
+    if values is not None:
+        return values, header
     rows = []
     n_cols = None
     for row_no, line in enumerate(lines, start=1):
-        if row_no == 1 and _try_floats(line) is None:
-            header = [s.strip() for s in line.split(",")]
+        if row_no == 1 and header is not None:
             continue
         rows.append(_parse_row(line, row_no, n_cols))
         if n_cols is None:

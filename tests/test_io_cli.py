@@ -1,10 +1,14 @@
+import contextlib
 import json
 import math
 from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcov import (
     DataFormatError,
@@ -24,14 +28,60 @@ def write(path, text):
     return str(path)
 
 
+@contextlib.contextmanager
+def per_line_parser_only():
+    """Read every file through the per-line parser, as if ``np.loadtxt`` refused it."""
+    with mock.patch.object(io, "_parse_bulk", lambda lines, header: None):
+        yield
+
+
+def read_outcome(path, strict=False):
+    """(values, header) from read_matrix_csv, or the DataFormatError it raised."""
+    with per_line_parser_only() if strict else contextlib.nullcontext():
+        try:
+            return io.read_matrix_csv(path)
+        except DataFormatError as exc:
+            return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got[1] == want[1]
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+
+
+def read_both(path):
+    """read_matrix_csv, after checking that the per-line parser alone agrees bit for bit."""
+    outcome = read_outcome(path)
+    assert_same_outcome(outcome, read_outcome(path, strict=True))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def reference_csv(a, header=None):
+    """The writer's bytes, one joined line per row, as a test-local oracle."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in a]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- io layer
 
 
-def test_format_float_round_trips_bit_exactly():
+def test_format_float_round_trips_bit_exactly(tmp_path):
     cases = [0.1, 1.0 / 3.0, -0.0, 1e-300, 5e-324, 1e300, math.pi, 2.0**53 + 2.0]
-    for x in cases:
-        back = float(io.format_float(x))
-        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+    cases += [0.0, -5e-324, 2.2250738585072009e-308, -1e-310, 1.7976931348623157e308]
+    cases += [-1.7976931348623157e308]
+    p = str(tmp_path / "f.csv")
+    io.write_matrix_csv(p, np.array([cases]))
+    assert Path(p).read_text(encoding="utf-8") == ",".join(map(repr, cases)) + "\n"
+    back, _ = read_both(p)
+    assert back.shape == (1, len(cases))
+    for x, y in zip(cases, back[0].tolist()):
+        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
 
 
 def test_matrix_round_trip_bit_exact(tmp_path):
@@ -39,7 +89,7 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     a = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-12, 12, size=(7, 3))
     p = str(tmp_path / "m.csv")
     io.write_matrix_csv(p, a)
-    back, header = io.read_matrix_csv(p)
+    back, header = read_both(p)
     assert header is None
     assert np.array_equal(back, a)
 
@@ -48,7 +98,7 @@ def test_matrix_header_round_trip(tmp_path):
     a = np.array([[1.5, 2.5], [3.5, 4.5]])
     p = str(tmp_path / "h.csv")
     io.write_matrix_csv(p, a, header=["alpha", "beta"])
-    back, header = io.read_matrix_csv(p)
+    back, header = read_both(p)
     assert header == ["alpha", "beta"]
     assert np.array_equal(back, a)
 
@@ -56,13 +106,13 @@ def test_matrix_header_round_trip(tmp_path):
 def test_ragged_row_is_named(tmp_path):
     p = write(tmp_path / "ragged.csv", "1,2\n3\n")
     with pytest.raises(DataFormatError, match="row 2"):
-        io.read_matrix_csv(p)
+        read_both(p)
 
 
 def test_bad_cell_is_named(tmp_path):
     p = write(tmp_path / "bad.csv", "1,2\n3,x\n")
     with pytest.raises(DataFormatError, match="row 2, column 2"):
-        io.read_matrix_csv(p)
+        read_both(p)
 
 
 def test_non_finite_cells_are_data_errors_not_headers(tmp_path):
@@ -70,59 +120,145 @@ def test_non_finite_cells_are_data_errors_not_headers(tmp_path):
     # header; it must be rejected as data with a position
     p = write(tmp_path / "inf.csv", "inf,nan\n1,2\n")
     with pytest.raises(DataFormatError, match="row 1, column 1"):
-        io.read_matrix_csv(p)
+        read_both(p)
     p = write(tmp_path / "nan.csv", "1,2\n3,nan\n")
     with pytest.raises(DataFormatError, match="row 2, column 2"):
-        io.read_matrix_csv(p)
+        read_both(p)
 
 
 def test_blank_line_is_an_error(tmp_path):
     p = write(tmp_path / "blank.csv", "1\n\n3\n")
     with pytest.raises(DataFormatError, match="row 2"):
-        io.read_matrix_csv(p)
+        read_both(p)
 
 
 def test_byte_order_mark_keeps_first_row(tmp_path):
     p = tmp_path / "bom.csv"
     p.write_bytes("1,2\n3,4\n5,6\n".encode("utf-8-sig"))
-    values, header = io.read_matrix_csv(str(p))
+    values, header = read_both(str(p))
     assert header is None
     assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     p.write_bytes("a,b\n1,2\n".encode("utf-8-sig"))
-    assert io.read_matrix_csv(str(p))[1] == ["a", "b"]
+    assert read_both(str(p))[1] == ["a", "b"]
 
 
 def test_trailing_blank_lines_are_ignored(tmp_path):
-    values, _ = io.read_matrix_csv(write(tmp_path / "tail.csv", "1,2\n3,4\n\n \n"))
+    values, _ = read_both(write(tmp_path / "tail.csv", "1,2\n3,4\n\n \n"))
     assert np.array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DataFormatError, match="row 2"):
-        io.read_matrix_csv(write(tmp_path / "mid.csv", "1,2\n\n3,4\n\n"))
+        read_both(write(tmp_path / "mid.csv", "1,2\n\n3,4\n\n"))
 
 
 def test_header_width_mismatch(tmp_path):
     p = write(tmp_path / "hm.csv", "a,b,c\n1,2\n")
     with pytest.raises(DataFormatError, match="header"):
-        io.read_matrix_csv(p)
+        read_both(p)
 
 
 def test_empty_and_header_only_files(tmp_path):
     with pytest.raises(DataFormatError, match="no data rows"):
-        io.read_matrix_csv(write(tmp_path / "empty.csv", ""))
+        read_both(write(tmp_path / "empty.csv", ""))
     with pytest.raises(DataFormatError, match="no data rows"):
-        io.read_matrix_csv(write(tmp_path / "only.csv", "a,b\n"))
+        read_both(write(tmp_path / "only.csv", "a,b\n"))
+
+
+def test_non_utf8_data_file_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"1,2\n3,\xff4\n")
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        read_both(str(p))
+    assert main(["estimate", "--data", str(p), "--h", "2", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(p) in err and "UTF-8" in err
+
+
+def test_clean_file_is_read_in_one_bulk_parse(tmp_path, monkeypatch):
+    def refuse(line, row_no, n_cols):
+        raise AssertionError("a clean file went through the per-line parser")
+
+    monkeypatch.setattr(io, "_parse_row", refuse)
+    p = tmp_path / "clean.csv"
+    p.write_bytes("\ufeffa,b\r\n 1.5,\t-2e-3\r\n3,4\xa0\r\n\r\n".encode("utf-8"))
+    values, header = io.read_matrix_csv(str(p))
+    assert header == ["a", "b"]
+    assert np.array_equal(values, [[1.5, -2e-3], [3.0, 4.0]])
 
 
 def test_read_curves_needs_two_rows(tmp_path):
-    with pytest.raises(DataFormatError, match="at least 2"):
-        io.read_curves(write(tmp_path / "one.csv", "1,2\n"))
+    for parser in (contextlib.nullcontext(), per_line_parser_only()):
+        with parser, pytest.raises(DataFormatError, match="at least 2"):
+            io.read_curves(write(tmp_path / "one.csv", "1,2\n"))
 
 
 def test_read_surface_must_be_square(tmp_path):
     p = write(tmp_path / "rect.csv", "1,2,3\n4,5,6\n")
-    values, header = io.read_matrix_csv(p)
+    values, header = read_both(p)
     assert header is None and values.shape == (2, 3)
     with pytest.raises(DimensionError):
         Surface(Grid(values.shape[0]), values)
+
+
+_CELL_PADDING = st.sampled_from(["", " ", "\t", "\xa0", " \t"])
+_BAD_CELLS = st.sampled_from(["1_0", "nan", "inf", "-inf", "1e999", "#", "#1", "", "x", "1 2"])
+_BAD_SUFFIXES = st.sampled_from(["#", " # note", "_0", "x", " 2"])
+_BLANK_LINES = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the clean case: repr'd floats, padding, then a few defects."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [
+        [draw(_CELL_PADDING) + draw(finite) + draw(_CELL_PADDING) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    blank_at = []
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n_rows - 1))
+        defect = draw(
+            st.sampled_from(["cell", "suffix", "trailing-comma", "ragged", "empty", "blank"])
+        )
+        if defect == "cell":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_CELL_PADDING) + draw(_BAD_CELLS)
+        elif defect == "suffix":  # text after a number at the end of a line
+            rows[i][-1] += draw(_BAD_SUFFIXES)
+        elif defect == "trailing-comma":
+            rows[i].append("")
+        elif defect == "ragged":
+            rows[i] = rows[i][:-1] or ["1", "2"]
+        else:  # loadtxt skips an empty line but refuses a blank one
+            blank_at.append((i, "" if defect == "empty" else draw(_BLANK_LINES)))
+    lines = [",".join(row) for row in rows]
+    for i, blank in sorted(blank_at, reverse=True):
+        lines.insert(i, blank)
+    if draw(st.booleans()):
+        width = max(1, n_cols + draw(st.sampled_from([0, 0, 0, -1, 1])))
+        lines.insert(0, ",".join(draw(st.sampled_from(["a", " t ", "x y"])) for _ in range(width)))
+    lines += draw(st.lists(_BLANK_LINES, max_size=2))  # trailing blank lines are dropped
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(read_outcome(str(p)), read_outcome(str(p), strict=True))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (5, 4), (2500, 3)])
+@pytest.mark.parametrize("with_header", [False, True])
+def test_write_matrix_bytes_match_a_joined_reference(tmp_path, shape, with_header):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    if a.size:
+        a.flat[rng.integers(0, a.size, size=3)] = [np.nan, np.inf, -0.0]
+    header = [f"c{j}" for j in range(shape[1])] if with_header else None
+    p = tmp_path / "w.csv"
+    io.write_matrix_csv(str(p), a, header=header)
+    assert p.read_bytes() == reference_csv(a, header).encode("utf-8")
 
 
 def test_write_matrix_validation(tmp_path):
@@ -174,7 +310,7 @@ def test_estimate_two_point_example(tmp_path, capsys):
 
 def test_estimate_defaults_and_config_file(tmp_path):
     rng = np.random.default_rng(41)
-    rows = "\n".join(",".join(io.format_float(v) for v in row) for row in rng.normal(size=(40, 2)))
+    rows = "\n".join(",".join(repr(v) for v in row.tolist()) for row in rng.normal(size=(40, 2)))
     data = write(tmp_path / "d.csv", rows + "\n")
     settings = {"kernel": "parzen", "h": 3, "unbiased": True, "psd": True, "m_trunc": 3}
     cfg = write(tmp_path / "cfg.json", json.dumps(settings))
@@ -241,9 +377,11 @@ def test_estimate_plugin_trace_in_metadata(tmp_path):
 
 def test_exit_code_data_error(tmp_path, capsys):
     data = write(tmp_path / "ragged.csv", "1,2\n3\n")
-    rc = main(["estimate", "--data", data, "--h", "2"])
-    assert rc == 2
-    assert "row 2" in capsys.readouterr().err
+    for parser in (contextlib.nullcontext(), per_line_parser_only()):
+        with parser:
+            rc = main(["estimate", "--data", data, "--h", "2"])
+        assert rc == 2
+        assert "row 2" in capsys.readouterr().err
 
 
 def test_exit_code_config_errors(tmp_path, capsys):
@@ -263,6 +401,15 @@ def test_exit_code_config_errors(tmp_path, capsys):
     cfg3 = write(tmp_path / "bad3.json", "{not json")
     assert main(["estimate", "--data", data, "--config", cfg3]) == 3
     capsys.readouterr()
+
+
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    data = write(tmp_path / "d.csv", "1\n3\n")
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"kernel": "\xff"}')
+    assert main(["estimate", "--data", data, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
 
 
 def test_exit_code_numeric_contract(tmp_path, capsys):
