@@ -11,8 +11,10 @@ bad cell.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from io import StringIO
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _WRITE_BLOCK_ROWS = 1024
+_READ_BLOCK_CHARS = 1 << 20  # characters of text split into lines at once
 
 
 def write_matrix_csv(path: str, values: np.ndarray, header: list | None = None) -> None:
@@ -82,27 +85,62 @@ def _parse_row(line: str, row_no: int, n_cols: int | None) -> list:
     return out
 
 
-def _parse_bulk(lines: list, header: list | None) -> np.ndarray | None:
-    """The data rows in one ``np.loadtxt`` call, or None unless the result is sure.
+def _file_lines(fh):
+    """``fh.read().splitlines()`` less its trailing blank lines, read a block at a time.
+
+    ``readlines`` stops right after a line feed, which always ends a line, so
+    the blocks' lines are the file's lines.  Blank lines are held back until a
+    line with text follows them.  Only one block is alive at once: a read costs
+    the array, not the file's text and a string for each of its lines.
+    """
+    blank = []
+    while block := fh.readlines(_READ_BLOCK_CHARS):
+        lines = "".join(block).splitlines()
+        k = len(lines)
+        while k and not lines[k - 1].strip():
+            k -= 1
+        if k:
+            yield from blank
+            yield from itertools.islice(lines, k)
+            blank = []
+        blank += lines[k:]
+
+
+def _parse_bulk(fh) -> tuple[np.ndarray, list | None] | None:
+    """(values, header) from one ``np.loadtxt`` call, or None unless the result is sure.
 
     ``loadtxt`` parses a field with the correctly rounded C conversion and
     accepts a subset of what ``float`` accepts, so an array it returns holds
     the values the per-line parser would give.  It skips blank lines, so the
-    shape must count every line; non-finite cells and a header of another
-    width are left to the per-line parser, which names them.
+    shape must count every line; non-finite cells, a header of another width
+    and text that is not UTF-8 are left to the per-line parser, which names them.
     """
-    if not lines:  # loadtxt warns on no input; the per-line parser reports it
-        return None
+    lines = _file_lines(fh)
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
+        first = next(lines, None)
+        header = None
+        if first is not None and _try_floats(first) is None:
+            header = [s.strip() for s in first.split(",")]
+            first = next(lines, None)
+        if first is None:  # loadtxt warns on no input; the per-line parser reports it
+            return None
+        n_cols = first.count(",") + 1
+        if header is not None and len(header) != n_cols:
+            return None
+        n_lines = 0
+
+        def counted():
+            nonlocal n_lines
+            for line in itertools.chain([first], lines):
+                n_lines += 1
+                yield line
+
+        values = np.loadtxt(counted(), delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
         return None
-    n_cols = lines[0].count(",") + 1
-    if values.shape != (len(lines), n_cols) or not np.isfinite(values).all():
+    if values.shape != (n_lines, n_cols) or not np.isfinite(values).all():
         return None
-    if header is not None and len(header) != n_cols:
-        return None
-    return values
+    return values, header
 
 
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
@@ -116,7 +154,13 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+            # a pipe cannot be read twice, and the per-line parser may need it again
+            src = fh if fh.seekable() else StringIO(fh.read())
+            bulk = _parse_bulk(src)
+            if bulk is not None:
+                return bulk
+            src.seek(0)
+            lines = src.read().splitlines()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -124,15 +168,11 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     while lines and not lines[-1].strip():
         lines.pop()
     header = None
-    if lines and _try_floats(lines[0]) is None:
-        header = [s.strip() for s in lines[0].split(",")]
-    values = _parse_bulk(lines[1:] if header is not None else lines, header)
-    if values is not None:
-        return values, header
     rows = []
     n_cols = None
     for row_no, line in enumerate(lines, start=1):
-        if row_no == 1 and header is not None:
+        if row_no == 1 and _try_floats(line) is None:
+            header = [s.strip() for s in line.split(",")]
             continue
         rows.append(_parse_row(line, row_no, n_cols))
         if n_cols is None:

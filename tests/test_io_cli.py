@@ -1,6 +1,8 @@
 import contextlib
 import json
 import math
+import os
+import threading
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -31,7 +33,7 @@ def write(path, text):
 @contextlib.contextmanager
 def per_line_parser_only():
     """Read every file through the per-line parser, as if ``np.loadtxt`` refused it."""
-    with mock.patch.object(io, "_parse_bulk", lambda lines, header: None):
+    with mock.patch.object(io, "_parse_bulk", lambda fh: None):
         yield
 
 
@@ -172,6 +174,26 @@ def test_non_utf8_data_file_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(p) in err and "UTF-8" in err
 
 
+def test_non_utf8_byte_past_the_first_block_names_its_file_offset(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_READ_BLOCK_CHARS", 64)
+    p = tmp_path / "late.csv"
+    p.write_bytes(b"1.25,2.5\n" * 2000 + b"3,\xff4\n")
+    with pytest.raises(DataFormatError, match="position 18002"):
+        read_both(str(p))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text", ["a,b\n1,2\n3,4\n", "a,b\n1,2\n3,x\n"])
+def test_a_named_pipe_reads_like_a_file(tmp_path, text):
+    f = write(tmp_path / "f.csv", text)
+    fifo = str(tmp_path / "pipe.csv")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=Path(fifo).write_text, args=(text,), daemon=True)
+    writer.start()
+    assert_same_outcome(read_outcome(fifo), read_outcome(f))
+    writer.join(timeout=10)
+
+
 def test_clean_file_is_read_in_one_bulk_parse(tmp_path, monkeypatch):
     def refuse(line, row_no, n_cols):
         raise AssertionError("a clean file went through the per-line parser")
@@ -241,11 +263,33 @@ def csv_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=csv_texts())
-def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text):
+@given(text=csv_texts(), block=st.sampled_from([1, 2, 5, 8, io._READ_BLOCK_CHARS]))
+def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text, block):
     p = tmp_path_factory.mktemp("csv") / "t.csv"
     p.write_bytes(text.encode("utf-8"))
-    assert_same_outcome(read_outcome(str(p)), read_outcome(str(p), strict=True))
+    with mock.patch.object(io, "_READ_BLOCK_CHARS", block):
+        got = read_outcome(str(p))
+    assert_same_outcome(got, read_outcome(str(p), strict=True))
+
+
+_LINE_PIECES = st.sampled_from(
+    ["1", ",2.5", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_LINE_PIECES, max_size=30).map("".join), block=st.integers(1, 8))
+def test_block_reader_is_splitlines_without_trailing_blank_lines(tmp_path_factory, text, block):
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with open(p, encoding="utf-8-sig") as fh:
+        want = fh.read().splitlines()
+        fh.seek(0)
+        with mock.patch.object(io, "_READ_BLOCK_CHARS", block):
+            got = list(io._file_lines(fh))
+    while want and not want[-1].strip():
+        want.pop()
+    assert got == want
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1), (5, 4), (2500, 3)])
