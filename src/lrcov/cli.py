@@ -163,14 +163,21 @@ def _read_data(args):
     return io.read_curves(args.data)
 
 
+def _plugin_constants(sel) -> dict:
+    """The plug-in rule's estimated constants, named as bandwidth.json and h_selection name them."""
+    return {
+        "c0_hat": sel.c0,
+        "F_norm_hat": sel.f_norm,
+        "C_integral_hat": sel.c_integral,
+        "fallback_used": sel.fallback,
+    }
+
+
 def _selection_trace(rule: BandwidthRule, h: float, sel) -> dict:
     trace = {"rule": rule.kind, "h": float(h), "plugin": None}
     if sel is not None:
         trace["plugin"] = {
-            "c0_hat": sel.c0,
-            "F_norm_hat": sel.f_norm,
-            "C_integral_hat": sel.c_integral,
-            "fallback_used": sel.fallback,
+            **_plugin_constants(sel),
             "clamped": sel.clamped,
             "pilot_h": sel.pilot_h,
             "m_trunc": sel.m_trunc,
@@ -277,16 +284,7 @@ def cmd_bandwidth(args) -> int:
     sample = _read_data(args)
     _, sel = rule.resolve(sample, kernel)
     os.makedirs(out, exist_ok=True)
-    io.write_json(
-        f"{out}/bandwidth.json",
-        {
-            "h_plugin": sel.bandwidth.h,
-            "c0_hat": sel.c0,
-            "F_norm_hat": sel.f_norm,
-            "C_integral_hat": sel.c_integral,
-            "fallback_used": sel.fallback,
-        },
-    )
+    io.write_json(f"{out}/bandwidth.json", {"h_plugin": sel.bandwidth.h, **_plugin_constants(sel)})
     io.write_json(
         f"{out}/metadata.json",
         {
@@ -311,7 +309,7 @@ def cmd_simulate(args) -> int:
     n_obs = config_number(cfg["n_obs"], "n_obs", integer=True, low=2)
     grid_points = config_number(cfg["grid_points"], "grid_points", integer=True, low=1)
     dgp = DgpSpec.from_dict(cfg["dgp"])
-    seed = _pick(args, cfg, "seed", dgp.seed, partial(config_number, integer=True, low=0))
+    seed = _pick(args, cfg, "seed", 0, partial(config_number, integer=True, low=0))
     out = _pick(args, cfg, "out", ".", _path)
     grid = Grid(grid_points)
     try:

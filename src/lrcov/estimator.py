@@ -319,19 +319,25 @@ def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
     return 2.0 * surface_integral(c) ** 2 * kernel.square_integral
 
 
-def amse(
-    c: Surface, bias: BiasKernel, kernel: KernelSpec, bandwidth: BandwidthLike, n_obs: int
-) -> float:
-    """Asymptotic mean squared error proxy: variance term plus squared bias term."""
+def _power_law_exponent(bias: BiasKernel, kernel: KernelSpec, n_obs: int, what: str) -> float:
+    """The kernel's characteristic exponent, once it is finite and matches the bias surface's."""
     q = kernel.char_exponent
     if not math.isfinite(q):
-        raise KernelSpecError(f"{kernel.name} admits no power-law AMSE")
+        raise KernelSpecError(f"{kernel.name} admits no power-law {what}")
     if bias.char_exponent != q:
         raise ContractViolationError(
             f"bias surface built for exponent {bias.char_exponent}, kernel has {q}"
         )
     if n_obs < 2:
         raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
+    return q
+
+
+def amse(
+    c: Surface, bias: BiasKernel, kernel: KernelSpec, bandwidth: BandwidthLike, n_obs: int
+) -> float:
+    """Asymptotic mean squared error proxy: variance term plus squared bias term."""
+    q = _power_law_exponent(bias, kernel, n_obs, "AMSE")
     h = _checked_h(bandwidth)
     return (h / n_obs) * gamma1_norm_sq(c, kernel) + h ** (-2.0 * q) * l2_norm_surface(bias.surface) ** 2
 
@@ -344,15 +350,7 @@ def optimal_bandwidth(
     Falls back to the rate-only rule h = N^(1/(1+2q)) (flagged) when the bias
     surface vanishes or the variance constant is degenerate.
     """
-    q = kernel.char_exponent
-    if not math.isfinite(q):
-        raise KernelSpecError(f"{kernel.name} admits no power-law bandwidth rule")
-    if bias.char_exponent != q:
-        raise ContractViolationError(
-            f"bias surface built for exponent {bias.char_exponent}, kernel has {q}"
-        )
-    if n_obs < 2:
-        raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
+    q = _power_law_exponent(bias, kernel, n_obs, "bandwidth rule")
     power = 1.0 / (1.0 + 2.0 * q)
     f_norm = l2_norm_surface(bias.surface)
     c_int = surface_integral(c)

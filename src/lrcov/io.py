@@ -51,15 +51,16 @@ def write_matrix_csv(path: str, values: np.ndarray, header: list | None = None) 
             fh.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
-def _try_floats(line: str) -> list | None:
-    """All fields as floats, or None if any field is not numeric at all."""
-    out = []
-    for field in line.split(","):
+def _header(line: str) -> list | None:
+    """The first line's stripped fields if it is a header: none of them parses as a number."""
+    fields = [s.strip() for s in line.split(",")]
+    for field in fields:
         try:
-            out.append(float(field.strip()))
+            float(field)
         except ValueError:
-            return None
-    return out
+            continue
+        return None
+    return fields
 
 
 def _parse_row(line: str, row_no: int, n_cols: int | None) -> list:
@@ -118,9 +119,8 @@ def _parse_bulk(fh) -> tuple[np.ndarray, list | None] | None:
     lines = _file_lines(fh)
     try:
         first = next(lines, None)
-        header = None
-        if first is not None and _try_floats(first) is None:
-            header = [s.strip() for s in first.split(",")]
+        header = None if first is None else _header(first)
+        if header is not None:
             first = next(lines, None)
         if first is None:  # loadtxt warns on no input; the per-line parser reports it
             return None
@@ -146,7 +146,7 @@ def _parse_bulk(fh) -> tuple[np.ndarray, list | None] | None:
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     """Strict rectangular CSV parse; returns (values, header or None).
 
-    A single leading header row is recognized by containing non-numeric text;
+    A first line is a header when none of its fields parses as a number;
     everywhere else a bad or non-finite cell is an error naming its row and
     column.  A leading byte-order mark and trailing blank lines are ignored;
     a blank line between data rows is an error, and so is a file that is not
@@ -171,8 +171,7 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     rows = []
     n_cols = None
     for row_no, line in enumerate(lines, start=1):
-        if row_no == 1 and _try_floats(line) is None:
-            header = [s.strip() for s in line.split(",")]
+        if row_no == 1 and (header := _header(line)) is not None:
             continue
         rows.append(_parse_row(line, row_no, n_cols))
         if n_cols is None:
@@ -204,23 +203,8 @@ def write_surface_csv(path: str, surface: Surface) -> None:
     write_matrix_csv(path, surface.values)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        # default: numpy arrays and the numpy scalars json cannot write become Python values
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
         fh.write("\n")

@@ -31,9 +31,6 @@ class KernelSpec:
     square_integral: float
     flat_width: float = math.nan  # flat-top plateau half-width, nan otherwise
 
-    def __call__(self, u):
-        return kernel_value(self, u)
-
 
 def _bartlett(a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - a)

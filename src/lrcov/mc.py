@@ -332,26 +332,29 @@ def _effective_workers(requested: int, replications: int) -> int:
     return max(1, min(workers, replications))
 
 
-def _replicate_range(spec: ExperimentSpec, reps: range) -> list:
-    """Per-replication raw results; everything truth-dependent happens in the parent."""
-    n, grid, kernel = spec.n_obs, spec.grid, spec.kernel
-    n_levels = max(spec.eigen_levels) if spec.eigen_levels else 0
-    out = []
-    for r in reps:
-        sample = generate(spec.dgp, n, grid, replication_rng(spec.master_seed, r))
+def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
+    """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G).
+
+    One row per replication in ``reps``; everything truth-dependent happens in the parent.
+    """
+    grid, kernel = spec.grid, spec.kernel
+    n_levels = max(spec.eigen_levels, default=0)
+    h = np.empty(len(reps))
+    projs = np.empty((len(reps), len(spec.projections)))
+    lams = np.empty((len(reps), n_levels))
+    vhats = np.empty((len(reps), n_levels, grid.n_points))
+    for i, r in enumerate(reps):
+        sample = generate(spec.dgp, spec.n_obs, grid, replication_rng(spec.master_seed, r))
         bw, _ = spec.h_rule.resolve(sample, kernel)
         est = estimate_lrcov(sample, kernel, bw)
-        projs = np.array(
-            [float(np.sum(est.surface.values * f.values)) for f in spec.projections]
-        ) / grid.n_points**2
-        lams = np.zeros(0)
-        vhats = np.zeros((0, grid.n_points))
+        h[i] = bw.h
+        for j, f in enumerate(spec.projections):
+            projs[i, j] = np.sum(est.surface.values * f.values)
         if n_levels:
             eig = eigendecompose(est.surface)
-            lams = eig.eigenvalues[:n_levels].copy()
-            vhats = eig.eigenfunctions[:n_levels].copy()
-        out.append((r, bw.h, projs, lams, vhats))
-    return out
+            lams[i] = eig.eigenvalues[:n_levels]
+            vhats[i] = eig.eigenfunctions[:n_levels]
+    return h, projs / grid.n_points**2, lams, vhats
 
 
 def run_experiment(spec: ExperimentSpec) -> McReport:
@@ -361,55 +364,50 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     # refuse inseparable eigen levels before any replication runs
     msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
     workers = _effective_workers(spec.workers, spec.replications)
-    chunks = [
-        range(k, spec.replications, workers) for k in range(workers)
-    ]
+    chunks = [range(k, spec.replications, workers) for k in range(workers)]
     if workers == 1:
-        results = _replicate_range(spec, range(spec.replications))
+        parts = [_replicate_range(spec, chunks[0])]
     else:
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_replicate_range, [spec] * workers, chunks):
-                results.extend(part)
-    results.sort(key=lambda item: item[0])
+            parts = list(pool.map(_replicate_range, [spec] * workers, chunks))
+    # chunk k holds replications k, k + workers, ...: its rows go back by stride
+    stats = []
+    for pieces in zip(*parts):
+        full = np.empty((spec.replications, *pieces[0].shape[1:]))
+        for k, piece in enumerate(pieces):
+            full[k::workers] = piece
+        stats.append(full)
+    h_arr, a, lams, vhats = stats  # a: (R, n_proj)
 
     n = spec.n_obs
-    h_arr = np.array([h for _, h, _, _, _ in results])
     scale = np.sqrt(n / h_arr)
 
     projection_stats = []
-    a = np.vstack([p for _, _, p, _, _ in results])  # (R, n_proj)
     centered = (a - a.mean(axis=0)) * scale[:, None] if a.size else a
-    if spec.projections:
-        for j, f in enumerate(spec.projections):
-            mean, var, skew, kurt = sample_moments(centered[:, j])
-            projection_stats.append(
-                ProjectionStats(
-                    index=j,
-                    mean=mean,
-                    variance=var,
-                    skewness=skew,
-                    ex_kurtosis=kurt,
-                    ks_distance=ks_distance(centered[:, j]),
-                    predicted_variance=predicted_projection_variance(
-                        truth_set.c, spec.kernel, f
-                    ),
-                )
+    for j, f in enumerate(spec.projections):
+        mean, var, skew, kurt = sample_moments(centered[:, j])
+        projection_stats.append(
+            ProjectionStats(
+                index=j,
+                mean=mean,
+                variance=var,
+                skewness=skew,
+                ex_kurtosis=kurt,
+                ks_distance=ks_distance(centered[:, j]),
+                predicted_variance=predicted_projection_variance(truth_set.c, spec.kernel, f),
             )
+        )
 
     eigen_stats = []
     corr = None
-    errs = np.zeros((len(results), 0))
+    errs = np.empty((spec.replications, len(spec.eigen_levels)))
+    devs = np.empty_like(errs)
     if spec.eigen_levels:
         q = spec.kernel.char_exponent
         h_rep = float(np.mean(h_arr))
         drift = spec.drift
         if drift is None:
             drift = n / h_rep ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
-        lams = np.vstack([lam for _, _, _, lam, _ in results])  # (R, n_levels)
-        vhats = np.stack([v for _, _, _, _, v in results])  # (R, n_levels, G)
-        errs = np.empty((len(results), len(spec.eigen_levels)))
-        devs = np.empty_like(errs)
         for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
             lam_true = truth_set.eigen.eigenvalues[level - 1]
             v_true = truth_set.eigen.eigenfunctions[level - 1]
@@ -521,50 +519,46 @@ def bias_rate_check(
         est = a + a.transpose(0, 2, 1)
         sums += est
         sq_sums += est**2
-    points = []
-    for k, h in enumerate(h_list):
-        mean = sums[k] / replications
-        dev = mean - c_true
-        err_raw_sq = float(np.sum(dev**2)) / g**2
-        var_field = (sq_sums[k] - replications * mean**2) / (replications - 1)
-        noise_floor = float(np.sum(var_field)) / g**2 / replications
-        err_deb_sq = err_raw_sq - noise_floor
-        points.append(
-            (
-                h,
-                math.sqrt(err_raw_sq),
-                math.copysign(math.sqrt(abs(err_deb_sq)), err_deb_sq),
-                math.sqrt(max(noise_floor, 0.0)),
-                err_raw_sq >= 9.0 * noise_floor,
-                err_deb_sq,
-                noise_floor,
-            )
-        )
-    usable = [p for p in points if p[5] > 0.0]
+    # one np.sum per h slice: a sum over several axes can round differently
+    means = sums / replications
+    err_raw_sq = np.array([np.sum((mean - c_true) ** 2) for mean in means]) / g**2
+    var_fields = (sq_sums - replications * means**2) / (replications - 1)
+    noise_floor = np.array([np.sum(v) for v in var_fields]) / g**2 / replications
+    err_deb_sq = err_raw_sq - noise_floor
+    usable = err_deb_sq > 0.0
     slope = slope_unweighted = constant_ratio = None
-    if len(usable) >= 2:
-        x = np.log([p[0] for p in usable])
-        y_log = 0.5 * np.log([p[5] for p in usable])
-        sd_sq = np.array([4.0 * p[5] * p[6] + 2.0 * p[6] ** 2 for p in usable])
-        sigma_ln = np.sqrt(sd_sq) / (2.0 * np.array([p[5] for p in usable]))
+    if np.count_nonzero(usable) >= 2:
+        deb, floor = err_deb_sq[usable], noise_floor[usable]
+        x = np.log(np.array(h_list)[usable])
+        y_log = 0.5 * np.log(deb)
+        # Python's float ** 2 (libm pow) can round apart from numpy's x * x
+        sd_sq = [4.0 * d * f + 2.0 * f**2 for d, f in zip(deb.tolist(), floor.tolist())]
+        sigma_ln = np.sqrt(sd_sq) / (2.0 * deb)
         w = 1.0 / np.maximum(sigma_ln, 1e-12) ** 2
         slope, intercept = _wls_line(x, y_log, w)
         slope_unweighted, _ = _wls_line(x, y_log, np.ones_like(w))
         constant_ratio = math.exp(intercept) / f_norm if f_norm > 0 else None
     # sign of the bias at the strongest-signal bandwidth
-    mean_dev = sums[0] / replications - c_true
-    sign_agreement = float(np.sum(mean_dev * f_true)) > 0.0
-    report_points = tuple(
-        BiasRatePoint(h=p[0], err_raw=p[1], err_debiased=p[2], noise_sd=p[3], signal=p[4])
-        for p in points
+    sign_agreement = float(np.sum((means[0] - c_true) * f_true)) > 0.0
+    points = tuple(
+        BiasRatePoint(
+            h=h,
+            err_raw=math.sqrt(raw),
+            err_debiased=math.copysign(math.sqrt(abs(debiased)), debiased),
+            noise_sd=math.sqrt(max(nf, 0.0)),
+            signal=raw >= 9.0 * nf,
+        )
+        for h, raw, debiased, nf in zip(
+            h_list, err_raw_sq.tolist(), err_deb_sq.tolist(), noise_floor.tolist()
+        )
     )
     return BiasRateReport(
-        points=report_points,
+        points=points,
         slope=slope,
         slope_unweighted=slope_unweighted,
         constant_ratio=constant_ratio,
         sign_agreement=sign_agreement,
-        no_bias_detected=not any(p.signal for p in report_points),
+        no_bias_detected=not any(p.signal for p in points),
     )
 
 

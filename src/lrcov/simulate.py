@@ -66,7 +66,6 @@ class DgpSpec:
     noise: GaussianNoiseSpec
     theta: tuple = ()
     rho: float = 0.0
-    seed: int = 0
     burn_in: int = 200
 
     def __post_init__(self) -> None:
@@ -87,11 +86,10 @@ class DgpSpec:
             raise ConfigError(f"rho only applies to the far1 kind, got kind={self.kind!r}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "burn_in", int(self.burn_in))
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "sigmas": list(self.noise.sigmas), "seed": self.seed}
+        out = {"kind": self.kind, "sigmas": list(self.noise.sigmas)}
         if self.kind == "fma":
             out["theta"] = list(self.theta)
         if self.kind == "far1":
@@ -101,13 +99,12 @@ class DgpSpec:
 
     @staticmethod
     def from_dict(raw: dict) -> "DgpSpec":
-        config_object(raw, "dgp", ("kind", "sigmas"), ("theta", "rho", "seed", "burn_in"))
+        config_object(raw, "dgp", ("kind", "sigmas"), ("theta", "rho", "burn_in"))
         return DgpSpec(
             kind=raw["kind"],
             noise=GaussianNoiseSpec(config_numbers(raw["sigmas"], "dgp sigmas")),
             theta=config_numbers(raw.get("theta", []), "dgp theta"),
             rho=config_number(raw.get("rho", 0.0), "dgp rho"),
-            seed=config_number(raw.get("seed", 0), "dgp seed", integer=True, low=0),
             burn_in=config_number(raw.get("burn_in", 200), "dgp burn_in", integer=True),
         )
 
@@ -128,14 +125,10 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-def generate(
-    spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator | None = None
-) -> CurveSample:
+def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) -> CurveSample:
     """Draw a mean-zero sample of ``n_obs`` curves from the process."""
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     j = spec.noise.n_components
     main = rng.standard_normal((n_obs, j))
     if spec.kind == "iid":

@@ -151,6 +151,17 @@ def test_trailing_blank_lines_are_ignored(tmp_path):
         read_both(write(tmp_path / "mid.csv", "1,2\n\n3,4\n\n"))
 
 
+@pytest.mark.parametrize("text", ["1.5,1#\n2,3\n", "0.3,x\n2,3\n4,5\n"])
+def test_first_line_with_a_number_is_data_not_a_header(tmp_path, capsys, text):
+    # a header is a first line none of whose fields parses as a number, so a
+    # first row with one bad cell is a data error instead of being dropped
+    p = write(tmp_path / "mixed.csv", text)
+    with pytest.raises(DataFormatError, match="row 1, column 2"):
+        read_both(p)
+    assert main(["estimate", "--data", p, "--h", "2", "--out", str(tmp_path / "o")]) == 2
+    assert "row 1, column 2" in capsys.readouterr().err
+
+
 def test_header_width_mismatch(tmp_path):
     p = write(tmp_path / "hm.csv", "a,b,c\n1,2\n")
     with pytest.raises(DataFormatError, match="header"):
@@ -318,16 +329,21 @@ def test_write_json_preserves_types(tmp_path):
         p,
         {
             "f": np.float64(1.5),
+            "f32": np.float32(0.1),
+            "nan": math.nan,
             "flag": np.bool_(True),
             "off": False,
             "arr": np.arange(3),
-            "nested": {"n": np.int64(7)},
+            "nested": {"n": np.int64(7), "row": (np.float32(0.5), np.nan)},
         },
     )
     text = Path(p).read_text()
     assert text.endswith("\n")
+    assert f'"f32": {float(np.float32(0.1))!r}' in text and '"nan": NaN' in text
     back = json.loads(text)
     assert back["f"] == 1.5
+    assert back["f32"] == float(np.float32(0.1)) and math.isnan(back["nan"])
+    assert back["nested"]["row"][0] == 0.5 and math.isnan(back["nested"]["row"][1])
     assert back["flag"] is True and back["off"] is False
     assert back["arr"] == [0, 1, 2]
     assert back["nested"]["n"] == 7
@@ -747,6 +763,10 @@ BAD_SETTINGS = {
     "nyquist-sigmas": ("mc-verify", mc_config(dgp=NYQUIST_SIGMAS, eigen_levels=[1])),
     "drift-string": ("mc-verify", mc_config(drift="x")),
     "negative-seed": ("mc-verify", mc_config(master_seed=-1)),
+    "dgp-seed": (
+        "mc-verify",
+        mc_config(dgp={"kind": "fma", "sigmas": [1.0, 0.5], "theta": [0.5], "seed": 12345}),
+    ),
     "projection-string": ("mc-verify", mc_config(projections=["x"])),
     "projection-shape": ("mc-verify", mc_config(projections=[[[1.0]]])),
     "bias-h-string": ("mc-verify", mc_config(bias_check={"h": ["x"], "replications": 4})),
@@ -764,6 +784,7 @@ BAD_SETTINGS = {
     "sim-fractional-n-obs": ("simulate", dict(SIM_CFG, n_obs=50.7)),
     "sim-zero-grid-points": ("simulate", dict(SIM_CFG, grid_points=0)),
     "sim-seed-string": ("simulate", dict(SIM_CFG, seed="x")),
+    "sim-dgp-seed": ("simulate", dict(SIM_CFG, dgp={**SIM_CFG["dgp"], "seed": 12345})),
     "sim-burn-in-float": ("simulate", dict(SIM_CFG, dgp={**SIM_CFG["dgp"], "burn_in": 1.5})),
     "sim-nyquist-sigmas": ("simulate", dict(SIM_CFG, dgp=NYQUIST_SIGMAS, grid_points=4)),
     "sim-sigmas-beyond-grid": ("simulate", dict(SIM_CFG, grid_points=1)),

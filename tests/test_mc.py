@@ -20,6 +20,7 @@ from lrcov import (
     SeparationError,
     Surface,
     bias_rate_check,
+    eigendecompose,
     estimate_lrcov,
     generate,
     ks_distance,
@@ -256,18 +257,48 @@ def test_run_experiment_single_level_has_no_correlation():
     assert len(report.eigen_stats) == 1
 
 
-def test_run_experiment_worker_determinism():
-    def canonical(report):
-        d = report.to_dict()
-        del d["runtime_seconds"]
-        del d["workers"]
-        return json.dumps(d, sort_keys=True)
+def canonical(report):
+    """The report's JSON less its timing and worker count, then the raw samples' bytes."""
+    d = report.to_dict()
+    del d["runtime_seconds"]
+    del d["workers"]
+    samples = (report.projection_samples, report.eigen_error_samples)
+    return json.dumps(d, sort_keys=True), *(a.tobytes() for a in samples)
 
+
+def test_run_experiment_worker_determinism():
     spec1 = scalar_experiment(replications=9, eigen_levels=(1,))
     base = canonical(run_experiment(spec1))
     for workers in (2, 5):
         spec = scalar_experiment(replications=9, eigen_levels=(1,), workers=workers)
         assert canonical(run_experiment(spec)) == base
+
+
+def test_run_experiment_uneven_chunks_go_back_by_stride(monkeypatch):
+    # R = 9 over 4 workers: chunks of 3, 2, 2 and 2 replications.  With a
+    # plug-in h each row's scale depends on its own sample, so a misplaced
+    # eigenvalue or eigenfunction row changes the report.
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    spec = functools.partial(
+        scalar_experiment,
+        dgp=DgpSpec(kind="fma", noise=GaussianNoiseSpec((2.0, 1.0)), theta=(0.5,)),
+        grid=Grid(4),
+        h_rule=BandwidthRule("plugin", pilot_h=3.0),
+        projections=(Surface(Grid(4), np.ones((4, 4))),),
+        eigen_levels=(1, 2),
+        replications=9,
+    )
+    pooled = run_experiment(spec(workers=4))
+    assert pooled.workers == 4
+    assert canonical(pooled) == canonical(run_experiment(spec()))
+    s = spec()
+    t = truth(s.dgp, s.grid, s.kernel)
+    for r in range(s.replications):
+        sample = generate(s.dgp, s.n_obs, s.grid, replication_rng(s.master_seed, r))
+        h = plugin_bandwidth(sample, s.kernel, 3.0).bandwidth.h
+        lams = eigendecompose(estimate_lrcov(sample, s.kernel, h).surface).eigenvalues
+        want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
+        assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
 
 
 def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):

@@ -45,13 +45,6 @@ def test_reproducible_given_equal_streams():
     assert not np.array_equal(c.values, a.values)
 
 
-def test_seed_field_used_when_no_stream_given():
-    spec = DgpSpec(kind="iid", noise=NOISE2, seed=123)
-    a = generate(spec, 20, G8)
-    b = generate(spec, 20, G8)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_fma_lag_one_autocovariance():
     spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
     s = generate(spec, 100000, Grid(1), replication_rng(11, 0))
@@ -159,9 +152,9 @@ def test_autocov_error_shrinks_at_root_n_rate():
 
 def test_dgp_spec_round_trips():
     specs = (
-        DgpSpec(kind="iid", noise=NOISE2, seed=7),
-        DgpSpec(kind="fma", noise=NOISE2, theta=(0.5, -0.1), seed=8),
-        DgpSpec(kind="far1", noise=NOISE2, rho=-0.3, seed=9, burn_in=150),
+        DgpSpec(kind="iid", noise=NOISE2),
+        DgpSpec(kind="fma", noise=NOISE2, theta=(0.5, -0.1)),
+        DgpSpec(kind="far1", noise=NOISE2, rho=-0.3, burn_in=150),
     )
     for spec in specs:
         assert DgpSpec.from_dict(spec.to_dict()) == spec
@@ -187,6 +180,8 @@ def test_dgp_spec_validation():
 def test_dgp_from_dict_validation():
     with pytest.raises(ConfigError):
         DgpSpec.from_dict({"kind": "iid", "sigmas": [1.0], "bogus": 1})
+    with pytest.raises(ConfigError, match="seed"):  # seeds belong to the command, not the process
+        DgpSpec.from_dict({"kind": "iid", "sigmas": [1.0], "seed": 3})
     with pytest.raises(ConfigError):
         DgpSpec.from_dict({"kind": "iid"})
     with pytest.raises(ConfigError):
@@ -195,4 +190,4 @@ def test_dgp_from_dict_validation():
 
 def test_generate_requires_two_observations():
     with pytest.raises(ConfigError):
-        generate(DgpSpec(kind="iid", noise=NOISE2), 1, G8)
+        generate(DgpSpec(kind="iid", noise=NOISE2), 1, G8, replication_rng(0, 0))
