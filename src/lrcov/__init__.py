@@ -50,7 +50,7 @@ from .fpca import (
     eigenvalue_ci,
     eigenvalue_clt_params,
 )
-from .simulate import DgpSpec, GaussianNoiseSpec, TruthSet, generate, replication_rng, truth
+from .simulate import DgpSpec, TruthSet, generate, replication_rng, truth
 from .mc import (
     BandwidthRule,
     BiasRateReport,
@@ -109,7 +109,6 @@ __all__ = [
     "eigenvalue_clt_params",
     "eigenfunction_deviation_msd",
     "eigenvalue_ci",
-    "GaussianNoiseSpec",
     "DgpSpec",
     "TruthSet",
     "generate",

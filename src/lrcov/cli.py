@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 from statistics import NormalDist
 
@@ -41,7 +41,7 @@ from .estimator import estimate_lrcov, project_psd
 from .fpca import eigendecompose, eigenvalue_ci
 from .grid import Grid, Surface, l2_norm_surface, surface_integral
 from .kernels import KERNEL_NAMES, KernelSpec, make_kernel
-from .mc import BandwidthRule, ExperimentSpec, bias_rate_check, run_experiment
+from .mc import BandwidthRule, ExperimentSpec, _effective_workers, bias_rate_check, run_experiment
 from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = ["main", "build_parser"]
@@ -51,6 +51,13 @@ EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_SEPARATION = 5
+# the first class an error is an instance of gives its exit code
+_EXIT_CODES = (
+    (DataFormatError, EXIT_DATA),
+    (ConfigError, EXIT_CONFIG),
+    (SeparationError, EXIT_SEPARATION),
+    (LrcovError, EXIT_NUMERIC),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -363,6 +370,7 @@ def cmd_mc_verify(args) -> int:
     if args.seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
         exp_raw = {**exp_raw, "master_seed": args.seed}
     spec = ExperimentSpec.from_dict(exp_raw)
+    _effective_workers(spec.workers, spec.replications)  # a bad LRCOV_THREADS exits 3 here
     # reject a malformed bias_check, and run it, before the experiment burns any time
     bias_cfg = cfg.get("bias_check")
     if bias_cfg is not None:
@@ -390,11 +398,7 @@ def cmd_mc_verify(args) -> int:
         payload["bias_check"] = bias_report.to_dict()
         rows = [
             [
-                p.h,
-                p.err_raw,
-                p.err_debiased,
-                p.noise_sd,
-                1.0 if p.signal else 0.0,
+                *astuple(p),
                 math.log(p.h),
                 math.log(p.err_debiased) if p.err_debiased > 0 else math.nan,
             ]
@@ -427,18 +431,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SeparationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEPARATION
     except LrcovError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -46,11 +46,11 @@ def config_number(value, what: str, integer: bool = False, low: float = -math.in
     return int(value) if integer else float(value)
 
 
-def config_numbers(values, what: str, integer: bool = False, low: float = -math.inf) -> tuple:
+def config_numbers(values, what: str, integer: bool = False) -> tuple:
     """A list of numbers read from a config, each checked by ``config_number``."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
-    return tuple(config_number(v, what, integer, low) for v in values)
+    return tuple(config_number(v, what, integer) for v in values)
 
 
 def config_flag(value, what: str) -> bool:

@@ -99,7 +99,6 @@ class LrcovEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensityEstimate:
-    omega: float
     real_part: Surface
     imag_part: Surface
 
@@ -110,7 +109,6 @@ class BiasKernel:
 
     surface: Surface
     char_exponent: float
-    max_lag: int
 
 
 @dataclass(frozen=True)
@@ -143,11 +141,12 @@ def _warn_rate(kernel: KernelSpec, h: float, n: int) -> None:
 def _lag_weights(kernel: KernelSpec, h_values, n: int, unbiased: bool) -> np.ndarray:
     """K(k/h)/d_k, one row per h, halved at lag 0.
 
-    The lags run from 0 to floor(radius * max h), at most N - 1.  Applied to
-    the sample by ``_window_sums`` as A, each estimate is A + A.T: every lag
-    enters together with its transpose and lag 0 exactly once.
+    The lags run from 0 to floor(max h), at most N - 1: every kernel vanishes
+    beyond [-1, 1].  Applied to the sample by ``_window_sums`` as A, each
+    estimate is A + A.T: every lag enters together with its transpose and
+    lag 0 exactly once.
     """
-    lags = np.arange(min(n - 1, int(math.floor(kernel.support_radius * max(h_values)))) + 1)
+    lags = np.arange(min(n - 1, int(math.floor(max(h_values)))) + 1)
     w = kernel_value(kernel, lags / np.asarray(h_values, dtype=float)[:, None])
     w /= n - lags if unbiased else n
     w[:, 0] *= 0.5
@@ -280,7 +279,7 @@ def estimate_spectral_density(
     a, b = _window_sums(_centered(sample), np.stack([w * np.cos(phase), w * np.sin(phase)]))
     two_pi = 2.0 * math.pi
     return SpectralDensityEstimate(
-        omega, Surface(sample.grid, (a + a.T) / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
+        Surface(sample.grid, (a + a.T) / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
     )
 
 
@@ -296,7 +295,7 @@ def bias_kernel(gammas: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKer
         raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
     w = _bias_weights(kernel, max_lag)[: len(gammas)]
     a = np.tensordot(w, gammas[: len(w)], axes=1)
-    return _bias_from_sum(a, kernel, max_lag)
+    return _bias_from_sum(a, kernel)
 
 
 def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
@@ -308,10 +307,10 @@ def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
     return np.arange(max_lag + 1, dtype=float) ** kernel.char_exponent
 
 
-def _bias_from_sum(a: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKernel:
+def _bias_from_sum(a: np.ndarray, kernel: KernelSpec) -> BiasKernel:
     """The bias surface from the one-sided |k|^q-weighted sum A of autocovariances."""
     surface = Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
-    return BiasKernel(surface, kernel.char_exponent, max_lag)
+    return BiasKernel(surface, kernel.char_exponent)
 
 
 def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
@@ -394,7 +393,7 @@ def plugin_bandwidth(
     weights[1, : len(bias_w)] = bias_w
     a, b = _window_sums(y, weights)
     pilot = Surface(sample.grid, a + a.T)
-    sel = optimal_bandwidth(pilot, _bias_from_sum(b, kernel, m_trunc), kernel, n)
+    sel = optimal_bandwidth(pilot, _bias_from_sum(b, kernel), kernel, n)
     h = sel.bandwidth.h
     lo, hi = 1.0, n / 2.0
     clamped = not lo <= h <= hi

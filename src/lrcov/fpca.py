@@ -71,7 +71,7 @@ class EigenvalueLimit(NamedTuple):
 
 
 class DeviationMsd(NamedTuple):
-    """Limiting mean squared eigenfunction deviation plus truncation remainder."""
+    """Limiting mean squared eigenfunction deviation; the tail bound is 0 for a finite spectrum."""
 
     value: float
     tail_bound: float
@@ -147,45 +147,30 @@ def eigenvalue_clt_params(
 
 
 def eigenfunction_deviation_msd(
-    truth: EigenSystem,
-    kernel: KernelSpec,
-    level: int,
-    k_terms: int | None = None,
+    truth: EigenSystem, kernel: KernelSpec, level: int
 ) -> DeviationMsd:
     """Limiting mean of the scaled squared deviation of a sign-aligned eigenfunction.
 
-    Sums lambda_k / (lambda_level - lambda_k)^2 over the other levels up to
-    ``k_terms`` (default: every available level); whatever is left of the
-    available spectrum goes into the reported tail bound.  Scale-invariant in
-    the spectrum: the level prefactor cancels the degree -1 of the sum.
+    Sums lambda_k / (lambda_level - lambda_k)^2 over every other level of the
+    spectrum, which is finite, so the tail bound is 0.  Scale-invariant in the
+    spectrum: the level prefactor cancels the degree -1 of the sum.
     """
     lam = truth.eigenvalues
-    if k_terms is None:
-        k_terms = len(lam)
-    if not 1 <= level <= len(lam):
-        raise ContractViolationError(f"eigenvalue level {level} outside 1..{len(lam)}")
-    if k_terms < level:
-        raise ContractViolationError(f"k_terms = {k_terms} must cover the level {level}")
     _require_separation(lam, level)
     lam_l = float(lam[level - 1])
     tol = SEPARATION_RTOL * max(abs(float(lam[0])), 1e-300)
-    head = 0.0
-    tail = 0.0
+    total = 0.0
     for k in range(len(lam)):
         if k == level - 1:
             continue
         gap = lam_l - float(lam[k])
-        if k < k_terms and abs(gap) < tol:
+        if abs(gap) < tol:
             raise SeparationError(
                 f"eigenvalues {level} and {k + 1} nearly coincide; deviation limit undefined"
             )
-        term = float(lam[k]) / gap**2 if abs(gap) >= tol else 0.0
-        if k < k_terms:
-            head += term
-        else:
-            tail += term
+        total += float(lam[k]) / gap**2
     factor = lam_l * kernel.square_integral
-    return DeviationMsd(factor * head, factor * tail)
+    return DeviationMsd(factor * total, 0.0)
 
 
 def eigenvalue_ci(

@@ -60,10 +60,10 @@ class Surface:
         g = self.grid.n_points
         object.__setattr__(self, "values", _as_values(self.values, (g, g), "surface"))
 
-    def is_symmetric(self, rel_tol: float = 1e-10) -> bool:
+    def is_symmetric(self) -> bool:
         v = self.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
-        return float(np.max(np.abs(v - v.T))) <= rel_tol * scale
+        return float(np.max(np.abs(v - v.T))) <= 1e-10 * scale
 
 
 def l2_norm_surface(s: Surface) -> float:

@@ -1,9 +1,9 @@
 """Lag-window weight functions and their analytic constants.
 
-Each kernel carries the constants the asymptotic formulas need: the support
-radius, the characteristic exponent and coefficient governing the weight's
-flatness at zero (sign kept as-is; all the standard windows curve downward),
-and the square integral.
+Every kernel is supported on [-1, 1] and carries the constants the
+asymptotic formulas need: the characteristic exponent and coefficient
+governing the weight's flatness at zero (sign kept as-is; all the standard
+windows curve downward), and the square integral.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class KernelSpec:
     """A named lag-window kernel plus the constants used by the asymptotics."""
 
     name: str
-    support_radius: float
     char_exponent: float  # math.inf for flat-top
     char_coefficient: float  # nan when char_exponent is infinite
     square_integral: float
@@ -53,17 +52,17 @@ def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
     the half-width of the plateau (strictly between 0 and 1).
     """
     if name == "bartlett":
-        return KernelSpec("bartlett", 1.0, 1.0, -1.0, 2.0 / 3.0)
+        return KernelSpec("bartlett", 1.0, -1.0, 2.0 / 3.0)
     if name == "parzen":
-        return KernelSpec("parzen", 1.0, 2.0, -6.0, 151.0 / 280.0)
+        return KernelSpec("parzen", 2.0, -6.0, 151.0 / 280.0)
     if name == "tukey-hanning":
-        return KernelSpec("tukey-hanning", 1.0, 2.0, -np.pi**2 / 4.0, 0.75)
+        return KernelSpec("tukey-hanning", 2.0, -np.pi**2 / 4.0, 0.75)
     if name == "flat-top":
         if not (0.0 < flat_width < 1.0):
             raise KernelSpecError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
         # square integral: plateau contributes 2*rho, the two linear ramps 2*(1-rho)/3
         ksq = 2.0 * flat_width + 2.0 * (1.0 - flat_width) / 3.0
-        return KernelSpec("flat-top", 1.0, math.inf, math.nan, ksq, flat_width)
+        return KernelSpec("flat-top", math.inf, math.nan, ksq, flat_width)
     raise KernelSpecError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
 
 

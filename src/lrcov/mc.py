@@ -96,6 +96,8 @@ class BandwidthRule:
             raise ConfigError(f"unknown bandwidth rule kind {self.kind!r}")
         elif self.pilot_h is not None and not (math.isfinite(self.pilot_h) and self.pilot_h > 0):
             raise ConfigError(f"pilot bandwidth must be positive and finite, got {self.pilot_h}")
+        if self.kind != "plugin" and self.m_trunc is not None:
+            raise ConfigError(f"m_trunc only applies to the plugin rule, got rule {self.kind!r}")
 
     @staticmethod
     def parse(text) -> "BandwidthRule":
@@ -174,7 +176,7 @@ class ExperimentSpec:
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
-        components = self.dgp.noise.n_components
+        components = len(self.dgp.sigmas)
         try:
             fourier_basis(self.grid, components)
         except DimensionError as exc:

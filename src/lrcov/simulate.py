@@ -26,7 +26,6 @@ from .grid import Grid, Surface, fourier_basis
 from .kernels import KernelSpec
 
 __all__ = [
-    "GaussianNoiseSpec",
     "DgpSpec",
     "TruthSet",
     "generate",
@@ -40,35 +39,24 @@ FAR1_TAIL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GaussianNoiseSpec:
-    """Finite-basis Gaussian noise: component j has scale sigmas[j] on basis j."""
-
-    sigmas: tuple
-
-    def __post_init__(self) -> None:
-        s = tuple(float(v) for v in self.sigmas)
-        if len(s) == 0:
-            raise ConfigError("noise needs at least one basis component")
-        if any(not math.isfinite(v) or v < 0 for v in s):
-            raise ConfigError(f"noise scales must be finite and >= 0, got {s}")
-        object.__setattr__(self, "sigmas", s)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.sigmas)
-
-
-@dataclass(frozen=True)
 class DgpSpec:
-    """A data generating process: iid, finite moving average, or order-1 autoregression."""
+    """A data generating process: iid, finite moving average, or order-1 autoregression.
+
+    Its noise has scale ``sigmas[j]`` on trigonometric basis element j.
+    """
 
     kind: str
-    noise: GaussianNoiseSpec
+    sigmas: tuple
     theta: tuple = ()
     rho: float = 0.0
     burn_in: int = 200
 
     def __post_init__(self) -> None:
+        sigmas = tuple(float(v) for v in self.sigmas)
+        if len(sigmas) == 0:
+            raise ConfigError("noise needs at least one basis component")
+        if any(not math.isfinite(v) or v < 0 for v in sigmas):
+            raise ConfigError(f"noise scales must be finite and >= 0, got {sigmas}")
         if self.kind not in DGP_KINDS:
             raise ConfigError(f"unknown dgp kind {self.kind!r}; expected one of {DGP_KINDS}")
         theta = tuple(float(v) for v in self.theta)
@@ -84,12 +72,13 @@ class DgpSpec:
                 raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         elif rho != 0.0:
             raise ConfigError(f"rho only applies to the far1 kind, got kind={self.kind!r}")
+        object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "burn_in", int(self.burn_in))
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "sigmas": list(self.noise.sigmas)}
+        out = {"kind": self.kind, "sigmas": list(self.sigmas)}
         if self.kind == "fma":
             out["theta"] = list(self.theta)
         if self.kind == "far1":
@@ -102,7 +91,7 @@ class DgpSpec:
         config_object(raw, "dgp", ("kind", "sigmas"), ("theta", "rho", "burn_in"))
         return DgpSpec(
             kind=raw["kind"],
-            noise=GaussianNoiseSpec(config_numbers(raw["sigmas"], "dgp sigmas")),
+            sigmas=config_numbers(raw["sigmas"], "dgp sigmas"),
             theta=config_numbers(raw.get("theta", []), "dgp theta"),
             rho=config_number(raw.get("rho", 0.0), "dgp rho"),
             burn_in=config_number(raw.get("burn_in", 200), "dgp burn_in", integer=True),
@@ -129,7 +118,7 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
     """Draw a mean-zero sample of ``n_obs`` curves from the process."""
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
-    j = spec.noise.n_components
+    j = len(spec.sigmas)
     main = rng.standard_normal((n_obs, j))
     if spec.kind == "iid":
         scores = main
@@ -150,8 +139,8 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
         for i in range(n_obs):
             state = spec.rho * state + main[i]
             scores[i] = state
-    phi = fourier_basis(grid, spec.noise.n_components)
-    return CurveSample(grid, (scores * spec.noise.sigmas) @ phi)
+    phi = fourier_basis(grid, j)
+    return CurveSample(grid, (scores * spec.sigmas) @ phi)
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:
@@ -187,8 +176,8 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     The bias surface is built per kernel and is None for the flat-top kernel,
     which has no power-law bias.
     """
-    phi = fourier_basis(grid, spec.noise.n_components)
-    s2 = np.asarray(spec.noise.sigmas) ** 2
+    phi = fourier_basis(grid, len(spec.sigmas))
+    s2 = np.asarray(spec.sigmas) ** 2
     noise_surface = (phi.T * s2) @ phi
     coeffs, long_run = _gamma_coeffs(spec)
     gammas = np.asarray(coeffs)[:, None, None] * noise_surface

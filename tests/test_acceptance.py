@@ -22,7 +22,6 @@ from lrcov import (
     CurveSample,
     DgpSpec,
     ExperimentSpec,
-    GaussianNoiseSpec,
     Grid,
     Surface,
     amse,
@@ -42,7 +41,7 @@ from lrcov import (
 from lrcov.cli import main as cli_main
 
 BARTLETT = make_kernel("bartlett")
-MA1_SCALAR = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+MA1_SCALAR = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
 CUBE_ROOT_RULE = "power:1,0.3333333333333333"
 
 
@@ -58,7 +57,7 @@ def eigen_mc_report():
     spec = ExperimentSpec(
         dgp=DgpSpec(
             kind="fma",
-            noise=GaussianNoiseSpec((math.sqrt(3.0), math.sqrt(2.0), 1.0)),
+            sigmas=(math.sqrt(3.0), math.sqrt(2.0), 1.0),
             theta=(0.5,),
         ),
         kernel=BARTLETT,

@@ -16,7 +16,6 @@ from lrcov import (
     CurveSample,
     DgpSpec,
     DimensionError,
-    GaussianNoiseSpec,
     Grid,
     KernelSpecError,
     Surface,
@@ -139,7 +138,7 @@ def test_estimate_transpose_symmetric_exactly():
 
 def test_estimate_iid_scalar_consistent():
     # truth C = gamma_0 = 1 for iid standard normal scalars
-    spec = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0,)))
+    spec = DgpSpec(kind="iid", sigmas=(1.0,))
     s = generate(spec, 4000, Grid(1), replication_rng(12, 0))
     est = estimate_lrcov(s, BARTLETT, 4000.0 ** (1.0 / 3.0))
     assert abs(est.surface.values[0, 0] - 1.0) <= 0.15
@@ -198,7 +197,7 @@ def test_spectral_density_omega_pi_imag_vanishes():
 def test_spectral_density_white_noise_flat():
     # iid noise has constant spectral density 1/(2*pi); average over
     # replications so the check is several sigma wide
-    spec = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0,)))
+    spec = DgpSpec(kind="iid", sigmas=(1.0,))
     n = 5000
     h = n ** (1.0 / 3.0)
     sums = {0.0: 0.0, math.pi / 2.0: 0.0, math.pi: 0.0}
@@ -233,7 +232,7 @@ def test_bias_kernel_scalar_ma1():
 
 
 def test_bias_kernel_truncation_stable():
-    spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     t = truth(spec, Grid(1))
     f1 = bias_kernel(t.gammas, BARTLETT, max_lag=1)
     f6 = bias_kernel(t.gammas, BARTLETT, max_lag=6)  # extra lags are exactly zero
@@ -325,7 +324,7 @@ def test_amse_monotonicity():
 
 
 def ma1_scalar_truth():
-    spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     return truth(spec, Grid(1), BARTLETT)
 
 
@@ -370,7 +369,7 @@ def test_amse_grid_minimizer_near_h_opt():
 def test_plugin_bandwidth_ma1_median_accuracy():
     # closed-form h_opt = (2/3) * 2000^(1/3); pilot kept short so the bias
     # surface estimate is not noise-dominated
-    spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     t = truth(spec, Grid(1), BARTLETT)
     h_opt = optimal_bandwidth(t.c, t.bias, BARTLETT, 2000).bandwidth.h
     hs = []
@@ -382,7 +381,7 @@ def test_plugin_bandwidth_ma1_median_accuracy():
 
 
 def test_plugin_bandwidth_iid_band():
-    spec = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0,)))
+    spec = DgpSpec(kind="iid", sigmas=(1.0,))
     n = 2000
     fallbacks = 0
     in_band = 0
@@ -402,7 +401,7 @@ def test_plugin_bandwidth_degenerate_input():
 
 
 def test_plugin_bandwidth_clamp_and_m_trunc():
-    spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     s = generate(spec, 100, Grid(1), replication_rng(1, 0))
     sel = plugin_bandwidth(s, BARTLETT, pilot_h=30.0)
     # default truncation: floor(pilot) bounded by sqrt(N)
@@ -469,7 +468,7 @@ def test_project_psd_requires_symmetry():
 
 def test_consistency_ma1_statistical():
     # relative error below 0.2 in at least 90% of replications
-    spec = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     t = truth(spec, Grid(1))
     c_true = t.c.values[0, 0]
     n = 4000

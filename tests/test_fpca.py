@@ -162,7 +162,7 @@ def test_clt_params_no_drift_no_shift():
     es = system((3.0, 2.0, 1.0))
     out = eigenvalue_clt_params(es, BARTLETT, None, 0.7, level=1)
     assert out.mean_shift == 0.0
-    f = BiasKernel(spectrum_surface(es.grid, (1.0,)), 1.0, 1)
+    f = BiasKernel(spectrum_surface(es.grid, (1.0,)), 1.0)
     out = eigenvalue_clt_params(es, BARTLETT, f, 0.0, level=1)
     assert out.mean_shift == 0.0
 
@@ -183,7 +183,7 @@ def test_clt_params_shift_contracts_bias_surface():
     # when the bias surface shares the eigenfunctions, the quadratic form
     # picks out that level's coefficient exactly
     es = system((3.0, 2.0, 1.0))
-    f = BiasKernel(spectrum_surface(es.grid, (3.0, 2.0, 1.0)), 1.0, 1)
+    f = BiasKernel(spectrum_surface(es.grid, (3.0, 2.0, 1.0)), 1.0)
     for level, lam in ((1, 3.0), (2, 2.0), (3, 1.0)):
         out = eigenvalue_clt_params(es, BARTLETT, f, 0.5, level)
         assert out.mean_shift == pytest.approx(0.5 * lam, rel=1e-10)
@@ -215,14 +215,15 @@ def test_deviation_msd_scale_invariant():
     assert c.value == pytest.approx(a.value, rel=1e-12)
 
 
-def test_deviation_msd_truncation_tail():
+def test_deviation_msd_sums_every_other_level():
+    # (3, 2, 1) with Bartlett's 2/3: level 2 is 2 (2/3) (3/1 + 1/1), level 3 is (2/3) (3/4 + 2/1)
     es = system((3.0, 2.0, 1.0))
-    full = eigenfunction_deviation_msd(es, BARTLETT, level=1)
-    cut = eigenfunction_deviation_msd(es, BARTLETT, level=1, k_terms=2)
-    assert cut.value == pytest.approx(4.0, rel=1e-12)
-    assert cut.value + cut.tail_bound == pytest.approx(full.value, rel=1e-12)
-    with pytest.raises(ContractViolationError):
-        eigenfunction_deviation_msd(es, BARTLETT, level=2, k_terms=1)
+    out = [eigenfunction_deviation_msd(es, BARTLETT, level=level) for level in (1, 2, 3)]
+    assert [d.value for d in out] == pytest.approx([4.5, 16.0 / 3.0, 11.0 / 6.0], rel=1e-12)
+    assert [d.tail_bound for d in out] == [0.0, 0.0, 0.0]
+    for level in (0, 4):
+        with pytest.raises(ContractViolationError):
+            eigenfunction_deviation_msd(es, BARTLETT, level=level)
 
 
 def test_deviation_msd_refuses_repeated_eigenvalues():

@@ -372,7 +372,7 @@ def test_estimate_defaults_and_config_file(tmp_path):
     rng = np.random.default_rng(41)
     rows = "\n".join(",".join(repr(v) for v in row.tolist()) for row in rng.normal(size=(40, 2)))
     data = write(tmp_path / "d.csv", rows + "\n")
-    settings = {"kernel": "parzen", "h": 3, "unbiased": True, "psd": True, "m_trunc": 3}
+    settings = {"kernel": "parzen", "h": 3, "unbiased": True, "psd": True}
     cfg = write(tmp_path / "cfg.json", json.dumps(settings))
     out = str(tmp_path / "out")
     rc = main(["estimate", "--data", data, "--config", cfg, "--out", out])
@@ -381,7 +381,6 @@ def test_estimate_defaults_and_config_file(tmp_path):
     assert meta["kernel"] == "parzen"
     assert meta["config"]["unbiased"] is True
     assert meta["config"]["psd"] is True and meta["psd_applied"] is True
-    assert meta["config"]["m_trunc"] == 3
     # flags beat the config file
     out2 = str(tmp_path / "out2")
     rc = main(["estimate", "--data", data, "--config", cfg, "--kernel", "bartlett", "--out", out2])
@@ -430,6 +429,11 @@ def test_estimate_plugin_trace_in_metadata(tmp_path):
         "c0_hat", "F_norm_hat", "C_integral_hat", "fallback_used", "clamped",
         "pilot_h", "m_trunc",
     }
+    # a config m_trunc reaches the plug-in rule
+    cfg = write(tmp_path / "cfg.json", json.dumps({"m_trunc": 2}))
+    assert main(["estimate", "--data", data, "--h", "plugin:4", "--config", cfg, "--out", out]) == 0
+    meta = json.loads(Path(f"{out}/metadata.json").read_text())
+    assert meta["config"]["m_trunc"] == meta["h_selection"]["plugin"]["m_trunc"] == 2
 
 
 # ---------------------------------------------------------------- cli: exit codes
@@ -733,6 +737,19 @@ def test_mc_verify_config_errors(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_bad_worker_cap_exits_3_before_the_bias_check(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bias check ran before LRCOV_THREADS was checked")
+
+    monkeypatch.setattr("lrcov.cli.bias_rate_check", refuse)
+    monkeypatch.setenv("LRCOV_THREADS", "soup")
+    cfg = write(tmp_path / "mc.json", json.dumps(MC_CFG))
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 3
+    assert "LRCOV_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- cli: bad settings
 
 
@@ -813,6 +830,8 @@ BAD_ESTIMATION_SETTINGS = {
     "m-trunc-fraction": ("estimate", {"h": "plugin", "m_trunc": 2.5}),
     "m-trunc-string": ("fpca", {"h": "plugin", "m_trunc": "x"}),
     "m-trunc-negative": ("bandwidth", {"m_trunc": -1}),
+    "m-trunc-fixed-h": ("estimate", {"h": 8, "m_trunc": 3}),
+    "m-trunc-power-rule": ("fpca", {"m_trunc": 3}),
     "p-string": ("fpca", {"p": "x"}),
     "p-fraction": ("fpca", {"p": 2.7}),
     "level-string": ("fpca", {"level": "abc"}),

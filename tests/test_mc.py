@@ -14,7 +14,6 @@ from lrcov import (
     ContractViolationError,
     DgpSpec,
     ExperimentSpec,
-    GaussianNoiseSpec,
     Grid,
     KernelSpecError,
     SeparationError,
@@ -36,8 +35,8 @@ from lrcov import (
 from lrcov import io
 
 BARTLETT = make_kernel("bartlett")
-SCALAR_IID = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0,)))
-SCALAR_MA1 = DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0,)), theta=(0.5,))
+SCALAR_IID = DgpSpec(kind="iid", sigmas=(1.0,))
+SCALAR_MA1 = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
 
 
 def scalar_experiment(**overrides):
@@ -232,7 +231,7 @@ def test_run_experiment_smoke():
 
 def test_run_experiment_eigen_stats():
     spec = scalar_experiment(
-        dgp=DgpSpec(kind="iid", noise=GaussianNoiseSpec((2.0, 1.0))),
+        dgp=DgpSpec(kind="iid", sigmas=(2.0, 1.0)),
         grid=Grid(8),
         projections=(),
         eigen_levels=(1, 2),
@@ -281,7 +280,7 @@ def test_run_experiment_uneven_chunks_go_back_by_stride(monkeypatch):
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
     spec = functools.partial(
         scalar_experiment,
-        dgp=DgpSpec(kind="fma", noise=GaussianNoiseSpec((2.0, 1.0)), theta=(0.5,)),
+        dgp=DgpSpec(kind="fma", sigmas=(2.0, 1.0), theta=(0.5,)),
         grid=Grid(4),
         h_rule=BandwidthRule("plugin", pilot_h=3.0),
         projections=(Surface(Grid(4), np.ones((4, 4))),),
@@ -305,7 +304,7 @@ def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):
     # Python 3.14 moves the default start method on Linux from fork to forkserver
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
     spec = ExperimentSpec(
-        dgp=DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0, 0.5)), theta=(0.5,)),
+        dgp=DgpSpec(kind="fma", sigmas=(1.0, 0.5), theta=(0.5,)),
         kernel=BARTLETT,
         n_obs=120,
         grid=Grid(4),
@@ -337,7 +336,7 @@ def test_run_experiment_refuses_tied_levels_before_replicating(monkeypatch):
         raise AssertionError("a replication ran before the eigen levels were checked")
 
     monkeypatch.setattr("lrcov.mc._replicate_range", refuse)
-    tied = DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0, 1.0)))
+    tied = DgpSpec(kind="iid", sigmas=(1.0, 1.0))
     spec = scalar_experiment(dgp=tied, grid=Grid(4), projections=(), eigen_levels=(1,))
     with pytest.raises(SeparationError):
         run_experiment(spec)
@@ -498,7 +497,7 @@ def hand_written_report_dicts(report, bias):
 
 
 def test_report_json_is_byte_identical_to_hand_written_fields(tmp_path):
-    ma1 = DgpSpec(kind="fma", noise=GaussianNoiseSpec((2.0, 1.0)), theta=(0.5,))
+    ma1 = DgpSpec(kind="fma", sigmas=(2.0, 1.0), theta=(0.5,))
     g8 = Grid(8)
     spec = scalar_experiment(
         dgp=ma1, grid=g8, projections=(Surface(g8, np.ones((8, 8))),), eigen_levels=(1, 2),

@@ -13,7 +13,6 @@ from lrcov import (
     KERNEL_NAMES,
     CurveSample,
     DgpSpec,
-    GaussianNoiseSpec,
     Grid,
     bias_rate_check,
     estimate_lrcov,
@@ -134,7 +133,7 @@ def three_pass_plugin(sample, kernel, pilot_h, m_trunc):
         m_trunc = min(int(math.floor(pilot_h)), int(math.floor(math.sqrt(n))))
     lag0 = y.T @ y
     pilot = (lag0 + lag0.T) / (2.0 * n)
-    for i in range(1, min(n - 1, int(math.floor(kernel.support_radius * pilot_h))) + 1):
+    for i in range(1, min(n - 1, int(math.floor(pilot_h))) + 1):
         cross = y[: n - i].T @ y[i:]
         pilot += kernel_value(kernel, i / pilot_h) / n * (cross + cross.T)
     gammas = [y[: n - i].T @ y[i:] / n for i in range(m_trunc + 1)]
@@ -178,7 +177,7 @@ def lag_window_reference(y, kernel, h_values, unbiased):
     n, g = y.shape
     out = np.zeros((len(h_values), g, g))
     for r, h in enumerate(h_values):
-        for k in range(min(n - 1, math.floor(kernel.support_radius * h)) + 1):
+        for k in range(min(n - 1, math.floor(h)) + 1):
             cross = y[: n - k].T @ y[k:]
             w = kernel_value(kernel, k / h) / (n - k if unbiased else n) * (0.5 if k == 0 else 1.0)
             out[r] += w * (cross + cross.T)
@@ -241,8 +240,8 @@ def test_spectral_density_agrees_across_the_crossover(case, omega):
 
 
 MC_DGPS = (
-    DgpSpec(kind="iid", noise=GaussianNoiseSpec((1.0, 0.5))),
-    DgpSpec(kind="fma", noise=GaussianNoiseSpec((1.0, 0.6)), theta=(0.5,)),
+    DgpSpec(kind="iid", sigmas=(1.0, 0.5)),
+    DgpSpec(kind="fma", sigmas=(1.0, 0.6), theta=(0.5,)),
 )
 
 
