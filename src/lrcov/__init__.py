@@ -23,7 +23,6 @@ from .kernels import KERNEL_NAMES, KernelSpec, kernel_value, make_kernel
 from .estimator import (
     Bandwidth,
     BandwidthSelection,
-    BiasKernel,
     CurveSample,
     LrcovEstimate,
     SpectralDensityEstimate,
@@ -41,7 +40,6 @@ from .estimator import (
 from .fpca import (
     SEPARATION_RTOL,
     ConfidenceInterval,
-    DeviationMsd,
     EigenSystem,
     EigenvalueLimit,
     align_sign,
@@ -87,7 +85,6 @@ __all__ = [
     "Bandwidth",
     "LrcovEstimate",
     "SpectralDensityEstimate",
-    "BiasKernel",
     "BandwidthSelection",
     "lag_products",
     "estimate_lrcov",
@@ -102,7 +99,6 @@ __all__ = [
     "SEPARATION_RTOL",
     "EigenSystem",
     "EigenvalueLimit",
-    "DeviationMsd",
     "ConfidenceInterval",
     "eigendecompose",
     "align_sign",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import astuple, replace
 from functools import partial
 from statistics import NormalDist
@@ -38,7 +39,7 @@ from .errors import (
     config_object,
 )
 from .estimator import estimate_lrcov, project_psd
-from .fpca import eigendecompose, eigenvalue_ci
+from .fpca import _separation_gaps, eigendecompose, eigenvalue_ci
 from .grid import Grid, Surface, l2_norm_surface, surface_integral
 from .kernels import KERNEL_NAMES, KernelSpec, make_kernel
 from .mc import BandwidthRule, ExperimentSpec, _effective_workers, bias_rate_check, run_experiment
@@ -262,10 +263,7 @@ def cmd_fpca(args) -> int:
             # interval undefined for a non-positive estimate; row kept for audit
             rows.append([level, lam, math.nan, math.nan])
     meta["config"] |= {"p": p, "level": conf}
-    meta["separation_gaps"] = [
-        float(eigen.eigenvalues[k] - (eigen.eigenvalues[k + 1] if k + 1 < eigen.count else 0.0))
-        for k in range(p)
-    ]
+    meta["separation_gaps"] = _separation_gaps(eigen.eigenvalues)[:p].tolist()
     os.makedirs(out, exist_ok=True)
     io.write_matrix_csv(
         f"{out}/eigenvalues.csv", np.array(rows), header=["level", "eigenvalue", "ci_low", "ci_high"]
@@ -426,14 +424,23 @@ _DISPATCH = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Run one command; each warning it raises and its error print as one stderr line."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
-    except LrcovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    with warnings.catch_warnings():
+        # forked Monte Carlo workers inherit both, so their warnings print the same way
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return _DISPATCH[args.command](args)
+        except LrcovError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

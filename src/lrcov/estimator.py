@@ -24,7 +24,6 @@ __all__ = [
     "Bandwidth",
     "LrcovEstimate",
     "SpectralDensityEstimate",
-    "BiasKernel",
     "BandwidthSelection",
     "lag_products",
     "estimate_lrcov",
@@ -101,14 +100,6 @@ class LrcovEstimate:
 class SpectralDensityEstimate:
     real_part: Surface
     imag_part: Surface
-
-
-@dataclass(frozen=True, eq=False)
-class BiasKernel:
-    """Lag-weighted autocovariance sum entering the leading bias term."""
-
-    surface: Surface
-    char_exponent: float
 
 
 @dataclass(frozen=True)
@@ -283,18 +274,18 @@ def estimate_spectral_density(
     )
 
 
-def bias_kernel(gammas: np.ndarray, kernel: KernelSpec, max_lag: int) -> BiasKernel:
+def bias_kernel(gammas: np.ndarray, kernel: KernelSpec) -> Surface:
     """Leading-bias surface: flatness coefficient times |lag|^q-weighted autocovariances.
 
-    ``gammas`` is an (L+1, G, G) array of autocovariances at lags 0..L; lags
-    beyond L count as zero, which is exact for finite-order truths.  Refused
-    for the flat-top kernel, whose bias decays faster than any power.
+    ``gammas`` is an (L+1, G, G) array of autocovariances at lags 0..L, every
+    one of which enters the sum; lags beyond L count as zero, which is exact
+    for finite-order truths.  Refused for the flat-top kernel, whose bias
+    decays faster than any power.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
         raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
-    w = _bias_weights(kernel, max_lag)[: len(gammas)]
-    a = np.tensordot(w, gammas[: len(w)], axes=1)
+    a = np.tensordot(_bias_weights(kernel, len(gammas) - 1), gammas, axes=1)
     return _bias_from_sum(a, kernel)
 
 
@@ -302,15 +293,12 @@ def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
     """|k|^q for lags 0..max_lag; refused for a kernel of infinite exponent."""
     if not math.isfinite(kernel.char_exponent):
         raise KernelSpecError(f"{kernel.name} admits no power-law bias expansion")
-    if max_lag < 0:
-        raise ContractViolationError(f"max_lag must be >= 0, got {max_lag}")
     return np.arange(max_lag + 1, dtype=float) ** kernel.char_exponent
 
 
-def _bias_from_sum(a: np.ndarray, kernel: KernelSpec) -> BiasKernel:
+def _bias_from_sum(a: np.ndarray, kernel: KernelSpec) -> Surface:
     """The bias surface from the one-sided |k|^q-weighted sum A of autocovariances."""
-    surface = Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
-    return BiasKernel(surface, kernel.char_exponent)
+    return Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
 
 
 def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
@@ -318,40 +306,36 @@ def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
     return 2.0 * surface_integral(c) ** 2 * kernel.square_integral
 
 
-def _power_law_exponent(bias: BiasKernel, kernel: KernelSpec, n_obs: int, what: str) -> float:
-    """The kernel's characteristic exponent, once it is finite and matches the bias surface's."""
+def _power_law_exponent(kernel: KernelSpec, n_obs: int, what: str) -> float:
+    """The kernel's characteristic exponent, once it is finite."""
     q = kernel.char_exponent
     if not math.isfinite(q):
         raise KernelSpecError(f"{kernel.name} admits no power-law {what}")
-    if bias.char_exponent != q:
-        raise ContractViolationError(
-            f"bias surface built for exponent {bias.char_exponent}, kernel has {q}"
-        )
     if n_obs < 2:
         raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
     return q
 
 
 def amse(
-    c: Surface, bias: BiasKernel, kernel: KernelSpec, bandwidth: BandwidthLike, n_obs: int
+    c: Surface, bias: Surface, kernel: KernelSpec, bandwidth: BandwidthLike, n_obs: int
 ) -> float:
     """Asymptotic mean squared error proxy: variance term plus squared bias term."""
-    q = _power_law_exponent(bias, kernel, n_obs, "AMSE")
+    q = _power_law_exponent(kernel, n_obs, "AMSE")
     h = _checked_h(bandwidth)
-    return (h / n_obs) * gamma1_norm_sq(c, kernel) + h ** (-2.0 * q) * l2_norm_surface(bias.surface) ** 2
+    return (h / n_obs) * gamma1_norm_sq(c, kernel) + h ** (-2.0 * q) * l2_norm_surface(bias) ** 2
 
 
 def optimal_bandwidth(
-    c: Surface, bias: BiasKernel, kernel: KernelSpec, n_obs: int
+    c: Surface, bias: Surface, kernel: KernelSpec, n_obs: int
 ) -> BandwidthSelection:
     """Closed-form minimizer of the AMSE proxy in h.
 
     Falls back to the rate-only rule h = N^(1/(1+2q)) (flagged) when the bias
     surface vanishes or the variance constant is degenerate.
     """
-    q = _power_law_exponent(bias, kernel, n_obs, "bandwidth rule")
+    q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
     power = 1.0 / (1.0 + 2.0 * q)
-    f_norm = l2_norm_surface(bias.surface)
+    f_norm = l2_norm_surface(bias)
     c_int = surface_integral(c)
     denom = c_int**2 * kernel.square_integral
     if f_norm == 0.0 or denom <= 0.0:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError, SeparationError
-from .estimator import BandwidthLike, BiasKernel, _checked_h
+from .estimator import BandwidthLike, _checked_h
 from .grid import Grid, Surface, _as_values
 from .kernels import KernelSpec
 
@@ -26,7 +26,6 @@ __all__ = [
     "SEPARATION_RTOL",
     "EigenSystem",
     "EigenvalueLimit",
-    "DeviationMsd",
     "ConfidenceInterval",
     "eigendecompose",
     "align_sign",
@@ -70,13 +69,6 @@ class EigenvalueLimit(NamedTuple):
     mean_shift: float
 
 
-class DeviationMsd(NamedTuple):
-    """Limiting mean squared eigenfunction deviation; the tail bound is 0 for a finite spectrum."""
-
-    value: float
-    tail_bound: float
-
-
 class ConfidenceInterval(NamedTuple):
     lower: float
     upper: float
@@ -109,16 +101,19 @@ def align_sign(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -estimates, estimates)
 
 
+def _separation_gaps(eigenvalues: np.ndarray) -> np.ndarray:
+    """lambda_k - lambda_(k+1) for every level k, the last one measured against 0."""
+    return eigenvalues - np.append(eigenvalues[1:], 0.0)
+
+
 def _require_separation(eigenvalues: np.ndarray, level: int) -> None:
     if not 1 <= level <= len(eigenvalues):
         raise ContractViolationError(f"eigenvalue level {level} outside 1..{len(eigenvalues)}")
     tol = SEPARATION_RTOL * max(abs(float(eigenvalues[0])), 1e-300)
-    for k in range(level):
-        here = float(eigenvalues[k])
-        below = float(eigenvalues[k + 1]) if k + 1 < len(eigenvalues) else 0.0
-        if here - below < tol:
+    for k, gap in enumerate(_separation_gaps(eigenvalues)[:level].tolist()):
+        if gap < tol:
             raise SeparationError(
-                f"eigenvalues {k + 1} and {k + 2} separated by {here - below:.3g} "
+                f"eigenvalues {k + 1} and {k + 2} separated by {gap:.3g} "
                 f"(< {tol:.3g}); level-{level} inference refused"
             )
 
@@ -126,7 +121,7 @@ def _require_separation(eigenvalues: np.ndarray, level: int) -> None:
 def eigenvalue_clt_params(
     truth: EigenSystem,
     kernel: KernelSpec,
-    bias: BiasKernel | None,
+    bias: Surface | None,
     drift: float,
     level: int,
 ) -> EigenvalueLimit:
@@ -142,35 +137,26 @@ def eigenvalue_clt_params(
     if bias is not None and drift != 0.0:
         v = truth.eigenfunctions[level - 1]
         g = truth.grid.n_points
-        mean_shift = drift * float(v @ bias.surface.values @ v) / g**2
+        mean_shift = drift * float(v @ bias.values @ v) / g**2
     return EigenvalueLimit(sd, mean_shift)
 
 
-def eigenfunction_deviation_msd(
-    truth: EigenSystem, kernel: KernelSpec, level: int
-) -> DeviationMsd:
+def eigenfunction_deviation_msd(truth: EigenSystem, kernel: KernelSpec, level: int) -> float:
     """Limiting mean of the scaled squared deviation of a sign-aligned eigenfunction.
 
     Sums lambda_k / (lambda_level - lambda_k)^2 over every other level of the
-    spectrum, which is finite, so the tail bound is 0.  Scale-invariant in the
-    spectrum: the level prefactor cancels the degree -1 of the sum.
+    spectrum, which is finite.  Every gap is at least an adjacent gap that
+    ``_require_separation`` has passed.  Scale-invariant in the spectrum: the
+    level prefactor cancels the degree -1 of the sum.
     """
-    lam = truth.eigenvalues
-    _require_separation(lam, level)
-    lam_l = float(lam[level - 1])
-    tol = SEPARATION_RTOL * max(abs(float(lam[0])), 1e-300)
+    _require_separation(truth.eigenvalues, level)
+    lam = truth.eigenvalues.tolist()
+    lam_l = lam[level - 1]
     total = 0.0
-    for k in range(len(lam)):
-        if k == level - 1:
-            continue
-        gap = lam_l - float(lam[k])
-        if abs(gap) < tol:
-            raise SeparationError(
-                f"eigenvalues {level} and {k + 1} nearly coincide; deviation limit undefined"
-            )
-        total += float(lam[k]) / gap**2
-    factor = lam_l * kernel.square_integral
-    return DeviationMsd(factor * total, 0.0)
+    for k, lam_k in enumerate(lam):  # a sequential sum: sum() may round differently
+        if k != level - 1:
+            total += lam_k / (lam_l - lam_k) ** 2
+    return lam_l * kernel.square_integral * total
 
 
 def eigenvalue_ci(

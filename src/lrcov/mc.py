@@ -138,12 +138,9 @@ class BandwidthRule:
             return Bandwidth(self.value), None
         if self.kind == "power":
             return Bandwidth(self.coef * float(sample.n_obs) ** self.power), None
-        q = kernel.char_exponent
-        if not math.isfinite(q):
-            raise KernelSpecError(f"{kernel.name} has no plug-in bandwidth rule")
         pilot = self.pilot_h
         if pilot is None:
-            pilot = float(sample.n_obs) ** (1.0 / (1.0 + 2.0 * q))
+            pilot = float(sample.n_obs) ** (1.0 / (1.0 + 2.0 * kernel.char_exponent))
         sel = plugin_bandwidth(sample, kernel, pilot, self.m_trunc)
         return sel.bandwidth, sel
 
@@ -325,13 +322,15 @@ def predicted_projection_variance(c: Surface, kernel: KernelSpec, f: Surface) ->
 
 def _effective_workers(requested: int, replications: int) -> int:
     cap = os.environ.get(WORKER_ENV_VAR)
-    workers = requested
     if cap is not None:
         try:
-            workers = min(workers, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            raise ConfigError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}") from None
-    return max(1, min(workers, replications))
+            limit = 0
+        if limit < 1:
+            raise ConfigError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {cap!r}")
+        requested = min(requested, limit)
+    return min(requested, replications)
 
 
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
@@ -428,8 +427,8 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
                     predicted_sd=limit.sd,
                     predicted_mean_shift=limit.mean_shift,
                     deviation_mean=float(np.mean(devs[:, j])),
-                    predicted_deviation=msd.value,
-                    deviation_tail_bound=msd.tail_bound,
+                    predicted_deviation=msd,
+                    deviation_tail_bound=0.0,  # every spectrum here is finite: no tail
                 )
             )
         if len(spec.eigen_levels) > 1:
@@ -509,7 +508,7 @@ def bias_rate_check(
         raise KernelSpecError(f"{kernel.name} has no power-law bias to measure")
     g = grid.n_points
     c_true = truth_set.c.values
-    f_true = truth_set.bias.surface.values
+    f_true = truth_set.bias.values
     f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
     # uncentered, unbiased divisor: each lag surface has exact expectation
     weights = _lag_weights(kernel, h_list, n_obs, unbiased=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, config_number, config_numbers, config_object
-from .estimator import BiasKernel, CurveSample, bias_kernel
+from .estimator import CurveSample, bias_kernel
 from .fpca import EigenSystem
 from .grid import Grid, Surface, fourier_basis
 from .kernels import KernelSpec
@@ -106,7 +106,7 @@ class TruthSet:
     gammas: np.ndarray  # (L+1, G, G), lags 0..L; lag -k is the transpose of lag k
     c: Surface
     eigen: EigenSystem
-    bias: BiasKernel | None = None
+    bias: Surface | None = None
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -193,5 +193,5 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     eigen = EigenSystem(grid, lam, phi[order])
     bias = None
     if kernel is not None and math.isfinite(kernel.char_exponent):
-        bias = bias_kernel(gammas, kernel, max_lag=len(coeffs) - 1)
+        bias = bias_kernel(gammas, kernel)
     return TruthSet(grid, gammas, c, eigen, bias)

@@ -220,28 +220,27 @@ def test_spectral_density_domain():
 
 
 def test_bias_kernel_iid_zero():
-    f = bias_kernel(np.eye(2)[None], BARTLETT, max_lag=3)
-    assert np.all(f.surface.values == 0.0)
-    assert f.char_exponent == 1
+    f = bias_kernel(np.eye(2)[None], BARTLETT)
+    assert np.all(f.values == 0.0)
 
 
 def test_bias_kernel_scalar_ma1():
     # MA(1), theta = 0.5, sigma = 1: gamma_1 = 0.5 so F = -1 * 2 * 0.5
-    f = bias_kernel(np.array([[[1.25]], [[0.5]]]), BARTLETT, max_lag=1)
-    assert f.surface.values[0, 0] == pytest.approx(-1.0)
+    f = bias_kernel(np.array([[[1.25]], [[0.5]]]), BARTLETT)
+    assert f.values[0, 0] == pytest.approx(-1.0)
 
 
 def test_bias_kernel_truncation_stable():
     spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
     t = truth(spec, Grid(1))
-    f1 = bias_kernel(t.gammas, BARTLETT, max_lag=1)
-    f6 = bias_kernel(t.gammas, BARTLETT, max_lag=6)  # extra lags are exactly zero
-    assert_allclose(f6.surface.values, f1.surface.values, atol=0)
+    f1 = bias_kernel(t.gammas[:2], BARTLETT)
+    f6 = bias_kernel(np.concatenate([t.gammas, np.zeros((5, 1, 1))]), BARTLETT)  # lags 2..6 are zero
+    assert_allclose(f6.values, f1.values, atol=0)
 
 
 def test_bias_kernel_refuses_flat_top():
     with pytest.raises(KernelSpecError):
-        bias_kernel(np.ones((1, 1, 1)), make_kernel("flat-top"), max_lag=1)
+        bias_kernel(np.ones((1, 1, 1)), make_kernel("flat-top"))
 
 
 def dense_limit_tensor(c, kernel):
@@ -312,13 +311,13 @@ def test_gamma1_norm_sq():
 def test_amse_monotonicity():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_bias = bias_kernel(c.values[None], BARTLETT, max_lag=1)
+    zero_bias = bias_kernel(c.values[None], BARTLETT)
     hs = [2.0, 4.0, 8.0, 16.0]
     vals = [amse(c, zero_bias, BARTLETT, h, 500) for h in hs]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # pure variance: increasing
 
     zero_c = Surface(g, np.array([[0.0]]))
-    f = bias_kernel(np.array([[[0.0]], [[0.5]]]), BARTLETT, max_lag=1)
+    f = bias_kernel(np.array([[[0.0]], [[0.5]]]), BARTLETT)
     vals = [amse(zero_c, f, BARTLETT, h, 500) for h in hs]
     assert all(b < a for a, b in zip(vals, vals[1:]))  # pure bias: decreasing
 
@@ -350,7 +349,7 @@ def test_optimal_bandwidth_matches_grid_search():
 def test_optimal_bandwidth_fallback_on_zero_bias():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_f = bias_kernel(c.values[None], BARTLETT, max_lag=1)
+    zero_f = bias_kernel(c.values[None], BARTLETT)
     with pytest.warns(UserWarning):
         sel = optimal_bandwidth(c, zero_f, BARTLETT, 1000)
     assert sel.fallback

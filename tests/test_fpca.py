@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from lrcov import (
     Bandwidth,
-    BiasKernel,
     ContractViolationError,
     DimensionError,
     EigenSystem,
@@ -162,7 +161,7 @@ def test_clt_params_no_drift_no_shift():
     es = system((3.0, 2.0, 1.0))
     out = eigenvalue_clt_params(es, BARTLETT, None, 0.7, level=1)
     assert out.mean_shift == 0.0
-    f = BiasKernel(spectrum_surface(es.grid, (1.0,)), 1.0)
+    f = spectrum_surface(es.grid, (1.0,))
     out = eigenvalue_clt_params(es, BARTLETT, f, 0.0, level=1)
     assert out.mean_shift == 0.0
 
@@ -183,7 +182,7 @@ def test_clt_params_shift_contracts_bias_surface():
     # when the bias surface shares the eigenfunctions, the quadratic form
     # picks out that level's coefficient exactly
     es = system((3.0, 2.0, 1.0))
-    f = BiasKernel(spectrum_surface(es.grid, (3.0, 2.0, 1.0)), 1.0)
+    f = spectrum_surface(es.grid, (3.0, 2.0, 1.0))
     for level, lam in ((1, 3.0), (2, 2.0), (3, 1.0)):
         out = eigenvalue_clt_params(es, BARTLETT, f, 0.5, level)
         assert out.mean_shift == pytest.approx(0.5 * lam, rel=1e-10)
@@ -191,36 +190,37 @@ def test_clt_params_shift_contracts_bias_surface():
 
 def test_clt_params_refuses_tied_levels():
     es = system((2.0, 2.0, 1.0))
-    with pytest.raises(SeparationError):
+    message = r"eigenvalues 1 and 2 separated by 0 \(< 2e-08\); level-1 inference refused"
+    with pytest.raises(SeparationError, match=message):
         eigenvalue_clt_params(es, BARTLETT, None, 0.0, level=1)
+    with pytest.raises(SeparationError, match="eigenvalues 1 and 2 .* level-3 inference refused"):
+        eigenvalue_clt_params(es, BARTLETT, None, 0.0, level=3)
 
 
 def test_deviation_msd_reference_spectrum():
     # (3, 2, 1), first level: 3 * (2/3) * (2/1 + 1/4) = 4.5
     out = eigenfunction_deviation_msd(system((3.0, 2.0, 1.0)), BARTLETT, level=1)
-    assert out.value == pytest.approx(4.5, rel=1e-12)
-    assert out.tail_bound == 0.0
+    assert out == pytest.approx(4.5, rel=1e-12)
 
 
 def test_deviation_msd_rank_one_is_zero():
     out = eigenfunction_deviation_msd(system((2.0, 0.0)), BARTLETT, level=1)
-    assert out.value == 0.0
+    assert out == 0.0
 
 
 def test_deviation_msd_scale_invariant():
     a = eigenfunction_deviation_msd(system((3.0, 2.0, 1.0)), BARTLETT, level=1)
     b = eigenfunction_deviation_msd(system((6.0, 4.0, 2.0)), BARTLETT, level=1)
     c = eigenfunction_deviation_msd(system((6.75, 4.5, 2.25)), BARTLETT, level=1)
-    assert b.value == pytest.approx(a.value, rel=1e-12)
-    assert c.value == pytest.approx(a.value, rel=1e-12)
+    assert b == pytest.approx(a, rel=1e-12)
+    assert c == pytest.approx(a, rel=1e-12)
 
 
 def test_deviation_msd_sums_every_other_level():
     # (3, 2, 1) with Bartlett's 2/3: level 2 is 2 (2/3) (3/1 + 1/1), level 3 is (2/3) (3/4 + 2/1)
     es = system((3.0, 2.0, 1.0))
     out = [eigenfunction_deviation_msd(es, BARTLETT, level=level) for level in (1, 2, 3)]
-    assert [d.value for d in out] == pytest.approx([4.5, 16.0 / 3.0, 11.0 / 6.0], rel=1e-12)
-    assert [d.tail_bound for d in out] == [0.0, 0.0, 0.0]
+    assert out == pytest.approx([4.5, 16.0 / 3.0, 11.0 / 6.0], rel=1e-12)
     for level in (0, 4):
         with pytest.raises(ContractViolationError):
             eigenfunction_deviation_msd(es, BARTLETT, level=level)

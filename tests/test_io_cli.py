@@ -436,6 +436,18 @@ def test_estimate_plugin_trace_in_metadata(tmp_path):
     assert meta["config"]["m_trunc"] == meta["h_selection"]["plugin"]["m_trunc"] == 2
 
 
+def test_warnings_print_as_one_line_each(tmp_path, capsys):
+    # on this white noise the plug-in picks h = 7.9, past Parzen's h^2 <= N
+    data = str(tmp_path / "d.csv")
+    io.write_matrix_csv(data, np.random.default_rng(41).standard_normal((40, 2)))
+    out = str(tmp_path / "out")
+    assert main(["estimate", "--data", data, "--kernel", "parzen", "--h", "plugin", "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert "warning: h^2 = 62.6 exceeds N = 40" in err
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+    assert "UserWarning" not in err and "cli.py" not in err
+
+
 # ---------------------------------------------------------------- cli: exit codes
 
 
@@ -737,17 +749,31 @@ def test_mc_verify_config_errors(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_bad_worker_cap_exits_3_before_the_bias_check(tmp_path, capsys, monkeypatch):
+def mc_verify_under_cap(tmp_path, capsys, monkeypatch, cap):
+    """mc-verify's exit code and stderr with LRCOV_THREADS=cap; the bias check must not run."""
     def refuse(*args, **kwargs):
         raise AssertionError("the bias check ran before LRCOV_THREADS was checked")
 
     monkeypatch.setattr("lrcov.cli.bias_rate_check", refuse)
-    monkeypatch.setenv("LRCOV_THREADS", "soup")
+    monkeypatch.setenv("LRCOV_THREADS", cap)
     cfg = write(tmp_path / "mc.json", json.dumps(MC_CFG))
     out = tmp_path / "out"
-    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 3
-    assert "LRCOV_THREADS" in capsys.readouterr().err
+    rc = main(["mc-verify", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+    return rc, capsys.readouterr().err
+
+
+def test_bad_worker_cap_exits_3_before_the_bias_check(tmp_path, capsys, monkeypatch):
+    rc, err = mc_verify_under_cap(tmp_path, capsys, monkeypatch, "soup")
+    assert rc == 3
+    assert "LRCOV_THREADS" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_worker_cap_below_one_exits_3_before_the_bias_check(tmp_path, capsys, monkeypatch, cap):
+    rc, err = mc_verify_under_cap(tmp_path, capsys, monkeypatch, cap)
+    assert rc == 3
+    assert err == f"error: LRCOV_THREADS must be an integer >= 1, got '{cap}'\n"
 
 
 # ---------------------------------------------------------------- cli: bad settings

@@ -77,8 +77,10 @@ def test_bandwidth_rule_resolve():
     assert bw.h == 7.0 and sel is None
     bw, sel = BandwidthRule("power", coef=2.0, power=0.5).resolve(s, BARTLETT)
     assert bw.h == pytest.approx(16.0) and sel is None
-    with pytest.raises(KernelSpecError):
-        BandwidthRule("plugin").resolve(s, make_kernel("flat-top"))
+    # resolve has no flat-top check of its own: plugin_bandwidth's |k|^q weights refuse it
+    for rule in (BandwidthRule("plugin"), BandwidthRule("plugin", pilot_h=4.0)):
+        with pytest.raises(KernelSpecError, match="flat-top admits no power-law bias expansion"):
+            rule.resolve(s, make_kernel("flat-top"))
 
 
 def test_bandwidth_rule_resolve_plugin_diagnostics():

@@ -118,7 +118,6 @@ def test_truth_bias_surface_presence():
     assert truth(spec, G8, make_kernel("flat-top")).bias is None
     withk = truth(spec, G8, make_kernel("bartlett"))
     assert withk.bias is not None
-    assert withk.bias.char_exponent == 1
 
 
 def test_empirical_autocov_matches_truth():
