@@ -375,13 +375,9 @@ def cmd_mc_verify(args) -> int:
         config_object(bias_cfg, "bias_check", required=("h", "replications"))
         try:
             bias_report = bias_rate_check(
-                spec.dgp,
-                spec.kernel,
-                spec.n_obs,
+                spec,
                 config_numbers(bias_cfg["h"], "bias_check h"),
                 config_number(bias_cfg["replications"], "bias_check replications", integer=True),
-                spec.grid,
-                master_seed=spec.master_seed,
             )
         except (ContractViolationError, KernelSpecError) as exc:  # its arguments are refused
             raise ConfigError(f"bias_check: {exc}") from None
@@ -432,7 +428,7 @@ def main(argv=None) -> int:
     """Run one command; each warning it raises and its error print as one stderr line."""
     parser = build_parser()
     with warnings.catch_warnings():
-        # forked Monte Carlo workers inherit both, so their warnings print the same way
+        # Monte Carlo workers hand their warnings back to this process to print
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:

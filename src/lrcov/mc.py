@@ -1,10 +1,13 @@
 """Monte Carlo verification harness for the distributional claims.
 
-Replications are generated from per-index PCG64 streams derived from
-(master_seed, replication), so a report is bit-identical no matter how many
-worker processes share the replication range.  Estimation error is always
-centered at the across-replication mean, never at the truth, so bias never
-masquerades as variance.
+Every statistic draws its replications through one driver: consecutive blocks
+of at most 64 replications, run in-process at one worker or on one process
+pool, come back in replication order.  Replication r draws from the PCG64
+stream of (master_seed, r) and the parent takes the results in replication
+order, so a report is bit-identical for any worker count.  A block's warnings
+come back with its results and are raised again in the parent.  Estimation
+error is always centered at the across-replication mean, never at the truth,
+so bias never masquerades as variance.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared
@@ -20,8 +23,11 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from statistics import NormalDist
 
 import numpy as np
@@ -308,16 +314,16 @@ def ks_distance(values: np.ndarray, loc: float | None = None, scale: float | Non
 def predicted_projection_variance(c: Surface, kernel: KernelSpec, f: Surface) -> float:
     """Limiting variance of the scaled estimation error integrated against ``f``.
 
-    Contracts the limiting covariance tensor with f on both sides using two
-    matrix products; the dense four-index tensor is never formed.
+    The limiting covariance of the error at (t, s) and (t', s') is
+    ∫K² (C(t,t')C(s,s') + C(t,s')C(s,t')), so against f it is
+    ∫K² (<f, CfC> + <f^T, CfC>) / G^4: two matrix products, never the G^4 tensor.
     """
     if c.grid.n_points != f.grid.n_points:
         raise ContractViolationError("surface grids do not match")
-    g = c.grid.n_points
-    cv, fv = c.values, f.values
-    first = (float(np.sum(cv * fv)) / g**2) ** 2
-    second = float(np.sum((cv @ fv @ cv) * fv)) / g**4
-    return kernel.square_integral * (first + second)
+    fv = f.values
+    cfc = c.values @ fv @ c.values
+    pairs = float(np.sum(cfc * fv)) + float(np.sum(cfc * fv.T))
+    return kernel.square_integral * pairs / fv.shape[0] ** 4
 
 
 def _effective_workers(requested: int, replications: int) -> int:
@@ -331,6 +337,32 @@ def _effective_workers(requested: int, replications: int) -> int:
             raise ConfigError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {cap!r}")
         requested = min(requested, limit)
     return min(requested, replications)
+
+
+def _recorded(worker, job, reps: range) -> tuple:
+    """``worker(job, reps)`` and the distinct (category, message) warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = worker(job, reps)
+    return result, list(dict.fromkeys((w.category, str(w.message)) for w in caught))
+
+
+def _pooled(worker, job, replications: int, workers: int):
+    """Yield ``worker(job, reps)`` for consecutive blocks of replications, in order.
+
+    A block holds min(64, ceil(R / workers)) replications, so a small run still
+    reaches every worker.  One worker runs the blocks in-process.  Each block's
+    warnings are raised again here, so the caller's filters see them the same
+    way under every start method.
+    """
+    size = min(64, -(-replications // workers))
+    blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_recorded, repeat(worker), repeat(job), blocks)
+        for result, caught in results:
+            for category, message in caught:
+                warnings.warn(message, category)
+            yield result
 
 
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
@@ -358,6 +390,17 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     return h, projs / grid.n_points**2, lams, vhats
 
 
+def _window_estimates(job: tuple, reps: range) -> list:
+    """Each replication's (n_h, G, G) window estimates, one per row of the lag weights."""
+    spec, weights, centered = job
+    ests = []
+    for r in reps:
+        y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
+        a = _window_sums(y - y.mean(axis=0) if centered else y, weights)
+        ests.append(a + a.transpose(0, 2, 1))
+    return ests
+
+
 def run_experiment(spec: ExperimentSpec) -> McReport:
     """Run the replications, center at the Monte Carlo mean, compare to theory."""
     t0 = time.perf_counter()
@@ -365,59 +408,36 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     # refuse inseparable eigen levels before any replication runs
     msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
     workers = _effective_workers(spec.workers, spec.replications)
-    chunks = [range(k, spec.replications, workers) for k in range(workers)]
-    if workers == 1:
-        parts = [_replicate_range(spec, chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replicate_range, [spec] * workers, chunks))
-    # chunk k holds replications k, k + workers, ...: its rows go back by stride
-    stats = []
-    for pieces in zip(*parts):
-        full = np.empty((spec.replications, *pieces[0].shape[1:]))
-        for k, piece in enumerate(pieces):
-            full[k::workers] = piece
-        stats.append(full)
-    h_arr, a, lams, vhats = stats  # a: (R, n_proj)
+    blocks = list(_pooled(_replicate_range, spec, spec.replications, workers))
+    h_arr, a, lams, vhats = (np.concatenate(p) for p in zip(*blocks))  # a: (R, n_proj)
 
     n = spec.n_obs
     scale = np.sqrt(n / h_arr)
 
-    projection_stats = []
     centered = (a - a.mean(axis=0)) * scale[:, None] if a.size else a
-    for j, f in enumerate(spec.projections):
-        mean, var, skew, kurt = sample_moments(centered[:, j])
-        projection_stats.append(
-            ProjectionStats(
-                index=j,
-                mean=mean,
-                variance=var,
-                skewness=skew,
-                ex_kurtosis=kurt,
-                ks_distance=ks_distance(centered[:, j]),
-                predicted_variance=predicted_projection_variance(truth_set.c, spec.kernel, f),
-            )
+    projection_stats = tuple(
+        ProjectionStats(
+            j,
+            *sample_moments(centered[:, j]),  # mean, variance, skewness, ex_kurtosis
+            ks_distance(centered[:, j]),
+            predicted_projection_variance(truth_set.c, spec.kernel, f),
         )
+        for j, f in enumerate(spec.projections)
+    )
 
-    eigen_stats = []
-    corr = None
+    eigen_stats, corr = [], None
     errs = np.empty((spec.replications, len(spec.eigen_levels)))
-    devs = np.empty_like(errs)
     if spec.eigen_levels:
-        q = spec.kernel.char_exponent
-        h_rep = float(np.mean(h_arr))
-        drift = spec.drift
+        q, drift = spec.kernel.char_exponent, spec.drift
         if drift is None:
-            drift = n / h_rep ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
+            drift = n / float(np.mean(h_arr)) ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
         for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
             lam_true = truth_set.eigen.eigenvalues[level - 1]
             v_true = truth_set.eigen.eigenfunctions[level - 1]
             errs[:, j] = scale * (lams[:, level - 1] - lam_true)
             diff = align_sign(vhats[:, level - 1], v_true) - v_true
-            devs[:, j] = (n / h_arr) * np.mean(diff**2, axis=1)
-            limit = eigenvalue_clt_params(
-                truth_set.eigen, spec.kernel, truth_set.bias, drift, level
-            )
+            devs = (n / h_arr) * np.mean(diff**2, axis=1)
+            limit = eigenvalue_clt_params(truth_set.eigen, spec.kernel, truth_set.bias, drift, level)
             mean, var, _, _ = sample_moments(errs[:, j])
             eigen_stats.append(
                 EigenLevelStats(
@@ -426,7 +446,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
                     error_sd=math.sqrt(var),
                     predicted_sd=limit.sd,
                     predicted_mean_shift=limit.mean_shift,
-                    deviation_mean=float(np.mean(devs[:, j])),
+                    deviation_mean=float(np.mean(devs)),
                     predicted_deviation=msd,
                     deviation_tail_bound=0.0,  # every spectrum here is finite: no tail
                 )
@@ -441,7 +461,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
         h_mean=float(np.mean(h_arr)),
         h_min=float(np.min(h_arr)),
         h_max=float(np.max(h_arr)),
-        projection_stats=tuple(projection_stats),
+        projection_stats=projection_stats,
         eigen_stats=tuple(eigen_stats),
         eigen_error_correlation=corr,
         projection_samples=centered,
@@ -481,43 +501,44 @@ def _wls_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float
     return slope, float(yb - slope * xb)
 
 
-def bias_rate_check(
-    dgp: DgpSpec,
-    kernel: KernelSpec,
-    n_obs: int,
-    h_values,
-    replications: int,
-    grid: Grid,
-    master_seed: int = 0,
-) -> BiasRateReport:
+def _checked_h_grid(h_values, replications: int, min_h: int, min_reps: int) -> list:
+    """h_values as floats, refused when too few, not finite and positive, or short of replications."""
+    h_list = [float(h) for h in h_values]
+    if len(h_list) < min_h:
+        raise ContractViolationError(f"need at least {min_h} bandwidths, got {len(h_list)}")
+    if not all(math.isfinite(h) and h > 0 for h in h_list):
+        raise ContractViolationError(f"bandwidths must be positive and finite, got {h_list}")
+    if replications < min_reps:
+        raise ContractViolationError(f"need at least {min_reps} replications, got {replications}")
+    return h_list
+
+
+def _h_grid_estimates(spec: ExperimentSpec, weights: np.ndarray, replications: int, centered: bool):
+    """Each replication's (n_h, G, G) window estimates, in replication order, from the pool."""
+    job, workers = (spec, weights, centered), _effective_workers(spec.workers, replications)
+    return chain.from_iterable(_pooled(_window_estimates, job, replications, workers))
+
+
+def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRateReport:
     """Measure how fast the mean estimation error shrinks as h grows.
 
-    For each h the Monte Carlo mean surface is compared to the exact truth;
-    the squared error norm is debiased by the noise floor of the mean, and the
+    The process, kernel, N, grid, seed and workers are the experiment's.  For
+    each h the Monte Carlo mean surface is compared to the exact truth; the
+    squared error norm is debiased by the noise floor of the mean, and the
     log-log slope across h comes from an inverse-variance weighted fit.
     """
-    h_list = sorted(float(h) for h in h_values)
-    if len(h_list) < 3:
-        raise ContractViolationError(f"need at least 3 bandwidths, got {len(h_list)}")
-    if any(h <= 0 for h in h_list):
-        raise ContractViolationError("bandwidths must be positive")
-    if replications < 2:
-        raise ContractViolationError("need at least 2 replications")
-    truth_set = truth(dgp, grid, kernel)
+    h_list = sorted(_checked_h_grid(h_values, replications, 3, 2))
+    kernel, g = spec.kernel, spec.grid.n_points
+    truth_set = truth(spec.dgp, spec.grid, kernel)
     if truth_set.bias is None:
         raise KernelSpecError(f"{kernel.name} has no power-law bias to measure")
-    g = grid.n_points
-    c_true = truth_set.c.values
-    f_true = truth_set.bias.values
+    c_true, f_true = truth_set.c.values, truth_set.bias.values
     f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
     # uncentered, unbiased divisor: each lag surface has exact expectation
-    weights = _lag_weights(kernel, h_list, n_obs, unbiased=True)
+    weights = _lag_weights(kernel, h_list, spec.n_obs, unbiased=True)
     sums = np.zeros((len(h_list), g, g))
     sq_sums = np.zeros_like(sums)
-    for r in range(replications):
-        y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
-        a = _window_sums(y, weights)
-        est = a + a.transpose(0, 2, 1)
+    for est in _h_grid_estimates(spec, weights, replications, centered=False):
         sums += est
         sq_sums += est**2
     # one np.sum per h slice: a sum over several axes can round differently
@@ -553,41 +574,23 @@ def bias_rate_check(
             h_list, err_raw_sq.tolist(), err_deb_sq.tolist(), noise_floor.tolist()
         )
     )
-    return BiasRateReport(
-        points=points,
-        slope=slope,
-        slope_unweighted=slope_unweighted,
-        constant_ratio=constant_ratio,
-        sign_agreement=sign_agreement,
-        no_bias_detected=not any(p.signal for p in points),
-    )
+    no_bias = not any(p.signal for p in points)
+    return BiasRateReport(points, slope, slope_unweighted, constant_ratio, sign_agreement, no_bias)
 
 
-def mse_curve(
-    dgp: DgpSpec,
-    kernel: KernelSpec,
-    n_obs: int,
-    h_values,
-    replications: int,
-    grid: Grid,
-    master_seed: int = 0,
-) -> list:
+def mse_curve(spec: ExperimentSpec, h_values, replications: int) -> list:
     """Monte Carlo mean squared error norm of the estimate at each bandwidth.
 
-    One sample per replication is shared across the whole h grid (one
-    window sum per replication takes every h as a weight row), so the curve
-    is smooth in h and ratios between grid points are stable.
+    The process, kernel, N, grid, seed and workers are the experiment's.  One
+    sample per replication is shared across the whole h grid (one window sum
+    per replication takes every h as a weight row), so the curve is smooth in
+    h and ratios between grid points are stable.
     """
-    h_list = [float(h) for h in h_values]
-    if any(h <= 0 for h in h_list):
-        raise ContractViolationError("bandwidths must be positive")
-    truth_set = truth(dgp, grid, kernel)
-    g = grid.n_points
-    c_true = truth_set.c.values
-    weights = _lag_weights(kernel, h_list, n_obs, unbiased=False)
+    h_list = _checked_h_grid(h_values, replications, 1, 1)
+    g = spec.grid.n_points
+    c_true = truth(spec.dgp, spec.grid, spec.kernel).c.values
+    weights = _lag_weights(spec.kernel, h_list, spec.n_obs, unbiased=False)
     acc = np.zeros(len(h_list))
-    for r in range(replications):
-        y = generate(dgp, n_obs, grid, replication_rng(master_seed, r)).values
-        a = _window_sums(y - y.mean(axis=0), weights)
-        acc += np.sum((a + a.transpose(0, 2, 1) - c_true) ** 2, axis=(1, 2)) / g**2
+    for est in _h_grid_estimates(spec, weights, replications, centered=True):
+        acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
     return [(h, float(acc[k] / replications)) for k, h in enumerate(h_list)]

@@ -45,6 +45,19 @@ MA1_SCALAR = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
 CUBE_ROOT_RULE = "power:1,0.3333333333333333"
 
 
+def scalar_spec(kernel, n_obs, master_seed):
+    """The scalar MA(1) experiment the bias-rate and MSE-curve checks draw from."""
+    return ExperimentSpec(
+        dgp=MA1_SCALAR,
+        kernel=kernel,
+        n_obs=n_obs,
+        grid=Grid(1),
+        h_rule=BandwidthRule("fixed", value=1.0),
+        replications=2,
+        master_seed=master_seed,
+    )
+
+
 def report(capsys, name, ok, detail):
     with capsys.disabled():
         print(f"\n{name} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -144,9 +157,7 @@ def test_a3_bias_rate_slopes(capsys):
     t0 = time.perf_counter()
     results = {}
     for kname, lo, hi in (("bartlett", -1.25, -0.75), ("parzen", -2.5, -1.5)):
-        rep = bias_rate_check(
-            MA1_SCALAR, make_kernel(kname), 4000, [4.0, 8.0, 16.0, 32.0], 400, Grid(1), 1
-        )
+        rep = bias_rate_check(scalar_spec(make_kernel(kname), 4000, 1), [4.0, 8.0, 16.0, 32.0], 400)
         results[kname] = (rep.slope, lo, hi, rep)
     elapsed = time.perf_counter() - t0
     ok = all(lo <= slope <= hi for slope, lo, hi, _ in results.values()) and elapsed < 600.0
@@ -212,7 +223,7 @@ def test_a6_bandwidth_optimality(capsys):
     argmin_h = hs[int(np.argmin(amse_vals))]
     step_ok = abs(argmin_h - h_opt) <= 1.0
 
-    curve = mse_curve(MA1_SCALAR, BARTLETT, 1000, hs + [h_opt], 300, Grid(1), 1)
+    curve = mse_curve(scalar_spec(BARTLETT, 1000, 1), hs + [h_opt], 300)
     grid_min = min(v for _, v in curve[:-1])
     at_opt = curve[-1][1]
     mc_ratio = at_opt / grid_min

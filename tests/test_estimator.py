@@ -244,10 +244,14 @@ def test_bias_kernel_refuses_flat_top():
 
 
 def dense_limit_tensor(c, kernel):
-    """The limiting covariance of the scaled error as a dense G^4 tensor (test oracle)."""
+    """The limiting covariance of the scaled error as a dense G^4 tensor (test oracle).
+
+    Entry (t, s, u, v) is the covariance of the errors at (t, s) and (u, v):
+    int K^2 (C(t,u)C(s,v) + C(t,v)C(s,u)).
+    """
     v = c.values
     return kernel.square_integral * (
-        np.einsum("ts,uv->tsuv", v, v) + np.einsum("tu,sv->tsuv", v, v)
+        np.einsum("tu,sv->tsuv", v, v) + np.einsum("tv,su->tsuv", v, v)
     )
 
 

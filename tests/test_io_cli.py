@@ -1,8 +1,11 @@
 import contextlib
+import functools
 import json
 import math
+import multiprocessing
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -448,6 +451,21 @@ def test_warnings_print_as_one_line_each(tmp_path, capsys):
     assert "UserWarning" not in err and "cli.py" not in err
 
 
+@pytest.mark.parametrize("method", [None, "fork", "spawn", "forkserver"])
+def test_worker_warnings_print_as_one_line_each(tmp_path, capfd, monkeypatch, method):
+    # Parzen at h = 8 on N = 50 warns in every replication; None runs them in-process
+    if method is not None:
+        pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr("lrcov.mc.ProcessPoolExecutor", pool)
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    exp = {"dgp": {"kind": "iid", "sigmas": [1.0]}, "kernel": "parzen", "n_obs": 50,
+           "grid_points": 1, "h": 8, "replications": 12, "workers": 1 if method is None else 2}
+    cfg = write(tmp_path / "mc.json", json.dumps({"experiment": exp}))
+    assert main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capfd.readouterr().err
+    assert err == "warning: h^2 = 64 exceeds N = 50; the leading bias approximation degrades\n"
+
+
 # ---------------------------------------------------------------- cli: exit codes
 
 
@@ -839,7 +857,7 @@ def test_bad_settings_exit_3_before_any_replication(tmp_path, capsys, monkeypatc
     def refuse(*args):
         raise AssertionError("a replication ran before the configuration was checked")
 
-    monkeypatch.setattr("lrcov.mc._replicate_range", refuse)
+    monkeypatch.setattr("lrcov.mc._pooled", refuse)
     path = write(tmp_path / "cfg.json", json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 3

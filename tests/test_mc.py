@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -33,6 +34,8 @@ from lrcov import (
     truth,
 )
 from lrcov import io
+from lrcov.estimator import _lag_weights, _window_sums
+from lrcov.mc import _pooled
 
 BARTLETT = make_kernel("bartlett")
 SCALAR_IID = DgpSpec(kind="iid", sigmas=(1.0,))
@@ -159,20 +162,43 @@ def test_predicted_projection_variance_scalar():
 
 
 def test_predicted_projection_variance_tensor_oracle():
-    # contracting the dense limiting covariance tensor against f must agree
+    # contracting the dense limiting covariance tensor against f must agree: the
+    # errors at (t, s) and (u, v) covary as int K^2 (C(t,u)C(s,v) + C(t,v)C(s,u))
     rng = np.random.default_rng(30)
     g = Grid(8)
     m = rng.normal(size=(8, 8))
     c = Surface(g, m @ m.T)
-    f_vals = rng.normal(size=(8, 8))
-    f = Surface(g, f_vals + f_vals.T)
     v = c.values
     tensor = BARTLETT.square_integral * (
-        np.einsum("ts,uv->tsuv", v, v) + np.einsum("tu,sv->tsuv", v, v)
+        np.einsum("tu,sv->tsuv", v, v) + np.einsum("tv,su->tsuv", v, v)
     )
-    direct = float(np.einsum("ts,tsuv,uv->", f.values, tensor, f.values)) / 8**4
-    fast = predicted_projection_variance(c, BARTLETT, f)
-    assert fast == pytest.approx(direct, rel=1e-10)
+    f_vals = rng.normal(size=(8, 8))
+    for f in (Surface(g, f_vals + f_vals.T), Surface(g, f_vals)):  # symmetric, then not
+        direct = float(np.einsum("ts,tsuv,uv->", f.values, tensor, f.values)) / 8**4
+        fast = predicted_projection_variance(c, BARTLETT, f)
+        assert fast == pytest.approx(direct, rel=1e-10)
+
+
+def test_predicted_projection_variance_matches_monte_carlo_off_rank_one(monkeypatch):
+    # f = I and f = cos 2pi(s - t) are not a (x) a, so the pairing matters here:
+    # C(t,s)C(t',s') + C(t,t')C(s,s') would predict 0.0577 and 0.257
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    g = Grid(8)
+    t = g.points
+    cos = Surface(g, np.cos(2.0 * np.pi * (t[None, :] - t[:, None])))
+    spec = ExperimentSpec(
+        dgp=DgpSpec(kind="iid", sigmas=(1.0, 0.8, 0.6)),
+        kernel=BARTLETT,
+        n_obs=2000,
+        grid=g,
+        h_rule=BandwidthRule.parse("power:1,0.3333333333333333"),
+        replications=2000,
+        projections=(Surface(g, np.eye(8)), cos),
+        master_seed=3,
+        workers=2,
+    )
+    for p in run_experiment(spec).projection_stats:
+        assert p.variance / p.predicted_variance == pytest.approx(1.0, abs=0.10)
 
 
 def test_predicted_projection_variance_grid_mismatch():
@@ -275,8 +301,8 @@ def test_run_experiment_worker_determinism():
         assert canonical(run_experiment(spec)) == base
 
 
-def test_run_experiment_uneven_chunks_go_back_by_stride(monkeypatch):
-    # R = 9 over 4 workers: chunks of 3, 2, 2 and 2 replications.  With a
+def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
+    # R = 10 over 4 workers: blocks of 3, 3, 3 and 1 replications.  With a
     # plug-in h each row's scale depends on its own sample, so a misplaced
     # eigenvalue or eigenfunction row changes the report.
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
@@ -287,7 +313,7 @@ def test_run_experiment_uneven_chunks_go_back_by_stride(monkeypatch):
         h_rule=BandwidthRule("plugin", pilot_h=3.0),
         projections=(Surface(Grid(4), np.ones((4, 4))),),
         eigen_levels=(1, 2),
-        replications=9,
+        replications=10,
     )
     pooled = run_experiment(spec(workers=4))
     assert pooled.workers == 4
@@ -302,8 +328,66 @@ def test_run_experiment_uneven_chunks_go_back_by_stride(monkeypatch):
         assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
 
 
+def block_of(job, reps):
+    return job, reps
+
+
+def test_pooled_blocks_come_back_in_replication_order():
+    # a block is min(64, ceil(R / workers)) replications long
+    assert list(_pooled(block_of, "job", 10, 4)) == [
+        ("job", range(0, 3)), ("job", range(3, 6)), ("job", range(6, 9)), ("job", range(9, 10))
+    ]
+    for workers in (1, 2):
+        blocks = [reps for _, reps in _pooled(block_of, None, 300, workers)]
+        assert blocks == [range(a, min(a + 64, 300)) for a in range(0, 300, 64)]
+
+
+def serial_window_estimates(spec, weights, replications, centered):
+    """Each replication's h-grid estimates from one serial loop in this process (the oracle)."""
+    for r in range(replications):
+        y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
+        a = _window_sums(y - y.mean(axis=0) if centered else y, weights)
+        yield a + a.transpose(0, 2, 1)
+
+
+def test_h_grid_checks_match_a_serial_loop_at_any_worker_count(monkeypatch):
+    # 150 replications: blocks of 64, 64 and 22 at one or two workers, 38 at four
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    spec = scalar_experiment(
+        dgp=DgpSpec(kind="fma", sigmas=(1.0, 0.5), theta=(0.5,)),
+        n_obs=40,
+        grid=Grid(3),
+        projections=(),
+        master_seed=19,
+    )
+    hs, reps, g = [2.0, 4.0, 8.0], 150, 3
+    c_true = truth(spec.dgp, spec.grid, spec.kernel).c.values
+    sums = np.zeros((len(hs), g, g))
+    sq_sums = np.zeros_like(sums)
+    for est in serial_window_estimates(spec, _lag_weights(BARTLETT, hs, 40, True), reps, False):
+        sums += est
+        sq_sums += est**2
+    means = sums / reps
+    err_raw = [math.sqrt(float(np.sum((m - c_true) ** 2)) / g**2) for m in means]
+    var_fields = (sq_sums - reps * means**2) / (reps - 1)
+    noise_sd = [math.sqrt(max(float(np.sum(v)) / g**2 / reps, 0.0)) for v in var_fields]
+    acc = np.zeros(len(hs))
+    for est in serial_window_estimates(spec, _lag_weights(BARTLETT, hs, 40, False), reps, True):
+        acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
+    mse = [(h, float(acc[k] / reps)) for k, h in enumerate(hs)]
+
+    reports = []
+    for workers in (1, 2, 4):
+        pooled = replace(spec, workers=workers)
+        reports.append(bias_rate_check(pooled, hs, reps).to_dict())
+        assert [p["err_raw"] for p in reports[-1]["points"]] == err_raw
+        assert [p["noise_sd"] for p in reports[-1]["points"]] == noise_sd
+        assert mse_curve(pooled, hs, reps) == mse
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):
-    # Python 3.14 moves the default start method on Linux from fork to forkserver
+    # and under forkserver, which Python 3.14 makes the default start method on Linux
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
     spec = ExperimentSpec(
         dgp=DgpSpec(kind="fma", sigmas=(1.0, 0.5), theta=(0.5,)),
@@ -318,7 +402,7 @@ def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):
         workers=2,
     )
     runs = {}
-    for method in ("fork", "spawn"):
+    for method in ("fork", "spawn", "forkserver"):
         pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
         monkeypatch.setattr("lrcov.mc.ProcessPoolExecutor", pool)
         report = run_experiment(spec)
@@ -330,14 +414,14 @@ def test_run_experiment_identical_under_fork_and_spawn(monkeypatch):
             report.projection_samples.tobytes(),
             report.eigen_error_samples.tobytes(),
         )
-    assert runs["fork"] == runs["spawn"]
+    assert runs["fork"] == runs["spawn"] == runs["forkserver"]
 
 
 def test_run_experiment_refuses_tied_levels_before_replicating(monkeypatch):
     def refuse(*args):
         raise AssertionError("a replication ran before the eigen levels were checked")
 
-    monkeypatch.setattr("lrcov.mc._replicate_range", refuse)
+    monkeypatch.setattr("lrcov.mc._pooled", refuse)
     tied = DgpSpec(kind="iid", sigmas=(1.0, 1.0))
     spec = scalar_experiment(dgp=tied, grid=Grid(4), projections=(), eigen_levels=(1,))
     with pytest.raises(SeparationError):
@@ -400,25 +484,37 @@ def test_run_experiment_centering_with_data_driven_bandwidth():
     assert truth_centered_var > 1.1 * mean_centered_var
 
 
-def test_bias_rate_check_refusals():
+def test_bias_rate_check_refusals(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the truth or a replication ran before the arguments were checked")
+
+    ma1 = scalar_experiment(dgp=SCALAR_MA1, n_obs=500)
     with pytest.raises(ContractViolationError):
-        bias_rate_check(SCALAR_MA1, BARTLETT, 500, [4.0, 8.0], 10, Grid(1))
-    with pytest.raises(ContractViolationError):
-        bias_rate_check(SCALAR_MA1, BARTLETT, 500, [0.0, 4.0, 8.0], 10, Grid(1))
-    with pytest.raises(ContractViolationError):
-        bias_rate_check(SCALAR_MA1, BARTLETT, 500, [2.0, 4.0, 8.0], 1, Grid(1))
+        bias_rate_check(ma1, [4.0, 8.0], 10)
     with pytest.raises(KernelSpecError):
-        bias_rate_check(SCALAR_MA1, make_kernel("flat-top"), 500, [2.0, 4.0, 8.0], 10, Grid(1))
+        bias_rate_check(scalar_experiment(dgp=SCALAR_MA1, kernel=make_kernel("flat-top")), [2.0, 4.0, 8.0], 10)
+    monkeypatch.setattr("lrcov.mc.truth", refuse)
+    monkeypatch.setattr("lrcov.mc._pooled", refuse)
+    for bad in ([0.0, 4.0, 8.0], [2.0, math.nan, 8.0], [2.0, 4.0, math.inf], [-math.inf, 4.0, 8.0]):
+        for check in (bias_rate_check, mse_curve):
+            with pytest.raises(ContractViolationError, match="positive and finite"):
+                check(ma1, bad, 10)
+    with pytest.raises(ContractViolationError, match="at least 2 replications, got 1"):
+        bias_rate_check(ma1, [2.0, 4.0, 8.0], 1)
+    for reps in (0, -3):
+        with pytest.raises(ContractViolationError, match=f"at least 1 replications, got {reps}"):
+            mse_curve(ma1, [2.0, 4.0], reps)
 
 
 def test_bias_rate_check_iid_reports_no_bias():
-    report = bias_rate_check(SCALAR_IID, BARTLETT, 500, [4.0, 8.0, 16.0], 200, Grid(1), 3)
+    report = bias_rate_check(scalar_experiment(n_obs=500, master_seed=3), [4.0, 8.0, 16.0], 200)
     assert report.no_bias_detected
     assert not any(p.signal for p in report.points)
 
 
 def test_bias_rate_check_ma1_slope():
-    report = bias_rate_check(SCALAR_MA1, BARTLETT, 2000, [4.0, 8.0, 16.0], 200, Grid(1), 5)
+    spec = scalar_experiment(dgp=SCALAR_MA1, n_obs=2000, master_seed=5)
+    report = bias_rate_check(spec, [4.0, 8.0, 16.0], 200)
     assert not report.no_bias_detected
     assert report.points[0].signal  # strongest bias at the smallest bandwidth
     assert report.sign_agreement
@@ -429,7 +525,7 @@ def test_bias_rate_check_ma1_slope():
 
 
 def test_mse_curve_iid_increases_with_h():
-    curve = mse_curve(SCALAR_IID, BARTLETT, 300, [2.0, 8.0, 32.0], 100, Grid(1), 11)
+    curve = mse_curve(scalar_experiment(n_obs=300, master_seed=11), [2.0, 8.0, 32.0], 100)
     assert [h for h, _ in curve] == [2.0, 8.0, 32.0]
     values = [v for _, v in curve]
     assert all(v > 0 for v in values)
@@ -438,7 +534,7 @@ def test_mse_curve_iid_increases_with_h():
 
 def test_mse_curve_ma1_is_u_shaped():
     hs = [1.0, 6.0, 60.0]
-    curve = mse_curve(SCALAR_MA1, BARTLETT, 1000, hs, 100, Grid(1), 12)
+    curve = mse_curve(scalar_experiment(dgp=SCALAR_MA1, n_obs=1000, master_seed=12), hs, 100)
     values = [v for _, v in curve]
     assert values[1] < values[0]  # too-small h pays bias
     assert values[1] < values[2]  # too-large h pays variance
@@ -506,7 +602,7 @@ def test_report_json_is_byte_identical_to_hand_written_fields(tmp_path):
         replications=12,
     )
     report = run_experiment(spec)
-    bias = bias_rate_check(ma1, BARTLETT, 400, [2.0, 4.0, 8.0], 12, Grid(8), 7)
+    bias = bias_rate_check(replace(spec, n_obs=400, master_seed=7), [2.0, 4.0, 8.0], 12)
     got, want = tmp_path / "got.json", tmp_path / "want.json"
     io.write_json(str(got), {"report": report.to_dict(), "bias_check": bias.to_dict()})
     mc, bias_dict = hand_written_report_dicts(report, bias)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from lrcov import (
     KERNEL_NAMES,
+    BandwidthRule,
     CurveSample,
     DgpSpec,
+    ExperimentSpec,
     Grid,
     bias_rate_check,
     estimate_lrcov,
@@ -261,8 +263,12 @@ def test_mc_h_grids_match_a_lag_product_reference(dgp, name, n, g, h_values, see
     c_true = truth(dgp, grid, kernel).c.values
     with mock.patch.object(estimator, "_FFT_MIN_LAG", threshold), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = bias_rate_check(dgp, kernel, n, h_values, reps, grid, seed)
-        curve = mse_curve(dgp, kernel, n, h_values, reps, grid, seed)
+        spec = ExperimentSpec(
+            dgp=dgp, kernel=kernel, n_obs=n, grid=grid, h_rule=BandwidthRule("fixed", value=1.0),
+            replications=reps, master_seed=seed,
+        )
+        report = bias_rate_check(spec, h_values, reps)
+        curve = mse_curve(spec, h_values, reps)
 
     h_sorted = sorted(h_values)
     ests = np.array([lag_window_reference(y, kernel, h_sorted, True) for y in samples])
