@@ -41,8 +41,15 @@ from .errors import (
 from .estimator import estimate_lrcov, project_psd
 from .fpca import _separation_gaps, eigendecompose, eigenvalue_ci
 from .grid import Grid, Surface, l2_norm_surface, surface_integral
-from .kernels import KERNEL_NAMES, KernelSpec, make_kernel
-from .mc import BandwidthRule, ExperimentSpec, _effective_workers, bias_rate_check, run_experiment
+from .kernels import KERNEL_NAMES
+from .mc import (
+    BandwidthRule,
+    ExperimentSpec,
+    _effective_workers,
+    bias_rate_check,
+    config_kernel,
+    run_experiment,
+)
 from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = ["main", "build_parser"]
@@ -158,13 +165,6 @@ def _path(value, what: str) -> str:
     return value
 
 
-def _make_kernel(name, flat_width: float) -> KernelSpec:
-    try:
-        return make_kernel(name, flat_width)
-    except KernelSpecError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _read_data(args):
     if args.data is None:
         raise ConfigError(f"{args.command} requires --data")
@@ -211,7 +211,7 @@ def _estimate(args, cfg: dict, p: int = 0):
         "psd": _pick(args, cfg, "psd", False, config_flag),
         "m_trunc": _pick(args, cfg, "m_trunc", None, _lag_count),
     }
-    kernel = _make_kernel(settings["kernel"], settings["flat_width"])
+    kernel = config_kernel(settings["kernel"], settings["flat_width"])
     rule = replace(BandwidthRule.parse(settings["h"]), m_trunc=settings["m_trunc"])
     rule.check_kernel(kernel)
     sample = _read_data(args)
@@ -275,10 +275,8 @@ def cmd_fpca(args) -> int:
 
 def cmd_bandwidth(args) -> int:
     cfg = _load_config(args, optional=("kernel", "flat_width", "pilot_h", "m_trunc"))
-    kernel = _make_kernel(
-        _pick(args, cfg, "kernel", "bartlett"),
-        _pick(args, cfg, "flat_width", 0.5, config_number),
-    )
+    flat_width = _pick(args, cfg, "flat_width", 0.5, config_number)
+    kernel = config_kernel(_pick(args, cfg, "kernel", "bartlett"), flat_width)
     rule = BandwidthRule(
         "plugin",
         pilot_h=_pick(args, cfg, "pilot_h", None, config_number),
@@ -299,7 +297,7 @@ def cmd_bandwidth(args) -> int:
             "grid_points": sample.grid.n_points,
             "config": {
                 "kernel": kernel.name,
-                "flat_width": kernel.flat_width,
+                "flat_width": flat_width,
                 "pilot_h": sel.pilot_h,
                 "m_trunc": sel.m_trunc,
             },

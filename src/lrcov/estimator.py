@@ -93,7 +93,6 @@ class LrcovEstimate:
     kernel: KernelSpec
     bandwidth: Bandwidth
     n_obs: int
-    psd_projected: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +106,7 @@ class BandwidthSelection:
     """Result of a bandwidth rule, with the diagnostics the rule exposes."""
 
     bandwidth: Bandwidth
-    c0: float
+    c0: float | None  # None when the rule fell back to the rate alone
     fallback: bool
     f_norm: float
     c_integral: float
@@ -330,8 +329,9 @@ def optimal_bandwidth(
 ) -> BandwidthSelection:
     """Closed-form minimizer of the AMSE proxy in h.
 
-    Falls back to the rate-only rule h = N^(1/(1+2q)) (flagged) when the bias
-    surface vanishes or the variance constant is degenerate.
+    Falls back to the rate-only rule h = N^(1/(1+2q)) (flagged, with no
+    constant ``c0``) when the bias surface vanishes or the variance constant
+    is degenerate.
     """
     q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
     power = 1.0 / (1.0 + 2.0 * q)
@@ -340,9 +340,7 @@ def optimal_bandwidth(
     denom = c_int**2 * kernel.square_integral
     if f_norm == 0.0 or denom <= 0.0:
         warnings.warn("degenerate bias or variance constant; using rate-only bandwidth")
-        return BandwidthSelection(
-            Bandwidth(float(n_obs) ** power), math.nan, True, f_norm, c_int
-        )
+        return BandwidthSelection(Bandwidth(float(n_obs) ** power), None, True, f_norm, c_int)
     c0 = (q * f_norm**2) ** power * denom ** (-power)
     return BandwidthSelection(Bandwidth(c0 * float(n_obs) ** power), c0, False, f_norm, c_int)
 
@@ -397,4 +395,4 @@ def project_psd(est: LrcovEstimate) -> LrcovEstimate:
     clipped = np.maximum(w, 0.0)
     out = (v * clipped) @ v.T
     out = 0.5 * (out + out.T)
-    return replace(est, surface=Surface(s.grid, out), psd_projected=True)
+    return replace(est, surface=Surface(s.grid, out))

@@ -41,7 +41,7 @@ SEPARATION_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Descending eigenvalues and unit-norm eigenfunctions, the rows of a ``(count, G)`` array."""
+    """Descending eigenvalues and unit-norm eigenfunctions, the rows of a ``(k, G)`` array."""
 
     grid: Grid
     eigenvalues: np.ndarray
@@ -56,10 +56,6 @@ class EigenSystem:
             raise ContractViolationError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenfunctions", funcs)
-
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
 
 
 class EigenvalueLimit(NamedTuple):

@@ -52,7 +52,7 @@ from .fpca import (
 from .grid import Grid, Surface, fourier_basis
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
-from .simulate import DgpSpec, TruthSet, generate, replication_rng, truth
+from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = [
     "BandwidthRule",
@@ -151,6 +151,14 @@ class BandwidthRule:
         return sel.bandwidth, sel
 
 
+def config_kernel(name, flat_width: float) -> KernelSpec:
+    """``make_kernel`` for a kernel named in a config or on the command line: bad values exit 3."""
+    try:
+        return make_kernel(name, flat_width)
+    except KernelSpecError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """One Monte Carlo experiment: process, estimator settings, and what to record."""
@@ -165,7 +173,6 @@ class ExperimentSpec:
     eigen_levels: tuple = ()  # 1-based eigenvalue levels to track
     master_seed: int = 0
     workers: int = 1
-    drift: float | None = None  # None: use N/h^(1+2q)
 
     def __post_init__(self) -> None:
         if self.n_obs < 2:
@@ -195,13 +202,9 @@ class ExperimentSpec:
         config_object(
             raw, "experiment",
             ("dgp", "kernel", "n_obs", "grid_points", "h", "replications"),
-            ("flat_width", "projections", "eigen_levels", "master_seed", "workers", "drift"),
+            ("flat_width", "projections", "eigen_levels", "master_seed", "workers"),
         )
-        flat_width = config_number(raw.get("flat_width", 0.5), "flat_width")
-        try:
-            kernel = make_kernel(raw["kernel"], flat_width)
-        except KernelSpecError as exc:
-            raise ConfigError(str(exc)) from None
+        kernel = config_kernel(raw["kernel"], config_number(raw.get("flat_width", 0.5), "flat_width"))
         grid = Grid(config_number(raw["grid_points"], "grid_points", integer=True, low=1))
         ones = np.ones((grid.n_points,) * 2)
         try:
@@ -221,7 +224,6 @@ class ExperimentSpec:
             eigen_levels=config_numbers(raw.get("eigen_levels", []), "eigen_levels", integer=True),
             master_seed=config_number(raw.get("master_seed", 0), "master_seed", integer=True, low=0),
             workers=config_number(raw.get("workers", 1), "workers", integer=True),
-            drift=None if raw.get("drift") is None else config_number(raw["drift"], "drift"),
         )
 
 
@@ -414,7 +416,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     n = spec.n_obs
     scale = np.sqrt(n / h_arr)
 
-    centered = (a - a.mean(axis=0)) * scale[:, None] if a.size else a
+    centered = (a - a.mean(axis=0)) * scale[:, None]
     projection_stats = tuple(
         ProjectionStats(
             j,
@@ -427,32 +429,31 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
 
     eigen_stats, corr = [], None
     errs = np.empty((spec.replications, len(spec.eigen_levels)))
-    if spec.eigen_levels:
-        q, drift = spec.kernel.char_exponent, spec.drift
-        if drift is None:
-            drift = n / float(np.mean(h_arr)) ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
-        for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
-            lam_true = truth_set.eigen.eigenvalues[level - 1]
-            v_true = truth_set.eigen.eigenfunctions[level - 1]
-            errs[:, j] = scale * (lams[:, level - 1] - lam_true)
-            diff = align_sign(vhats[:, level - 1], v_true) - v_true
-            devs = (n / h_arr) * np.mean(diff**2, axis=1)
-            limit = eigenvalue_clt_params(truth_set.eigen, spec.kernel, truth_set.bias, drift, level)
-            mean, var, _, _ = sample_moments(errs[:, j])
-            eigen_stats.append(
-                EigenLevelStats(
-                    level=level,
-                    error_mean=mean,
-                    error_sd=math.sqrt(var),
-                    predicted_sd=limit.sd,
-                    predicted_mean_shift=limit.mean_shift,
-                    deviation_mean=float(np.mean(devs)),
-                    predicted_deviation=msd,
-                    deviation_tail_bound=0.0,  # every spectrum here is finite: no tail
-                )
+    # the corollary's drift lim N/h^(1+2q), at the bandwidths these replications used
+    q = spec.kernel.char_exponent
+    drift = n / float(np.mean(h_arr)) ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
+    for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
+        lam_true = truth_set.eigen.eigenvalues[level - 1]
+        v_true = truth_set.eigen.eigenfunctions[level - 1]
+        errs[:, j] = scale * (lams[:, level - 1] - lam_true)
+        diff = align_sign(vhats[:, level - 1], v_true) - v_true
+        devs = (n / h_arr) * np.mean(diff**2, axis=1)
+        limit = eigenvalue_clt_params(truth_set.eigen, spec.kernel, truth_set.bias, drift, level)
+        mean, var, _, _ = sample_moments(errs[:, j])
+        eigen_stats.append(
+            EigenLevelStats(
+                level=level,
+                error_mean=mean,
+                error_sd=math.sqrt(var),
+                predicted_sd=limit.sd,
+                predicted_mean_shift=limit.mean_shift,
+                deviation_mean=float(np.mean(devs)),
+                predicted_deviation=msd,
+                deviation_tail_bound=0.0,  # every spectrum here is finite: no tail
             )
-        if len(spec.eigen_levels) > 1:
-            corr = np.corrcoef(errs.T)
+        )
+    if len(spec.eigen_levels) > 1:
+        corr = np.corrcoef(errs.T)
 
     return McReport(
         replications=spec.replications,
@@ -528,6 +529,8 @@ def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRa
     log-log slope across h comes from an inverse-variance weighted fit.
     """
     h_list = sorted(_checked_h_grid(h_values, replications, 3, 2))
+    if len(set(h_list)) < len(h_list):  # a repeated h leaves the log-log slope undefined
+        raise ContractViolationError(f"bandwidths must be distinct, got {h_list}")
     kernel, g = spec.kernel, spec.grid.n_points
     truth_set = truth(spec.dgp, spec.grid, kernel)
     if truth_set.bias is None:

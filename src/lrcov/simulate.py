@@ -102,7 +102,6 @@ class DgpSpec:
 class TruthSet:
     """Exact population quantities for a DgpSpec on a given grid."""
 
-    grid: Grid
     gammas: np.ndarray  # (L+1, G, G), lags 0..L; lag -k is the transpose of lag k
     c: Surface
     eigen: EigenSystem
@@ -120,17 +119,7 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
     j = len(spec.sigmas)
     main = rng.standard_normal((n_obs, j))
-    if spec.kind == "iid":
-        scores = main
-    elif spec.kind == "fma":
-        m = len(spec.theta)
-        scores = main.copy()
-        if m:
-            pre = rng.standard_normal((m, j))
-            full = np.vstack([pre, main])  # rows in time order, oldest first
-            for k, coef in enumerate(spec.theta, start=1):
-                scores += coef * full[m - k : m - k + n_obs]
-    else:  # far1
+    if spec.kind == "far1":
         burn = rng.standard_normal((spec.burn_in, j))
         scores = np.empty((n_obs, j))
         state = np.zeros(j)
@@ -139,18 +128,23 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
         for i in range(n_obs):
             state = spec.rho * state + main[i]
             scores[i] = state
+    else:  # a moving average; iid is the one with theta = ()
+        scores, m = main, len(spec.theta)
+        if m:
+            pre = rng.standard_normal((m, j))
+            full = np.vstack([pre, main])  # rows in time order, oldest first
+            scores = main.copy()
+            for k, coef in enumerate(spec.theta, start=1):
+                scores += coef * full[m - k : m - k + n_obs]
     phi = fourier_basis(grid, j)
     return CurveSample(grid, (scores * spec.sigmas) @ phi)
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:
     """Scalar lag coefficients (lag 0, 1, ...) and the long-run scalar factor."""
-    if spec.kind == "iid":
-        return [1.0], 1.0
-    if spec.kind == "fma":
+    if spec.kind != "far1":  # a moving average; iid is the one with theta = ()
         full = np.array([1.0, *spec.theta])
-        m = len(spec.theta)
-        coeffs = [float(full[: len(full) - ell] @ full[ell:]) for ell in range(m + 1)]
+        coeffs = [float(full[: len(full) - ell] @ full[ell:]) for ell in range(len(full))]
         return coeffs, float(np.sum(full)) ** 2
     rho = spec.rho
     long_run = 1.0 / (1.0 - rho) ** 2
@@ -194,4 +188,4 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     bias = None
     if kernel is not None and math.isfinite(kernel.char_exponent):
         bias = bias_kernel(gammas, kernel)
-    return TruthSet(grid, gammas, c, eigen, bias)
+    return TruthSet(gammas, c, eigen, bias)

@@ -118,7 +118,6 @@ def test_estimate_two_point_example():
     est = estimate_lrcov(s, BARTLETT, 1.0)
     assert est.surface.values[0, 0] == pytest.approx(1.0)
     assert est.n_obs == 2
-    assert not est.psd_projected
 
 
 def test_bartlett_small_h_gives_lag_zero_only():
@@ -421,7 +420,8 @@ def test_project_psd_identity_on_psd():
     est = type(est)(surface=psd, kernel=est.kernel, bandwidth=est.bandwidth, n_obs=3)
     out = project_psd(est)
     assert np.max(np.abs(out.surface.values - psd.values)) <= 1e-10
-    assert out.psd_projected
+    # only the surface changes
+    assert out.kernel is est.kernel and out.bandwidth is est.bandwidth and out.n_obs == 3
 
 
 def test_project_psd_rank_one_negative():

@@ -637,6 +637,38 @@ def test_flat_top_plugin_is_a_config_error_in_every_command(tmp_path, capsys):
         assert "plug-in" in capsys.readouterr().err
 
 
+def test_every_json_output_is_strict_json(tmp_path, capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # m_trunc = 0 zeroes the pilot bias surface, so the plug-in falls back to the rate alone
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", write(tmp_path / "s.json", json.dumps(SIM_CFG)),
+                 "--out", str(sim)]) == 0
+    data = str(sim / "sample.csv")
+    fallback = write(tmp_path / "m0.json", json.dumps({"m_trunc": 0}))
+    runs = {
+        "estimate": ["estimate", "--data", data, "--h", "plugin"],
+        "estimate-fallback": ["estimate", "--data", data, "--h", "plugin", "--config", fallback],
+        "fpca": ["fpca", "--data", data, "--h", "plugin", "--p", "2"],
+        "bandwidth": ["bandwidth", "--data", data, "--kernel", "parzen"],
+        "bandwidth-fallback": ["bandwidth", "--data", data, "--config", fallback],
+        "mc-verify": ["mc-verify", "--config", write(tmp_path / "mc.json", json.dumps(MC_CFG))],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+    docs = {
+        str(path.relative_to(tmp_path)): json.loads(path.read_text(), parse_constant=refuse)
+        for path in sorted(tmp_path.glob("*/*.json"))
+    }
+    assert len(docs) == 11  # simulate, bandwidth and mc-verify write two each, the others one
+    assert docs["bandwidth/metadata.json"]["config"]["flat_width"] == 0.5
+    assert docs["bandwidth-fallback/bandwidth.json"]["fallback_used"] is True
+    assert docs["bandwidth-fallback/bandwidth.json"]["c0_hat"] is None
+    assert docs["estimate-fallback/metadata.json"]["h_selection"]["plugin"]["c0_hat"] is None
+
+
 # ---------------------------------------------------------------- cli: simulate
 
 
@@ -822,7 +854,7 @@ BAD_SETTINGS = {
     "zero-grid-points": ("mc-verify", mc_config(grid_points=0)),
     "sigmas-beyond-grid": ("mc-verify", mc_config(grid_points=1)),
     "nyquist-sigmas": ("mc-verify", mc_config(dgp=NYQUIST_SIGMAS, eigen_levels=[1])),
-    "drift-string": ("mc-verify", mc_config(drift="x")),
+    "drift": ("mc-verify", mc_config(drift=0.0)),
     "negative-seed": ("mc-verify", mc_config(master_seed=-1)),
     "dgp-seed": (
         "mc-verify",
@@ -832,6 +864,7 @@ BAD_SETTINGS = {
     "projection-shape": ("mc-verify", mc_config(projections=[[[1.0]]])),
     "bias-h-string": ("mc-verify", mc_config(bias_check={"h": ["x"], "replications": 4})),
     "bias-h-zero": ("mc-verify", mc_config(bias_check={"h": [0, 2, 4], "replications": 4})),
+    "bias-h-repeated": ("mc-verify", mc_config(bias_check={"h": [4, 4, 4], "replications": 4})),
     "bias-flat-top": (
         "mc-verify",
         mc_config(kernel="flat-top", bias_check={"h": [2, 4, 8], "replications": 4}),

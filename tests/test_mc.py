@@ -264,14 +264,13 @@ def test_run_experiment_eigen_stats():
         projections=(),
         eigen_levels=(1, 2),
         replications=12,
-        drift=0.0,
     )
     report = run_experiment(spec)
     assert len(report.eigen_stats) == 2
     first = report.eigen_stats[0]
     assert first.level == 1
     assert first.predicted_sd == pytest.approx(4.0 * math.sqrt(4.0 / 3.0))
-    assert first.predicted_mean_shift == 0.0  # drift pinned to zero
+    assert first.predicted_mean_shift == 0.0  # iid: the bias surface is zero
     assert report.eigen_error_correlation.shape == (2, 2)
     assert report.eigen_error_correlation[0, 0] == pytest.approx(1.0)
     assert report.eigen_error_samples.shape == (12, 2)

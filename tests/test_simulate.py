@@ -35,6 +35,17 @@ def test_degenerate_kinds_reproduce_iid_bitwise():
         assert np.array_equal(other.values, base.values)
 
 
+def test_iid_truth_is_the_moving_average_without_coefficients():
+    iid, fma = DgpSpec(kind="iid", sigmas=NOISE2), DgpSpec(kind="fma", sigmas=NOISE2, theta=())
+    for name in ("bartlett", "parzen"):
+        want, got = (truth(spec, G8, make_kernel(name)) for spec in (iid, fma))
+        assert np.array_equal(got.gammas, want.gammas)
+        assert np.array_equal(got.c.values, want.c.values)
+        assert np.array_equal(got.eigen.eigenvalues, want.eigen.eigenvalues)
+        assert np.array_equal(got.eigen.eigenfunctions, want.eigen.eigenfunctions)
+        assert np.array_equal(got.bias.values, want.bias.values)
+
+
 def test_reproducible_given_equal_streams():
     spec = DgpSpec(kind="far1", sigmas=NOISE2, rho=0.6)
     a = generate(spec, 30, G8, replication_rng(9, 3))
