@@ -6,6 +6,11 @@ directly so programmatic callers can discriminate failure modes.
 
 import math
 
+__all__ = [
+    "LrcovError", "DataFormatError", "ConfigError", "DimensionError",
+    "ContractViolationError", "KernelSpecError", "SeparationError",
+]
+
 
 class LrcovError(Exception):
     """Base class for all package errors."""

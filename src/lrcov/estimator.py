@@ -30,7 +30,6 @@ __all__ = [
     "estimate_lrcov_naive",
     "estimate_spectral_density",
     "bias_kernel",
-    "gamma1_norm_sq",
     "amse",
     "optimal_bandwidth",
     "plugin_bandwidth",
@@ -300,11 +299,6 @@ def _bias_from_sum(a: np.ndarray, kernel: KernelSpec) -> Surface:
     return Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
 
 
-def gamma1_norm_sq(c: Surface, kernel: KernelSpec) -> float:
-    """Variance constant of the estimate integrated against the unit surface."""
-    return 2.0 * surface_integral(c) ** 2 * kernel.square_integral
-
-
 def _power_law_exponent(kernel: KernelSpec, n_obs: int, what: str) -> float:
     """The kernel's characteristic exponent, once it is finite."""
     q = kernel.char_exponent
@@ -321,7 +315,9 @@ def amse(
     """Asymptotic mean squared error proxy: variance term plus squared bias term."""
     q = _power_law_exponent(kernel, n_obs, "AMSE")
     h = _checked_h(bandwidth)
-    return (h / n_obs) * gamma1_norm_sq(c, kernel) + h ** (-2.0 * q) * l2_norm_surface(bias) ** 2
+    # the variance constant of the estimate integrated against the unit surface
+    variance = 2.0 * surface_integral(c) ** 2 * kernel.square_integral
+    return (h / n_obs) * variance + h ** (-2.0 * q) * l2_norm_surface(bias) ** 2
 
 
 def optimal_bandwidth(

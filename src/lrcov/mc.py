@@ -49,7 +49,7 @@ from .fpca import (
     eigenfunction_deviation_msd,
     eigenvalue_clt_params,
 )
-from .grid import Grid, Surface, fourier_basis
+from .grid import Grid, Surface
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
 from .simulate import DgpSpec, generate, replication_rng, truth
@@ -57,10 +57,7 @@ from .simulate import DgpSpec, generate, replication_rng, truth
 __all__ = [
     "BandwidthRule",
     "ExperimentSpec",
-    "ProjectionStats",
-    "EigenLevelStats",
     "McReport",
-    "BiasRatePoint",
     "BiasRateReport",
     "run_experiment",
     "predicted_projection_variance",
@@ -144,6 +141,8 @@ class BandwidthRule:
             return Bandwidth(self.value), None
         if self.kind == "power":
             return Bandwidth(self.coef * float(sample.n_obs) ** self.power), None
+        if self.m_trunc is not None and self.m_trunc >= sample.n_obs:
+            raise ConfigError(f"m_trunc = {self.m_trunc} must be below N = {sample.n_obs}")
         pilot = self.pilot_h
         if pilot is None:
             pilot = float(sample.n_obs) ** (1.0 / (1.0 + 2.0 * kernel.char_exponent))
@@ -186,14 +185,16 @@ class ExperimentSpec:
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
-        components = len(self.dgp.sigmas)
-        try:
-            fourier_basis(self.grid, components)
+        try:  # refuses a grid too coarse for the noise, and a process whose truth overflows
+            truth(self.dgp, self.grid)
         except DimensionError as exc:
             raise ConfigError(str(exc)) from None
+        components = len(self.dgp.sigmas)
         levels = tuple(int(l) for l in self.eigen_levels)
         if any(not 1 <= l <= components for l in levels):
             raise ConfigError(f"eigen levels must lie in 1..{components}, got {levels}")
+        if len(set(levels)) < len(levels):
+            raise ConfigError(f"eigen levels must be distinct, got {levels}")
         object.__setattr__(self, "projections", tuple(self.projections))
         object.__setattr__(self, "eigen_levels", levels)
 

@@ -24,7 +24,6 @@ from lrcov import (
     estimate_lrcov,
     estimate_lrcov_naive,
     estimate_spectral_density,
-    gamma1_norm_sq,
     generate,
     l2_norm_surface,
     lag_products,
@@ -34,6 +33,7 @@ from lrcov import (
     predicted_projection_variance,
     project_psd,
     replication_rng,
+    surface_integral,
     truth,
 )
 
@@ -300,15 +300,23 @@ def test_projection_variance_beyond_dense_tensor_limit():
     assert got == pytest.approx(BARTLETT.square_integral * 2.0, rel=1e-12)
 
 
-def test_gamma1_norm_sq():
-    g = Grid(8)
-    assert gamma1_norm_sq(Surface(g, np.zeros((8, 8))), BARTLETT) == 0.0
-    assert gamma1_norm_sq(Surface(g, np.ones((8, 8))), BARTLETT) == pytest.approx(4.0 / 3.0)
-    # mean-zero phi makes the double integral vanish
-    g64 = Grid(64)
-    phi = np.sqrt(2.0) * np.cos(2.0 * np.pi * g64.points)
-    c = Surface(g64, np.outer(phi, phi))
-    assert gamma1_norm_sq(c, BARTLETT) == pytest.approx(0.0, abs=1e-25)
+def _mean_zero_rank_one(g: Grid) -> np.ndarray:
+    phi = np.sqrt(2.0) * np.cos(2.0 * np.pi * g.points)
+    return np.outer(phi, phi)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros((8, 8)), np.ones((8, 8)), _mean_zero_rank_one(Grid(64))],
+    ids=["zero", "ones", "zero-integral"],
+)
+def test_projection_variance_against_ones_is_twice_the_squared_integral(values):
+    # against the unit surface the limiting variance is the AMSE constant 2 (∫∫C)² ∫K²
+    c = Surface(Grid(len(values)), values)
+    one = Surface(c.grid, np.ones_like(values))
+    want = 2.0 * surface_integral(c) ** 2 * BARTLETT.square_integral
+    got = predicted_projection_variance(c, BARTLETT, one)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-25)
 
 
 def test_amse_monotonicity():

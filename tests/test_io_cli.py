@@ -587,6 +587,20 @@ def test_fpca_p_exceeding_grid_exits_3_before_the_estimate(tmp_path, capsys, mon
         assert "exceeds the grid size 2" in capsys.readouterr().err
 
 
+def test_m_trunc_at_n_exits_3_before_the_plugin(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the plug-in rule ran before m_trunc was checked against N")
+
+    monkeypatch.setattr("lrcov.mc.plugin_bandwidth", refuse)
+    data = write(tmp_path / "d.csv", "1,2\n3,5\n4,6\n2,7\n")
+    cfg = write(tmp_path / "cfg.json", json.dumps({"m_trunc": 4}))
+    out = tmp_path / "out"
+    for argv in (["estimate", "--h", "plugin"], ["fpca", "--h", "plugin"], ["bandwidth"]):
+        assert main([*argv, "--data", data, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: m_trunc = 4 must be below N = 4\n"
+        assert not out.exists()
+
+
 def test_fpca_bad_level_is_config_error(tmp_path, capsys):
     data = write(tmp_path / "d.csv", "1,2\n3,4\n")
     assert main(["fpca", "--data", data, "--h", "1", "--level", "1.5"]) == 3
@@ -843,18 +857,30 @@ def mc_config(bias_check=None, **experiment):
 
 
 NYQUIST_SIGMAS = {"kind": "iid", "sigmas": [1.0, 0.8, 0.6, 0.7]}  # the 4th is zero on 4 points
+FAR1_BURN_IN = {"kind": "far1", "sigmas": [1.0, 0.5], "rho": 0.5, "burn_in": 200}
+# each truth overflows a double: the moving average's coefficients, the noise, the AR(1) gain
+THETA_1E200 = {"kind": "fma", "sigmas": [1.0, 0.5], "theta": [1e200]}
+SIGMA_1E154 = {"kind": "iid", "sigmas": [1e154]}
 
 BAD_SETTINGS = {
     "workers-string": ("mc-verify", mc_config(workers="x")),
     "sigmas-string": ("mc-verify", mc_config(dgp={"kind": "iid", "sigmas": "ab"})),
     "theta-string": ("mc-verify", mc_config(dgp={"kind": "fma", "sigmas": [1.0], "theta": ["x"]})),
     "level-beyond-components": ("mc-verify", mc_config(eigen_levels=[3])),
+    "eigen-levels-repeated": ("mc-verify", mc_config(eigen_levels=[1, 1])),
     "too-few-replications": ("mc-verify", mc_config(replications=5)),
     "fractional-n-obs": ("mc-verify", mc_config(n_obs=50.7)),
     "zero-grid-points": ("mc-verify", mc_config(grid_points=0)),
     "sigmas-beyond-grid": ("mc-verify", mc_config(grid_points=1)),
     "nyquist-sigmas": ("mc-verify", mc_config(dgp=NYQUIST_SIGMAS, eigen_levels=[1])),
     "drift": ("mc-verify", mc_config(drift=0.0)),
+    "burn-in": ("mc-verify", mc_config(dgp=FAR1_BURN_IN)),
+    "theta-overflow": ("mc-verify", mc_config(dgp=THETA_1E200)),
+    "theta-overflow-sum": (
+        "mc-verify",
+        mc_config(dgp={"kind": "fma", "sigmas": [1.0, 0.5], "theta": [1e308, 1e308]}),
+    ),
+    "sigma-overflow": ("mc-verify", mc_config(dgp=SIGMA_1E154, eigen_levels=[1])),
     "negative-seed": ("mc-verify", mc_config(master_seed=-1)),
     "dgp-seed": (
         "mc-verify",
@@ -879,7 +905,13 @@ BAD_SETTINGS = {
     "sim-zero-grid-points": ("simulate", dict(SIM_CFG, grid_points=0)),
     "sim-seed-string": ("simulate", dict(SIM_CFG, seed="x")),
     "sim-dgp-seed": ("simulate", dict(SIM_CFG, dgp={**SIM_CFG["dgp"], "seed": 12345})),
-    "sim-burn-in-float": ("simulate", dict(SIM_CFG, dgp={**SIM_CFG["dgp"], "burn_in": 1.5})),
+    "sim-burn-in": ("simulate", dict(SIM_CFG, dgp=FAR1_BURN_IN)),
+    "sim-theta-overflow": ("simulate", dict(SIM_CFG, dgp=THETA_1E200)),
+    "sim-sigma-overflow": ("simulate", dict(SIM_CFG, dgp=SIGMA_1E154)),
+    "sim-far1-overflow": (
+        "simulate",
+        dict(SIM_CFG, dgp={"kind": "far1", "sigmas": [1e153], "rho": 0.9}),
+    ),
     "sim-nyquist-sigmas": ("simulate", dict(SIM_CFG, dgp=NYQUIST_SIGMAS, grid_points=4)),
     "sim-sigmas-beyond-grid": ("simulate", dict(SIM_CFG, grid_points=1)),
 }
@@ -888,13 +920,15 @@ BAD_SETTINGS = {
 @pytest.mark.parametrize("command, cfg", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
 def test_bad_settings_exit_3_before_any_replication(tmp_path, capsys, monkeypatch, command, cfg):
     def refuse(*args):
-        raise AssertionError("a replication ran before the configuration was checked")
+        raise AssertionError("a sample was drawn before the configuration was checked")
 
     monkeypatch.setattr("lrcov.mc._pooled", refuse)
+    monkeypatch.setattr("lrcov.cli.generate", refuse)
     path = write(tmp_path / "cfg.json", json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # no warning line either
     assert not out.exists()
 
 

@@ -163,7 +163,7 @@ def test_dgp_spec_round_trips():
     specs = (
         DgpSpec(kind="iid", sigmas=NOISE2),
         DgpSpec(kind="fma", sigmas=NOISE2, theta=(0.5, -0.1)),
-        DgpSpec(kind="far1", sigmas=NOISE2, rho=-0.3, burn_in=150),
+        DgpSpec(kind="far1", sigmas=NOISE2, rho=-0.3),
     )
     for spec in specs:
         assert DgpSpec.from_dict(spec.to_dict()) == spec
@@ -178,8 +178,6 @@ def test_dgp_spec_validation():
         DgpSpec(kind="iid", sigmas=NOISE2, theta=(0.5,))
     with pytest.raises(ConfigError):
         DgpSpec(kind="fma", sigmas=NOISE2, rho=0.2)
-    with pytest.raises(ConfigError):
-        DgpSpec(kind="far1", sigmas=NOISE2, rho=0.5, burn_in=-1)
     with pytest.raises(ConfigError):
         DgpSpec(kind="iid", sigmas=())
     with pytest.raises(ConfigError):
