@@ -355,30 +355,44 @@ def plugin_bandwidth(
     ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
     """
     n = sample.n_obs
+    ph, m_trunc, weights = _plugin_weights(kernel, pilot_h, m_trunc, n)
+    y = _centered(sample)
+    _require_variance(y)
+    _warn_rate(kernel, ph, n)
+    a, b = _window_sums(y, weights)
+    return _plugin_selection(a, b, kernel, n, ph, m_trunc)
+
+
+def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | None, n: int):
+    """The pilot h, the lag truncation, and the plug-in's two weight rows: pilot and bias."""
     ph = _as_h(pilot_h)
     if m_trunc is None:
         m_trunc = min(int(math.floor(ph)), int(math.floor(math.sqrt(n))))
     if not 0 <= m_trunc < n:
         raise ContractViolationError(f"lag truncation {m_trunc} out of range [0, N)")
-    y = _centered(sample)
-    if float(np.max(np.abs(y))) == 0.0:
-        raise ContractViolationError("zero-variance sample: every curve is constant over time")
-    _warn_rate(kernel, ph, n)
     pilot_w = _lag_weights(kernel, [ph], n, False)[0]
     bias_w = _bias_weights(kernel, m_trunc) / n
     weights = np.zeros((2, max(len(pilot_w), len(bias_w))))
     weights[0, : len(pilot_w)] = pilot_w
     weights[1, : len(bias_w)] = bias_w
-    a, b = _window_sums(y, weights)
-    pilot = Surface(sample.grid, a + a.T)
+    return ph, int(m_trunc), weights
+
+
+def _require_variance(y: np.ndarray) -> None:
+    """Refuse a centered sample (or its scores) that is zero everywhere."""
+    if float(np.max(np.abs(y))) == 0.0:
+        raise ContractViolationError("zero-variance sample: every curve is constant over time")
+
+
+def _plugin_selection(a, b, kernel: KernelSpec, n: int, pilot_h: float, m_trunc: int):
+    """The plug-in choice from the window sums A (pilot row) and B (bias row) on the grid."""
+    pilot = Surface(Grid(a.shape[0]), a + a.T)
     sel = optimal_bandwidth(pilot, _bias_from_sum(b, kernel), kernel, n)
     h = sel.bandwidth.h
     lo, hi = 1.0, n / 2.0
     clamped = not lo <= h <= hi
     h = min(max(h, lo), hi)
-    return replace(
-        sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=ph, m_trunc=int(m_trunc)
-    )
+    return replace(sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=pilot_h, m_trunc=m_trunc)
 
 
 def project_psd(est: LrcovEstimate) -> LrcovEstimate:

@@ -78,14 +78,19 @@ def eigendecompose(s: Surface) -> EigenSystem:
     """
     if not s.is_symmetric():
         raise ContractViolationError("eigendecomposition requires a symmetric surface")
-    g = s.grid.n_points
-    sym = 0.5 * (s.values + s.values.T)
+    lam, funcs = _eigen_stack(s.values[None])
+    return EigenSystem(s.grid, lam[0], funcs[0])
+
+
+def _eigen_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigendecompose`` of a (B, G, G) stack in one ``eigh``; no item's bits depend on B."""
+    g = values.shape[-1]
+    sym = 0.5 * (values + values.transpose(0, 2, 1))
     w, v = np.linalg.eigh(sym / g)
-    order = np.argsort(w)[::-1]
-    funcs = v.T[order] * math.sqrt(g)
-    peaks = funcs[np.arange(g), np.argmax(np.abs(funcs), axis=1)]
-    funcs[peaks < 0] *= -1.0
-    return EigenSystem(s.grid, w[order], funcs)
+    order = np.argsort(w, axis=1)[:, ::-1]
+    funcs = np.take_along_axis(v.transpose(0, 2, 1), order[:, :, None], axis=1) * math.sqrt(g)
+    peaks = np.take_along_axis(funcs, np.argmax(np.abs(funcs), axis=2)[:, :, None], axis=2)
+    return np.take_along_axis(w, order, axis=1), np.where(peaks < 0, -funcs, funcs)
 
 
 def align_sign(estimates: np.ndarray, reference: np.ndarray) -> np.ndarray:

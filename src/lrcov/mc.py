@@ -5,7 +5,12 @@ of at most 64 replications, run in-process at one worker or on one process
 pool, come back in replication order.  Replication r draws from the PCG64
 stream of (master_seed, r) and the parent takes the results in replication
 order, so a report is bit-identical for any worker count.  A block's warnings
-come back with its results and are raised again in the parent.  Estimation
+come back with its results and are raised again in the parent.
+
+Replications run in score coordinates.  Every sample is its (N, J) scores times
+the basis phi, which is orthonormal under the midpoint rule, so a lag-window sum
+of the sample is exactly phi^T A phi for the same sum A of the scores: each lag
+costs J^2 instead of G^2.  Estimation
 error is always centered at the across-replication mean, never at the truth,
 so bias never masquerades as variance.
 
@@ -24,7 +29,7 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # perfbench traces it as lrcov.mc's
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -38,21 +43,23 @@ from .estimator import (
     Bandwidth,
     BandwidthSelection,
     CurveSample,
+    _as_h,
     _lag_weights,
+    _plugin_selection,
+    _plugin_weights,
+    _require_variance,
+    _warn_rate,
     _window_sums,
-    estimate_lrcov,
+    estimate_lrcov,  # noqa: F401  perfbench traces lrcov.mc.estimate_lrcov
     plugin_bandwidth,
 )
-from .fpca import (
-    align_sign,
-    eigendecompose,
-    eigenfunction_deviation_msd,
-    eigenvalue_clt_params,
-)
-from .grid import Grid, Surface
+from .fpca import _eigen_stack, align_sign, eigenfunction_deviation_msd, eigenvalue_clt_params
+from .fpca import eigendecompose  # noqa: F401  perfbench traces lrcov.mc.eigendecompose
+from .grid import Grid, Surface, fourier_basis
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
-from .simulate import DgpSpec, generate, replication_rng, truth
+from .simulate import DgpSpec, _scores, replication_rng, truth
+from .simulate import generate  # noqa: F401  perfbench traces lrcov.mc.generate
 
 __all__ = [
     "BandwidthRule",
@@ -137,17 +144,20 @@ class BandwidthRule:
     def resolve(
         self, sample: CurveSample, kernel: KernelSpec
     ) -> tuple[Bandwidth, BandwidthSelection | None]:
-        if self.kind == "fixed":
-            return Bandwidth(self.value), None
-        if self.kind == "power":
-            return Bandwidth(self.coef * float(sample.n_obs) ** self.power), None
-        if self.m_trunc is not None and self.m_trunc >= sample.n_obs:
-            raise ConfigError(f"m_trunc = {self.m_trunc} must be below N = {sample.n_obs}")
-        pilot = self.pilot_h
-        if pilot is None:
-            pilot = float(sample.n_obs) ** (1.0 / (1.0 + 2.0 * kernel.char_exponent))
-        sel = plugin_bandwidth(sample, kernel, pilot, self.m_trunc)
+        h = self._rule_h(sample.n_obs, kernel)
+        if self.kind != "plugin":
+            return Bandwidth(h), None
+        sel = plugin_bandwidth(sample, kernel, h, self.m_trunc)
         return sel.bandwidth, sel
+
+    def _rule_h(self, n: int, kernel: KernelSpec) -> float:
+        """For N = n: a fixed or power rule's bandwidth, or the plug-in rule's pilot bandwidth."""
+        if self.kind != "plugin":
+            return self.value if self.kind == "fixed" else self.coef * float(n) ** self.power
+        if self.m_trunc is not None and self.m_trunc >= n:
+            raise ConfigError(f"m_trunc = {self.m_trunc} must be below N = {n}")
+        q = kernel.char_exponent
+        return float(n) ** (1.0 / (1.0 + 2.0 * q)) if self.pilot_h is None else self.pilot_h
 
 
 def config_kernel(name, flat_width: float) -> KernelSpec:
@@ -259,6 +269,8 @@ class McReport:
     h_mean: float
     h_min: float
     h_max: float
+    h_clamped: int  # replications whose plug-in h was clamped to [1, N/2]
+    h_fallback: int  # replications whose plug-in rule fell back to the rate alone
     projection_stats: tuple
     eigen_stats: tuple
     eigen_error_correlation: np.ndarray | None
@@ -272,7 +284,8 @@ class McReport:
             "replications": self.replications,
             "workers": self.workers,
             "runtime_seconds": self.runtime_seconds,
-            "h": {"mean": self.h_mean, "min": self.h_min, "max": self.h_max},
+            "h": {"mean": self.h_mean, "min": self.h_min, "max": self.h_max,
+                  "clamped": self.h_clamped, "fallback": self.h_fallback},
             "projections": [asdict(p) for p in self.projection_stats],
             "eigen_levels": [asdict(e) for e in self.eigen_stats],
             "eigen_error_correlation": None if corr is None else corr.tolist(),
@@ -287,11 +300,15 @@ def sample_moments(values: np.ndarray) -> tuple[float, float, float, float]:
         raise ContractViolationError("need at least two values for moments")
     mean = float(np.mean(x))
     d = x - mean
-    m2 = float(np.mean(d**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows is refused
+        m2 = float(np.mean(d**2))
+    if not math.isfinite(m2):
+        raise ContractViolationError("sample variance overflows a double")
     if m2 == 0.0:
         raise ContractViolationError("degenerate sample: zero variance")
-    skew = float(np.mean(d**3)) / m2**1.5
-    kurt = float(np.mean(d**4)) / m2**2 - 3.0
+    z = d / math.sqrt(m2)  # standardized first: no higher power can overflow
+    skew = float(np.mean(z**3))
+    kurt = float(np.mean(z**4)) - 3.0
     var = float(np.var(x, ddof=1))
     return mean, var, skew, kurt
 
@@ -368,40 +385,58 @@ def _pooled(worker, job, replications: int, workers: int):
             yield result
 
 
+def _draw_scores(spec: ExperimentSpec, r: int, centered: bool = True) -> np.ndarray:
+    """Replication r's (N, J) scores (``simulate._scores``), centered over time by default."""
+    s = _scores(spec.dgp, spec.n_obs, replication_rng(spec.master_seed, r))
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("sample contains non-finite values")
+    return s - s.mean(axis=0) if centered else s
+
+
+def _on_grid(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The surfaces phi^T (A + A^T) phi of a ``(..., J, J)`` stack of score window sums A."""
+    a = phi.T @ a @ phi
+    return a + np.swapaxes(a, -1, -2)
+
+
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
-    """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G).
+    """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G),
+    and the plug-in's clamped and fallback flags (n,).
 
     One row per replication in ``reps``; everything truth-dependent happens in the parent.
+    Each is ``estimate_lrcov`` in score coordinates; the block shares one batched eigensolve.
     """
-    grid, kernel = spec.grid, spec.kernel
-    n_levels = max(spec.eigen_levels, default=0)
-    h = np.empty(len(reps))
-    projs = np.empty((len(reps), len(spec.projections)))
-    lams = np.empty((len(reps), n_levels))
-    vhats = np.empty((len(reps), n_levels, grid.n_points))
+    kernel, n, rule, g, count = spec.kernel, spec.n_obs, spec.h_rule, spec.grid.n_points, len(reps)
+    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
+    h = np.full(count, rule._rule_h(n, kernel))  # a plug-in rule's pilot, replaced below
+    clamped, fallback = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    surfaces = np.empty((count, g, g))
+    if rule.kind == "plugin":
+        pilot, m_trunc, plugin_w = _plugin_weights(kernel, h[0], rule.m_trunc, n)
+        _warn_rate(kernel, pilot, n)
     for i, r in enumerate(reps):
-        sample = generate(spec.dgp, spec.n_obs, grid, replication_rng(spec.master_seed, r))
-        bw, _ = spec.h_rule.resolve(sample, kernel)
-        est = estimate_lrcov(sample, kernel, bw)
-        h[i] = bw.h
-        for j, f in enumerate(spec.projections):
-            projs[i, j] = np.sum(est.surface.values * f.values)
-        if n_levels:
-            eig = eigendecompose(est.surface)
-            lams[i] = eig.eigenvalues[:n_levels]
-            vhats[i] = eig.eigenfunctions[:n_levels]
-    return h, projs / grid.n_points**2, lams, vhats
+        s = _draw_scores(spec, r)
+        if rule.kind == "plugin":
+            _require_variance(s)
+            a, b = phi.T @ _window_sums(s, plugin_w) @ phi
+            sel = _plugin_selection(a, b, kernel, n, pilot, m_trunc)
+            h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
+        if i == 0 or rule.kind == "plugin":  # a fixed or power h does not depend on the sample
+            _warn_rate(kernel, _as_h(h[i]), n)
+            weights = _lag_weights(kernel, [h[i]], n, unbiased=False)
+        surfaces[i] = _on_grid(_window_sums(s, weights)[0], phi)
+    # one np.sum per row: a product with the whole block would round by block size
+    projs = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
+    n_levels = max(spec.eigen_levels, default=0)
+    lams, funcs = _eigen_stack(surfaces) if n_levels else (np.empty((count, 0)),) * 2
+    return h, projs, lams[:, :n_levels], funcs[:, :n_levels], clamped, fallback
 
 
 def _window_estimates(job: tuple, reps: range) -> list:
     """Each replication's (n_h, G, G) window estimates, one per row of the lag weights."""
     spec, weights, centered = job
-    ests = []
-    for r in reps:
-        y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
-        a = _window_sums(y - y.mean(axis=0) if centered else y, weights)
-        ests.append(a + a.transpose(0, 2, 1))
-    return ests
+    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
+    return [_on_grid(_window_sums(_draw_scores(spec, r, centered), weights), phi) for r in reps]
 
 
 def run_experiment(spec: ExperimentSpec) -> McReport:
@@ -412,7 +447,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
     workers = _effective_workers(spec.workers, spec.replications)
     blocks = list(_pooled(_replicate_range, spec, spec.replications, workers))
-    h_arr, a, lams, vhats = (np.concatenate(p) for p in zip(*blocks))  # a: (R, n_proj)
+    h_arr, a, lams, vhats, clamped, fallback = (np.concatenate(p) for p in zip(*blocks))
 
     n = spec.n_obs
     scale = np.sqrt(n / h_arr)
@@ -463,6 +498,8 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
         h_mean=float(np.mean(h_arr)),
         h_min=float(np.min(h_arr)),
         h_max=float(np.max(h_arr)),
+        h_clamped=int(np.count_nonzero(clamped)),
+        h_fallback=int(np.count_nonzero(fallback)),
         projection_stats=projection_stats,
         eigen_stats=tuple(eigen_stats),
         eigen_error_correlation=corr,

@@ -113,6 +113,11 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) -> CurveSample:
     """Draw a mean-zero sample of ``n_obs`` curves from the process."""
+    return CurveSample(grid, _scores(spec, n_obs, rng) @ fourier_basis(grid, len(spec.sigmas)))
+
+
+def _scores(spec: DgpSpec, n_obs: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(n_obs, J)`` sigma-scaled scores that ``generate`` maps onto the grid."""
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
     j = len(spec.sigmas)
@@ -134,8 +139,7 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
             scores = main.copy()
             for k, coef in enumerate(spec.theta, start=1):
                 scores += coef * full[m - k : m - k + n_obs]
-    phi = fourier_basis(grid, j)
-    return CurveSample(grid, (scores * spec.sigmas) @ phi)
+    return scores * spec.sigmas
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:

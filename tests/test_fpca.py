@@ -20,6 +20,7 @@ from lrcov import (
     fourier_basis,
     make_kernel,
 )
+from lrcov.fpca import _eigen_stack
 
 BARTLETT = make_kernel("bartlett")
 
@@ -47,6 +48,23 @@ def test_eigensystem_requires_count_by_grid_array():
     for bad in (funcs.T, funcs[:1], funcs[0], np.stack([funcs, funcs])):
         with pytest.raises(DimensionError):
             EigenSystem(g, [2.0, 1.0], bad)
+
+
+def test_eigendecompose_is_a_row_of_the_stacked_eigensolve():
+    # random symmetric surfaces, rank-3 ones as the Monte Carlo blocks build, and a zero one
+    rng = np.random.default_rng(11)
+    for g in (1, 5, 16):
+        full = rng.normal(size=(9, g, g))
+        basis = fourier_basis(Grid(g), min(3, g))
+        scores = rng.normal(size=(9, len(basis), len(basis)))
+        low = basis.T @ scores @ basis
+        stack = np.concatenate([full, low, np.zeros((1, g, g))])
+        stack = stack + stack.transpose(0, 2, 1)
+        lam, funcs = _eigen_stack(stack)
+        for i, values in enumerate(stack):
+            es = eigendecompose(Surface(Grid(g), values))
+            assert es.eigenvalues.tobytes() == lam[i].tobytes()
+            assert es.eigenfunctions.tobytes() == funcs[i].tobytes()
 
 
 def test_eigendecompose_rank_one():

@@ -781,6 +781,18 @@ def test_mc_verify_smoke(tmp_path):
     assert meta["config"]["bias_check"]["replications"] == 20
 
 
+def test_mc_verify_huge_scores_give_finite_moments(tmp_path, capsys):
+    # fourth powers of these scaled errors overflow a double; their standardized ones do not
+    exp = {"dgp": {"kind": "iid", "sigmas": [1e40, 1.0]}, "kernel": "parzen", "n_obs": 100,
+           "grid_points": 4, "h": "plugin", "replications": 12, "eigen_levels": [1]}
+    cfg = write(tmp_path / "mc.json", json.dumps({"experiment": exp}))
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
+    assert "overflow" not in capsys.readouterr().err
+    proj = json.loads((out / "report.json").read_text())["report"]["projections"][0]
+    assert math.isfinite(proj["skewness"]) and math.isfinite(proj["ex_kurtosis"])
+
+
 def test_mc_verify_seed_override(tmp_path):
     base = {"experiment": dict(MC_CFG["experiment"])}
     cfg = write(tmp_path / "mc.json", json.dumps(base))

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from statistics import NormalDist
@@ -34,8 +35,10 @@ from lrcov import (
     truth,
 )
 from lrcov import io
-from lrcov.estimator import _lag_weights, _window_sums
+from lrcov.estimator import _lag_weights, _plugin_selection, _plugin_weights, _window_sums
+from lrcov.grid import fourier_basis
 from lrcov.mc import _pooled
+from lrcov.simulate import _scores
 
 BARTLETT = make_kernel("bartlett")
 SCALAR_IID = DgpSpec(kind="iid", sigmas=(1.0,))
@@ -216,6 +219,16 @@ def test_sample_moments_small_example():
     assert kurt == pytest.approx(2.5625 / 1.5625 - 3.0)
 
 
+def test_sample_moments_standardize_before_powering():
+    x = np.array([1e100, -1e100, 3e100, 0.0, 2e100])
+    mean, var, skew, kurt = sample_moments(x)
+    want = sample_moments(x / 1e100)
+    assert (mean / 1e100, var / 1e200) == pytest.approx(want[:2], rel=1e-15)
+    assert (skew, kurt) == pytest.approx(want[2:], rel=1e-14)
+    with pytest.raises(ContractViolationError, match="overflows"):
+        sample_moments(np.array([1e200, -1e200, 0.0]))
+
+
 def test_sample_moments_refusals():
     with pytest.raises(ContractViolationError):
         sample_moments(np.array([1.0]))
@@ -253,6 +266,7 @@ def test_run_experiment_smoke():
     for v in (p.mean, p.variance, p.skewness, p.ex_kurtosis, p.ks_distance):
         assert math.isfinite(v)
     assert p.predicted_variance == pytest.approx(4.0 / 3.0)
+    assert report.h_clamped == report.h_fallback == 0  # fixed h: no plug-in ran
     assert report.projection_samples.shape == (16, 1)
     json.dumps(report.to_dict())  # report must serialize as-is
 
@@ -319,12 +333,47 @@ def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
     assert canonical(pooled) == canonical(run_experiment(spec()))
     s = spec()
     t = truth(s.dgp, s.grid, s.kernel)
+    phi = fourier_basis(s.grid, 2)
+    pilot, m_trunc, plugin_w = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
     for r in range(s.replications):
+        # the oracle: one replication at a time in score coordinates, in this process
+        scores = _scores(s.dgp, s.n_obs, replication_rng(s.master_seed, r))
+        scores = scores - scores.mean(axis=0)
+        a, b = phi.T @ _window_sums(scores, plugin_w) @ phi
+        h = _plugin_selection(a, b, s.kernel, s.n_obs, pilot, m_trunc).bandwidth.h
+        a = phi.T @ _window_sums(scores, _lag_weights(s.kernel, [h], s.n_obs, False))[0] @ phi
+        lams = eigendecompose(Surface(s.grid, a + a.T)).eigenvalues
+        want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
+        assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
+        # and the library's grid-space path, to rounding
         sample = generate(s.dgp, s.n_obs, s.grid, replication_rng(s.master_seed, r))
         h = plugin_bandwidth(sample, s.kernel, 3.0).bandwidth.h
         lams = eigendecompose(estimate_lrcov(sample, s.kernel, h).surface).eigenvalues
         want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
-        assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
+        tol = 1e-10 * math.sqrt(s.n_obs / h) * lams[0]
+        np.testing.assert_allclose(pooled.eigen_error_samples[r], want, rtol=0, atol=tol)
+
+
+def test_plugin_clamp_and_fallback_counts_survive_aggregation(monkeypatch):
+    # pilot 8 on N = 20 clamps some replications' h to N/2; m_trunc = 0 leaves
+    # no bias lag, so every replication falls back to the rate-only rule
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    for m_trunc, want in ((3, (4, 0)), (0, (0, 20))):
+        spec = scalar_experiment(
+            dgp=DgpSpec(kind="iid", sigmas=(1.0, 0.5)), n_obs=20, grid=Grid(3), projections=(),
+            h_rule=BandwidthRule("plugin", pilot_h=8.0, m_trunc=m_trunc), replications=20,
+            master_seed=4,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fallback warns that it used the rate alone
+            sels = [
+                spec.h_rule.resolve(generate(spec.dgp, 20, spec.grid, replication_rng(4, r)), BARTLETT)[1]
+                for r in range(20)
+            ]
+            reports = [run_experiment(replace(spec, workers=w)).to_dict()["h"] for w in (1, 2, 3)]
+        assert (sum(s.clamped for s in sels), sum(s.fallback for s in sels)) == want
+        assert [(h["clamped"], h["fallback"]) for h in reports] == [want] * 3
+        assert reports[0] == reports[1] == reports[2]
 
 
 def block_of(job, reps):
@@ -342,11 +391,21 @@ def test_pooled_blocks_come_back_in_replication_order():
 
 
 def serial_window_estimates(spec, weights, replications, centered):
-    """Each replication's h-grid estimates from one serial loop in this process (the oracle)."""
+    """Each replication's h-grid estimates from one serial loop in this process (the oracle).
+
+    It works in score coordinates, as the pool does, and checks each estimate
+    against the same window sums of the sample on the grid.
+    """
+    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
     for r in range(replications):
+        s = _scores(spec.dgp, spec.n_obs, replication_rng(spec.master_seed, r))
+        a = phi.T @ _window_sums(s - s.mean(axis=0) if centered else s, weights) @ phi
+        est = a + a.transpose(0, 2, 1)
         y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
         a = _window_sums(y - y.mean(axis=0) if centered else y, weights)
-        yield a + a.transpose(0, 2, 1)
+        want = a + a.transpose(0, 2, 1)
+        np.testing.assert_allclose(est, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+        yield est
 
 
 def test_h_grid_checks_match_a_serial_loop_at_any_worker_count(monkeypatch):
@@ -545,7 +604,13 @@ def hand_written_report_dicts(report, bias):
         "replications": int(report.replications),
         "workers": int(report.workers),
         "runtime_seconds": float(report.runtime_seconds),
-        "h": {"mean": float(report.h_mean), "min": float(report.h_min), "max": float(report.h_max)},
+        "h": {
+            "mean": float(report.h_mean),
+            "min": float(report.h_min),
+            "max": float(report.h_max),
+            "clamped": int(report.h_clamped),
+            "fallback": int(report.h_fallback),
+        },
         "projections": [
             {
                 "index": int(p.index),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrcov import (
@@ -16,7 +16,9 @@ from lrcov import (
     DgpSpec,
     ExperimentSpec,
     Grid,
+    Surface,
     bias_rate_check,
+    eigendecompose,
     estimate_lrcov,
     estimate_lrcov_naive,
     estimate_spectral_density,
@@ -28,7 +30,7 @@ from lrcov import (
     replication_rng,
     truth,
 )
-from lrcov import estimator
+from lrcov import estimator, mc
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -313,3 +315,87 @@ def test_long_window_takes_the_fft_path_and_matches_direct_lag_sums():
     f = estimate_spectral_density(sample, kernel, h, omega)
     assert_close(f.real_part.values * 2.0 * math.pi, re, case, 1e-10)
     assert_close(f.imag_part.values * 2.0 * math.pi, im, case, 1e-10)
+
+
+# ------------------------------------------------ Monte Carlo in score coordinates
+
+
+@st.composite
+def score_cases(draw):
+    """An experiment over any process kind, with J <= G basis components, and its settings."""
+    kind = draw(st.sampled_from(("iid", "fma", "far1")))
+    sigmas = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4))
+    extra = {
+        "fma": {"theta": draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=2))},
+        "far1": {"rho": draw(st.floats(-0.9, 0.9))},
+    }.get(kind, {})
+    g = 2 * (len(sigmas) // 2) + 1 + draw(st.integers(0, 4))  # the basis must resolve on G
+    h = draw(st.one_of(st.floats(0.5, 12.0), st.floats(64.0, 120.0)))  # the latter: FFT path
+    kernel = make_kernel(draw(st.sampled_from(("bartlett", "parzen", "tukey-hanning"))))
+    plugin = draw(st.booleans())
+    spec = ExperimentSpec(
+        dgp=DgpSpec(kind=kind, sigmas=tuple(sigmas), **extra),
+        kernel=kernel,
+        n_obs=draw(st.integers(8, 160)),
+        grid=Grid(g),
+        h_rule=BandwidthRule("plugin") if plugin else BandwidthRule("fixed", value=h),
+        replications=8,
+        projections=(
+            Surface(Grid(g), np.ones((g, g))),
+            Surface(Grid(g), np.random.default_rng(g).normal(size=(g, g))),
+        ),
+        eigen_levels=tuple(range(1, len(sigmas) + 1)),
+        master_seed=draw(st.integers(0, 2**16)),
+    )
+    return spec, h, draw(st.booleans()), draw(st.booleans())
+
+
+@PROPERTY
+@given(score_cases())
+@example(
+    (
+        ExperimentSpec(
+            dgp=DgpSpec(kind="fma", sigmas=(1.0, 0.5, 0.3), theta=(0.5,)),
+            kernel=make_kernel("parzen"),
+            n_obs=150,
+            grid=Grid(5),
+            h_rule=BandwidthRule("fixed", value=90.0),
+            replications=8,
+            eigen_levels=(1, 2, 3),
+        ),
+        90.0,
+        True,
+        False,
+    )
+)
+def test_score_path_matches_the_library_on_the_generated_sample(case):
+    spec, h, unbiased, centered = case
+    n, g, kernel = spec.n_obs, spec.grid.n_points, spec.kernel
+    weights = estimator._lag_weights(kernel, [h], n, unbiased)
+    reps = range(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short samples trip the rate and fallback warnings
+        got_h, got_proj, got_lam = mc._replicate_range(spec, reps)[:3]
+        got_est = mc._window_estimates((spec, weights, centered), reps)
+        for r in reps:
+            sample = generate(spec.dgp, n, spec.grid, replication_rng(spec.master_seed, r))
+            y = sample.values - sample.values.mean(axis=0)
+            # an h-grid row, centered or not, against the window sums of the sample
+            if centered:
+                want = estimate_lrcov(sample, kernel, h, unbiased=unbiased).surface.values
+            else:
+                a = estimator._window_sums(sample.values, weights)[0]
+                want = a + a.T
+            raw = y if centered else sample.values
+            scale = float(np.max(np.abs(raw))) ** 2 * (min(n - 1, h) + 1)
+            assert float(np.max(np.abs(got_est[r][0] - want))) <= 1e-10 * scale
+            # a replication: its bandwidth, projections and eigenvalues
+            bw, _ = spec.h_rule.resolve(sample, kernel)
+            assert got_h[r] == pytest.approx(bw.h, rel=1e-10, abs=0)
+            est = estimate_lrcov(sample, kernel, bw).surface.values
+            scale = float(np.max(np.abs(y))) ** 2 * (min(n - 1, bw.h) + 1)
+            for j, f in enumerate(spec.projections):
+                want = np.sum(est * f.values) / g**2
+                assert abs(got_proj[r, j] - want) <= 1e-10 * scale * np.max(np.abs(f.values))
+            lam = eigendecompose(Surface(spec.grid, est)).eigenvalues[: len(spec.eigen_levels)]
+            assert float(np.max(np.abs(got_lam[r] - lam))) <= 1e-10 * scale
