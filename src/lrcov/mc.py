@@ -5,14 +5,14 @@ of at most 64 replications, run in-process at one worker or on one process
 pool, come back in replication order.  Replication r draws from the PCG64
 stream of (master_seed, r) and the parent takes the results in replication
 order, so a report is bit-identical for any worker count.  A block's warnings
-come back with its results and are raised again in the parent.
+come back with its results and are raised again in the parent.  Estimation
+error is always centered at the across-replication mean, never at the truth,
+so bias never masquerades as variance.
 
 Replications run in score coordinates.  Every sample is its (N, J) scores times
 the basis phi, which is orthonormal under the midpoint rule, so a lag-window sum
 of the sample is exactly phi^T A phi for the same sum A of the scores: each lag
-costs J^2 instead of G^2.  Estimation
-error is always centered at the across-replication mean, never at the truth,
-so bias never masquerades as variance.
+costs J^2 instead of G^2.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared

@@ -366,10 +366,8 @@ def test_plugin_clamp_and_fallback_counts_survive_aggregation(monkeypatch):
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the fallback warns that it used the rate alone
-            sels = [
-                spec.h_rule.resolve(generate(spec.dgp, 20, spec.grid, replication_rng(4, r)), BARTLETT)[1]
-                for r in range(20)
-            ]
+            samples = [generate(spec.dgp, 20, spec.grid, replication_rng(4, r)) for r in range(20)]
+            sels = [spec.h_rule.resolve(sample, BARTLETT)[1] for sample in samples]
             reports = [run_experiment(replace(spec, workers=w)).to_dict()["h"] for w in (1, 2, 3)]
         assert (sum(s.clamped for s in sels), sum(s.fallback for s in sels)) == want
         assert [(h["clamped"], h["fallback"]) for h in reports] == [want] * 3
