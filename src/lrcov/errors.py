@@ -1,14 +1,19 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes; library code raises them
-directly so programmatic callers can discriminate failure modes.
+The CLI maps each class onto one process exit code.  Library code raises
+them where a condition is checked, so programmatic callers and the CLI see
+the same failure mode: a bad setting is a ConfigError where it is found
+(``make_kernel``, ``fourier_basis`` and so ``truth`` for a basis the grid
+does not resolve, the config readers).  The one translation left is
+``mc-verify``'s: ``bias_rate_check`` refuses its arguments with
+ContractViolationError, which the command reports as a bad ``bias_check``.
 """
 
 import math
 
 __all__ = [
     "LrcovError", "DataFormatError", "ConfigError", "DimensionError",
-    "ContractViolationError", "KernelSpecError", "SeparationError",
+    "ContractViolationError", "SeparationError",
 ]
 
 
@@ -29,12 +34,8 @@ class DimensionError(LrcovError, ValueError):
 
 
 class ContractViolationError(LrcovError):
-    """A numeric precondition failed (asymmetric surface, degenerate data, h <= 0)."""
-
-
-class KernelSpecError(LrcovError):
-    """Kernel constants inconsistent with the kernel's own profile, or an
-    operation that the kernel cannot support (flat-top in bias formulas)."""
+    """A numeric precondition failed (asymmetric surface, degenerate data, h <= 0),
+    or the flat-top kernel met a power-law bias formula it has no constants for."""
 
 
 class SeparationError(LrcovError):

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionError, KernelSpecError
+from .errors import ContractViolationError, DimensionError
 from .grid import Grid, Surface, l2_norm_surface, surface_integral
 from .kernels import KernelSpec, kernel_value
 
@@ -118,11 +118,19 @@ def _centered(sample: CurveSample) -> np.ndarray:
     return sample.values - sample.values.mean(axis=0)
 
 
+def _pow(x: float, p: float) -> float:
+    """x ** p, or inf where Python's float power overflows; for x >= 0 or an even p."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def _warn_rate(kernel: KernelSpec, h: float, n: int) -> None:
     q = kernel.char_exponent
-    if math.isfinite(q) and h**q > n:
+    if math.isfinite(q) and _pow(h, q) > n:
         warnings.warn(
-            f"h^{q:g} = {h**q:.3g} exceeds N = {n}; the leading bias approximation degrades",
+            f"h^{q:g} = {_pow(h, q):.3g} exceeds N = {n}; the leading bias approximation degrades",
             stacklevel=3,
         )
 
@@ -200,6 +208,19 @@ def _window_sums(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_surfaces(y: np.ndarray, weights: np.ndarray, phi: np.ndarray | None = None):
+    """The symmetric surfaces A + A^T of the window sums A = ``_window_sums(y, weights)``.
+
+    One (G, G) surface per weight row.  When y holds (N, J) scores of the
+    basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
+    surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.
+    """
+    a = _window_sums(y, weights)
+    if phi is not None:
+        a = phi.T @ a @ phi
+    return a + np.swapaxes(a, -1, -2)
+
+
 def estimate_lrcov(
     sample: CurveSample,
     kernel: KernelSpec,
@@ -214,8 +235,8 @@ def estimate_lrcov(
     h = _as_h(bandwidth)
     n = sample.n_obs
     _warn_rate(kernel, h, n)
-    a = _window_sums(_centered(sample), _lag_weights(kernel, [h], n, unbiased))[0]
-    return LrcovEstimate(Surface(sample.grid, a + a.T), kernel, Bandwidth(h), n)
+    surface = _window_surfaces(_centered(sample), _lag_weights(kernel, [h], n, unbiased))[0]
+    return LrcovEstimate(Surface(sample.grid, surface), kernel, Bandwidth(h), n)
 
 
 def estimate_lrcov_naive(
@@ -284,26 +305,21 @@ def bias_kernel(gammas: np.ndarray, kernel: KernelSpec) -> Surface:
     if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
         raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
     a = np.tensordot(_bias_weights(kernel, len(gammas) - 1), gammas, axes=1)
-    return _bias_from_sum(a, kernel)
+    return Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
 
 
 def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
     """|k|^q for lags 0..max_lag; refused for a kernel of infinite exponent."""
     if not math.isfinite(kernel.char_exponent):
-        raise KernelSpecError(f"{kernel.name} admits no power-law bias expansion")
+        raise ContractViolationError(f"{kernel.name} admits no power-law bias expansion")
     return np.arange(max_lag + 1, dtype=float) ** kernel.char_exponent
-
-
-def _bias_from_sum(a: np.ndarray, kernel: KernelSpec) -> Surface:
-    """The bias surface from the one-sided |k|^q-weighted sum A of autocovariances."""
-    return Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
 
 
 def _power_law_exponent(kernel: KernelSpec, n_obs: int, what: str) -> float:
     """The kernel's characteristic exponent, once it is finite."""
     q = kernel.char_exponent
     if not math.isfinite(q):
-        raise KernelSpecError(f"{kernel.name} admits no power-law {what}")
+        raise ContractViolationError(f"{kernel.name} admits no power-law {what}")
     if n_obs < 2:
         raise ContractViolationError(f"need n_obs >= 2, got {n_obs}")
     return q
@@ -316,8 +332,8 @@ def amse(
     q = _power_law_exponent(kernel, n_obs, "AMSE")
     h = _checked_h(bandwidth)
     # the variance constant of the estimate integrated against the unit surface
-    variance = 2.0 * surface_integral(c) ** 2 * kernel.square_integral
-    return (h / n_obs) * variance + h ** (-2.0 * q) * l2_norm_surface(bias) ** 2
+    variance = 2.0 * _pow(surface_integral(c), 2) * kernel.square_integral
+    return (h / n_obs) * variance + _pow(h, -2.0 * q) * _pow(l2_norm_surface(bias), 2)
 
 
 def optimal_bandwidth(
@@ -331,13 +347,14 @@ def optimal_bandwidth(
     """
     q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
     power = 1.0 / (1.0 + 2.0 * q)
-    f_norm = l2_norm_surface(bias)
+    with np.errstate(over="ignore"):  # an overflowing constant leaves h non-finite: refused
+        f_norm = l2_norm_surface(bias)
     c_int = surface_integral(c)
-    denom = c_int**2 * kernel.square_integral
+    denom = _pow(c_int, 2) * kernel.square_integral
     if f_norm == 0.0 or denom <= 0.0:
         warnings.warn("degenerate bias or variance constant; using rate-only bandwidth")
         return BandwidthSelection(Bandwidth(float(n_obs) ** power), None, True, f_norm, c_int)
-    c0 = (q * f_norm**2) ** power * denom ** (-power)
+    c0 = (q * _pow(f_norm, 2)) ** power * denom ** (-power)
     return BandwidthSelection(Bandwidth(c0 * float(n_obs) ** power), c0, False, f_norm, c_int)
 
 
@@ -354,13 +371,8 @@ def plugin_bandwidth(
     clamped to [1, N/2].
     ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
     """
-    n = sample.n_obs
-    ph, m_trunc, weights = _plugin_weights(kernel, pilot_h, m_trunc, n)
-    y = _centered(sample)
-    _require_variance(y)
-    _warn_rate(kernel, ph, n)
-    a, b = _window_sums(y, weights)
-    return _plugin_selection(a, b, kernel, n, ph, m_trunc)
+    plan = _plugin_weights(kernel, pilot_h, m_trunc, sample.n_obs)
+    return _plugin_choice(_centered(sample), kernel, plan)
 
 
 def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | None, n: int):
@@ -378,16 +390,24 @@ def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | N
     return ph, int(m_trunc), weights
 
 
-def _require_variance(y: np.ndarray) -> None:
-    """Refuse a centered sample (or its scores) that is zero everywhere."""
+def _plugin_choice(
+    y: np.ndarray, kernel: KernelSpec, plan: tuple, phi: np.ndarray | None = None
+) -> BandwidthSelection:
+    """The plug-in bandwidth of centered data y under ``plan``, from ``_plugin_weights``.
+
+    y is an (N, G) sample, or (N, J) scores of the basis ``phi`` as in
+    ``_window_surfaces``.  Data that is zero everywhere is refused before the
+    pilot's rate warning.
+    """
+    pilot_h, m_trunc, weights = plan
+    n = y.shape[0]
     if float(np.max(np.abs(y))) == 0.0:
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
-
-
-def _plugin_selection(a, b, kernel: KernelSpec, n: int, pilot_h: float, m_trunc: int):
-    """The plug-in choice from the window sums A (pilot row) and B (bias row) on the grid."""
-    pilot = Surface(Grid(a.shape[0]), a + a.T)
-    sel = optimal_bandwidth(pilot, _bias_from_sum(b, kernel), kernel, n)
+    _warn_rate(kernel, pilot_h, n)
+    pilot, bias = _window_surfaces(y, weights, phi)
+    grid = Grid(pilot.shape[0])
+    bias = Surface(grid, kernel.char_coefficient * bias)
+    sel = optimal_bandwidth(Surface(grid, pilot), bias, kernel, n)
     h = sel.bandwidth.h
     lo, hi = 1.0, n / 2.0
     clamped = not lo <= h <= hi

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "Grid",
@@ -90,9 +90,7 @@ def fourier_basis(grid: Grid, count: int) -> np.ndarray:
     if count < 1:
         raise DimensionError(f"basis size must be >= 1, got {count}")
     if 2 * (count // 2) >= grid.n_points:
-        raise DimensionError(
-            f"basis of size {count} is under-resolved on a {grid.n_points}-point grid"
-        )
+        raise ConfigError(f"basis of size {count} is under-resolved on a {grid.n_points}-point grid")
     angles = (2.0 * np.pi * np.arange(1, count // 2 + 1))[:, None] * grid.points
     out = np.empty((count, grid.n_points))
     out[0] = 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelSpecError
+from .errors import ConfigError
 
 __all__ = ["KernelSpec", "KERNEL_NAMES", "make_kernel", "kernel_value"]
 
@@ -59,11 +59,11 @@ def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
         return KernelSpec("tukey-hanning", 2.0, -np.pi**2 / 4.0, 0.75)
     if name == "flat-top":
         if not (0.0 < flat_width < 1.0):
-            raise KernelSpecError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
+            raise ConfigError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
         # square integral: plateau contributes 2*rho, the two linear ramps 2*(1-rho)/3
         ksq = 2.0 * flat_width + 2.0 * (1.0 - flat_width) / 3.0
         return KernelSpec("flat-top", math.inf, math.nan, ksq, flat_width)
-    raise KernelSpecError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
+    raise ConfigError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
 
 
 def kernel_value(spec: KernelSpec, u):
@@ -78,5 +78,5 @@ def kernel_value(spec: KernelSpec, u):
     elif spec.name == "flat-top":
         out = np.clip((1.0 - a) / (1.0 - spec.flat_width), 0.0, 1.0)
     else:  # pragma: no cover - constructor rejects unknown names
-        raise KernelSpecError(f"unknown kernel {spec.name!r}")
+        raise ConfigError(f"unknown kernel {spec.name!r}")
     return float(out) if np.isscalar(u) else out

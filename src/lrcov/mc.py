@@ -37,7 +37,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, DimensionError, KernelSpecError
+from .errors import ConfigError, ContractViolationError, DimensionError
 from .errors import config_number, config_numbers, config_object
 from .estimator import (
     Bandwidth,
@@ -45,11 +45,11 @@ from .estimator import (
     CurveSample,
     _as_h,
     _lag_weights,
-    _plugin_selection,
+    _plugin_choice,
     _plugin_weights,
-    _require_variance,
+    _pow,
     _warn_rate,
-    _window_sums,
+    _window_surfaces,
     estimate_lrcov,  # noqa: F401  perfbench traces lrcov.mc.estimate_lrcov
     plugin_bandwidth,
 )
@@ -160,14 +160,6 @@ class BandwidthRule:
         return float(n) ** (1.0 / (1.0 + 2.0 * q)) if self.pilot_h is None else self.pilot_h
 
 
-def config_kernel(name, flat_width: float) -> KernelSpec:
-    """``make_kernel`` for a kernel named in a config or on the command line: bad values exit 3."""
-    try:
-        return make_kernel(name, flat_width)
-    except KernelSpecError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """One Monte Carlo experiment: process, estimator settings, and what to record."""
@@ -195,10 +187,7 @@ class ExperimentSpec:
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
-        try:  # refuses a grid too coarse for the noise, and a process whose truth overflows
-            truth(self.dgp, self.grid)
-        except DimensionError as exc:
-            raise ConfigError(str(exc)) from None
+        truth(self.dgp, self.grid)  # refuses a grid too coarse for the noise, and an overflow
         components = len(self.dgp.sigmas)
         levels = tuple(int(l) for l in self.eigen_levels)
         if any(not 1 <= l <= components for l in levels):
@@ -215,7 +204,7 @@ class ExperimentSpec:
             ("dgp", "kernel", "n_obs", "grid_points", "h", "replications"),
             ("flat_width", "projections", "eigen_levels", "master_seed", "workers"),
         )
-        kernel = config_kernel(raw["kernel"], config_number(raw.get("flat_width", 0.5), "flat_width"))
+        kernel = make_kernel(raw["kernel"], config_number(raw.get("flat_width", 0.5), "flat_width"))
         grid = Grid(config_number(raw["grid_points"], "grid_points", integer=True, low=1))
         ones = np.ones((grid.n_points,) * 2)
         try:
@@ -313,16 +302,13 @@ def sample_moments(values: np.ndarray) -> tuple[float, float, float, float]:
     return mean, var, skew, kurt
 
 
-def ks_distance(values: np.ndarray, loc: float | None = None, scale: float | None = None) -> float:
-    """Kolmogorov-Smirnov distance to a normal law (fitted by moments if not given)."""
+def ks_distance(values: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance to the normal law with the sample's mean and sd (ddof=1)."""
     x = np.sort(np.asarray(values, dtype=float))
     n = len(x)
     if n < KS_MIN_VALUES:
         raise ContractViolationError(f"a KS distance needs {KS_MIN_VALUES}+ values, got {n}")
-    if loc is None:
-        loc = float(np.mean(x))
-    if scale is None:
-        scale = float(np.std(x, ddof=1))
+    loc, scale = float(np.mean(x)), float(np.std(x, ddof=1))
     if not (scale > 0 and math.isfinite(scale)):
         raise ContractViolationError("degenerate sample: zero or non-finite scale")
     cdf = NormalDist(loc, scale).cdf
@@ -393,12 +379,6 @@ def _draw_scores(spec: ExperimentSpec, r: int, centered: bool = True) -> np.ndar
     return s - s.mean(axis=0) if centered else s
 
 
-def _on_grid(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The surfaces phi^T (A + A^T) phi of a ``(..., J, J)`` stack of score window sums A."""
-    a = phi.T @ a @ phi
-    return a + np.swapaxes(a, -1, -2)
-
-
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G),
     and the plug-in's clamped and fallback flags (n,).
@@ -412,19 +392,16 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     clamped, fallback = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     surfaces = np.empty((count, g, g))
     if rule.kind == "plugin":
-        pilot, m_trunc, plugin_w = _plugin_weights(kernel, h[0], rule.m_trunc, n)
-        _warn_rate(kernel, pilot, n)
+        plan = _plugin_weights(kernel, h[0], rule.m_trunc, n)
     for i, r in enumerate(reps):
         s = _draw_scores(spec, r)
         if rule.kind == "plugin":
-            _require_variance(s)
-            a, b = phi.T @ _window_sums(s, plugin_w) @ phi
-            sel = _plugin_selection(a, b, kernel, n, pilot, m_trunc)
+            sel = _plugin_choice(s, kernel, plan, phi)
             h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
         if i == 0 or rule.kind == "plugin":  # a fixed or power h does not depend on the sample
             _warn_rate(kernel, _as_h(h[i]), n)
             weights = _lag_weights(kernel, [h[i]], n, unbiased=False)
-        surfaces[i] = _on_grid(_window_sums(s, weights)[0], phi)
+        surfaces[i] = _window_surfaces(s, weights, phi)[0]
     # one np.sum per row: a product with the whole block would round by block size
     projs = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
     n_levels = max(spec.eigen_levels, default=0)
@@ -436,7 +413,7 @@ def _window_estimates(job: tuple, reps: range) -> list:
     """Each replication's (n_h, G, G) window estimates, one per row of the lag weights."""
     spec, weights, centered = job
     phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
-    return [_on_grid(_window_sums(_draw_scores(spec, r, centered), weights), phi) for r in reps]
+    return [_window_surfaces(_draw_scores(spec, r, centered), weights, phi) for r in reps]
 
 
 def run_experiment(spec: ExperimentSpec) -> McReport:
@@ -467,7 +444,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     errs = np.empty((spec.replications, len(spec.eigen_levels)))
     # the corollary's drift lim N/h^(1+2q), at the bandwidths these replications used
     q = spec.kernel.char_exponent
-    drift = n / float(np.mean(h_arr)) ** (1.0 + 2.0 * q) if math.isfinite(q) else 0.0
+    drift = n / _pow(float(np.mean(h_arr)), 1.0 + 2.0 * q) if math.isfinite(q) else 0.0
     for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
         lam_true = truth_set.eigen.eigenvalues[level - 1]
         v_true = truth_set.eigen.eigenfunctions[level - 1]
@@ -572,7 +549,7 @@ def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRa
     kernel, g = spec.kernel, spec.grid.n_points
     truth_set = truth(spec.dgp, spec.grid, kernel)
     if truth_set.bias is None:
-        raise KernelSpecError(f"{kernel.name} has no power-law bias to measure")
+        raise ContractViolationError(f"{kernel.name} has no power-law bias to measure")
     c_true, f_true = truth_set.c.values, truth_set.bias.values
     f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
     # uncentered, unbiased divisor: each lag surface has exact expectation

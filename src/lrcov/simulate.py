@@ -123,14 +123,11 @@ def _scores(spec: DgpSpec, n_obs: int, rng: np.random.Generator) -> np.ndarray:
     j = len(spec.sigmas)
     main = rng.standard_normal((n_obs, j))
     if spec.kind == "far1":
-        burn = rng.standard_normal((FAR1_BURN_IN, j))
-        scores = np.empty((n_obs, j))
-        state = np.zeros(j)
-        for z in burn:
-            state = spec.rho * state + z
-        for i in range(n_obs):
-            state = spec.rho * state + main[i]
-            scores[i] = state
+        # rows in time order, burn-in first; the recursion starts from zero before row 0
+        scores = np.vstack([rng.standard_normal((FAR1_BURN_IN, j)), main])
+        for t in range(1, len(scores)):
+            scores[t] += spec.rho * scores[t - 1]
+        scores = scores[FAR1_BURN_IN:]
     else:  # a moving average; iid is the one with theta = ()
         scores, m = main, len(spec.theta)
         if m:
@@ -171,7 +168,8 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     1e-12 for the lag list while the long-run factor stays in closed form.
     The bias surface is built per kernel and is None for the flat-top kernel,
     which has no power-law bias.  A process is refused with ConfigError when
-    the long-run surface, its integral, an eigenvalue or an autocovariance's
+    the grid does not resolve its basis (``fourier_basis``), or when the
+    long-run surface, its integral, an eigenvalue or an autocovariance's
     norm overflows a double on this grid.
     """
     phi = fourier_basis(grid, len(spec.sigmas))

@@ -17,7 +17,6 @@ from lrcov import (
     DgpSpec,
     DimensionError,
     Grid,
-    KernelSpecError,
     Surface,
     amse,
     bias_kernel,
@@ -238,7 +237,7 @@ def test_bias_kernel_truncation_stable():
 
 
 def test_bias_kernel_refuses_flat_top():
-    with pytest.raises(KernelSpecError):
+    with pytest.raises(ContractViolationError):
         bias_kernel(np.ones((1, 1, 1)), make_kernel("flat-top"))
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrcov import (
+    ConfigError,
     DimensionError,
     EigenSystem,
     Grid,
@@ -76,11 +77,11 @@ def test_fourier_basis_largest_count_is_orthonormal():
 
 
 def test_fourier_basis_refuses_underresolved():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="basis of size 5 is under-resolved on a 4-point grid"):
         fourier_basis(Grid(4), 5)
     # on an even grid the G-th element is the Nyquist cosine, zero at every midpoint
     for g in (2, 4, 16):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError):
             fourier_basis(Grid(g), g)
     assert fourier_basis(Grid(5), 5).shape == (5, 5)
 

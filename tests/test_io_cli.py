@@ -991,3 +991,59 @@ def test_bad_settings_exit_3_before_the_data_is_read(
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- cli: overflow
+
+RATE_WARNING = "warning: h^{} = {} exceeds N = {}; the leading bias approximation degrades\n"
+PARZEN_INF = RATE_WARNING.format(2, "inf", 200)
+H_NAN = "error: bandwidth must be positive and finite, got nan\n"
+
+# a double overflows to inf where Python's float power raises OverflowError: h^q
+# past 1e154, and the plug-in's squared constants on curves of size 1e100 and up
+OVERFLOW_PROBES = {
+    "estimate-parzen": (["estimate", "--kernel", "parzen", "--h", "1e200"], 1.0, 0, PARZEN_INF),
+    "fpca-tukey-hanning-power": (
+        ["fpca", "--kernel", "tukey-hanning", "--h", "power:1e200,0.5"], 1.0, 0, PARZEN_INF
+    ),
+    "bandwidth-parzen-pilot": (["bandwidth", "--kernel", "parzen", "--h", "1e200"], 1.0, 0, PARZEN_INF),
+    "estimate-parzen-plugin-pilot": (
+        ["estimate", "--kernel", "parzen", "--h", "plugin:1e200"],
+        1.0,
+        0,
+        PARZEN_INF + RATE_WARNING.format(2, "1e+04", 200),  # the plug-in h, clamped to N/2
+    ),
+    "bandwidth-1e100": (["bandwidth"], 1e100, 4, H_NAN),
+    "bandwidth-1e140": (["bandwidth"], 1e140, 4, H_NAN),
+    "estimate-plugin-1e100": (["estimate", "--h", "plugin"], 1e100, 4, H_NAN),
+    "estimate-plugin-1e140": (["estimate", "--h", "plugin"], 1e140, 4, H_NAN),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, scale, code, err", OVERFLOW_PROBES.values(), ids=OVERFLOW_PROBES.keys()
+)
+def test_overflowing_powers_warn_or_exit_4(tmp_path, capsys, argv, scale, code, err):
+    data = str(tmp_path / "d.csv")
+    io.write_matrix_csv(data, np.random.default_rng(11).standard_normal((200, 3)) * scale)
+    assert main([*argv, "--data", data, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_mc_verify_overflowing_drift_exits_0(tmp_path, capsys, monkeypatch):
+    # the eigenvalue drift N / h^(1+2q) is 0 once h^3 overflows, even for Bartlett
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    cfg = write(tmp_path / "mc.json", json.dumps(mc_config(h=1e200)))
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == RATE_WARNING.format(1, "1e+200", 100)
+    levels = json.loads((out / "report.json").read_text())["report"]["eigen_levels"]
+    assert [level["predicted_mean_shift"] for level in levels] == [0.0, 0.0]
+
+
+def test_zero_variance_is_refused_before_the_pilot_rate_warning(tmp_path, capsys):
+    # pilot h = 100 on N = 50 would warn; the refusal comes first, alone
+    data = str(tmp_path / "c.csv")
+    io.write_matrix_csv(data, np.full((50, 3), 2.5))
+    assert main(["bandwidth", "--data", data, "--h", "100", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: zero-variance sample: every curve is constant over time\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lrcov import KERNEL_NAMES, KernelSpecError, kernel_value, make_kernel
+from lrcov import KERNEL_NAMES, ConfigError, kernel_value, make_kernel
 
 
 def all_kernels():
@@ -16,14 +16,14 @@ def test_kernel_names():
 
 
 def test_unknown_kernel_refused():
-    with pytest.raises(KernelSpecError):
+    with pytest.raises(ConfigError):
         make_kernel("quadratic-spectral")
 
 
 def test_flat_top_width_validated():
-    with pytest.raises(KernelSpecError):
+    with pytest.raises(ConfigError):
         make_kernel("flat-top", flat_width=1.0)
-    with pytest.raises(KernelSpecError):
+    with pytest.raises(ConfigError):
         make_kernel("flat-top", flat_width=0.0)
 
 

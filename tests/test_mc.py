@@ -9,6 +9,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from lrcov import (
     BandwidthRule,
@@ -17,7 +18,6 @@ from lrcov import (
     DgpSpec,
     ExperimentSpec,
     Grid,
-    KernelSpecError,
     SeparationError,
     Surface,
     bias_rate_check,
@@ -35,7 +35,9 @@ from lrcov import (
     truth,
 )
 from lrcov import io
-from lrcov.estimator import _lag_weights, _plugin_selection, _plugin_weights, _window_sums
+from lrcov.estimator import (
+    _lag_weights, _plugin_choice, _plugin_weights, _window_sums, _window_surfaces,
+)
 from lrcov.grid import fourier_basis
 from lrcov.mc import _pooled
 from lrcov.simulate import _scores
@@ -85,7 +87,7 @@ def test_bandwidth_rule_resolve():
     assert bw.h == pytest.approx(16.0) and sel is None
     # resolve has no flat-top check of its own: plugin_bandwidth's |k|^q weights refuse it
     for rule in (BandwidthRule("plugin"), BandwidthRule("plugin", pilot_h=4.0)):
-        with pytest.raises(KernelSpecError, match="flat-top admits no power-law bias expansion"):
+        with pytest.raises(ContractViolationError, match="flat-top admits no power-law bias expansion"):
             rule.resolve(s, make_kernel("flat-top"))
 
 
@@ -237,10 +239,11 @@ def test_sample_moments_refusals():
 
 
 def test_ks_distance_quantile_grid():
-    # points placed exactly at the 1%..99% quantiles: distance is 1/100
+    # points placed exactly at the 1%..99% quantiles sit close to their fitted law
     q = np.array([NormalDist().inv_cdf(p) for p in np.arange(1, 100) / 100.0])
-    d = ks_distance(q, loc=0.0, scale=1.0)
-    assert d == pytest.approx(0.01, abs=1e-7)
+    d = ks_distance(q)
+    want = kstest(q, "norm", args=(float(np.mean(q)), float(np.std(q, ddof=1)))).statistic
+    assert abs(d - want) <= 1e-12
     assert d <= 0.02
 
 
@@ -334,15 +337,14 @@ def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
     s = spec()
     t = truth(s.dgp, s.grid, s.kernel)
     phi = fourier_basis(s.grid, 2)
-    pilot, m_trunc, plugin_w = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
+    plan = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
     for r in range(s.replications):
         # the oracle: one replication at a time in score coordinates, in this process
         scores = _scores(s.dgp, s.n_obs, replication_rng(s.master_seed, r))
         scores = scores - scores.mean(axis=0)
-        a, b = phi.T @ _window_sums(scores, plugin_w) @ phi
-        h = _plugin_selection(a, b, s.kernel, s.n_obs, pilot, m_trunc).bandwidth.h
-        a = phi.T @ _window_sums(scores, _lag_weights(s.kernel, [h], s.n_obs, False))[0] @ phi
-        lams = eigendecompose(Surface(s.grid, a + a.T)).eigenvalues
+        h = _plugin_choice(scores, s.kernel, plan, phi).bandwidth.h
+        weights = _lag_weights(s.kernel, [h], s.n_obs, False)
+        lams = eigendecompose(Surface(s.grid, _window_surfaces(scores, weights, phi)[0])).eigenvalues
         want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
         assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
         # and the library's grid-space path, to rounding
@@ -547,7 +549,7 @@ def test_bias_rate_check_refusals(monkeypatch):
     ma1 = scalar_experiment(dgp=SCALAR_MA1, n_obs=500)
     with pytest.raises(ContractViolationError):
         bias_rate_check(ma1, [4.0, 8.0], 10)
-    with pytest.raises(KernelSpecError):
+    with pytest.raises(ContractViolationError, match="flat-top has no power-law bias"):
         bias_rate_check(scalar_experiment(dgp=SCALAR_MA1, kernel=make_kernel("flat-top")), [2.0, 4.0, 8.0], 10)
     monkeypatch.setattr("lrcov.mc.truth", refuse)
     monkeypatch.setattr("lrcov.mc._pooled", refuse)

@@ -7,6 +7,7 @@ These tests pin the three places lrcov uses it against scipy: the cdf inside
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -61,23 +62,23 @@ def qq_table(tmp_path, replications):
     return table
 
 
+def fitted_kstest(x):
+    """scipy's KS statistic against the normal law with the sample's mean and sd (ddof=1)."""
+    return kstest(x, "norm", args=(float(np.mean(x)), float(np.std(x, ddof=1)))).statistic
+
+
 def test_cdf_reference_points():
-    # fitted law N(0, 1) at the 2.5/5/25/50/75/95/97.5% points: the largest
-    # gap between the empirical and the normal cdf is 0.25 - 0.05 = 0.2
+    # the 2.5/5/25/50/75/95/97.5% points of N(0, 1), against their fitted law
     z75, z95, z975 = QUANTILES[0.75], QUANTILES[0.95], QUANTILES[0.975]
     x = np.array([-z975, -z95, -z75, 0.0, 0.0, z75, z95, z975])
-    assert ks_distance(x, loc=0.0, scale=1.0) == pytest.approx(0.2, abs=1e-12)
+    assert abs(ks_distance(x) - fitted_kstest(x)) <= 1e-12
 
 
 def test_cdf_absolute_error_bound():
     rng = np.random.default_rng(3)
     for n in (8, 50, 1000):
         x = rng.standard_t(5, size=n) * 2.0 + 1.0
-        loc, scale = float(np.mean(x)), float(np.std(x, ddof=1))
-        want = kstest(x, "norm", args=(loc, scale)).statistic
-        assert abs(ks_distance(x) - want) <= 1e-12
-        want = kstest(x, "norm").statistic
-        assert abs(ks_distance(x, loc=0.0, scale=1.0) - want) <= 1e-12
+        assert abs(ks_distance(x) - fitted_kstest(x)) <= 1e-12
 
 
 def test_cdf_symmetry_and_monotone():
@@ -86,8 +87,10 @@ def test_cdf_symmetry_and_monotone():
     # the fitted law reflects with the sample, and location/scale drop out
     assert ks_distance(-x) == pytest.approx(d, abs=1e-12)
     assert ks_distance(3.0 * x - 7.0) == pytest.approx(d, abs=1e-12)
-    # moving a known law away from the sample only increases the distance
-    ds = [ks_distance(x, loc=float(np.mean(x)) + s, scale=1.0) for s in (0.0, 0.5, 1.0, 2.0)]
+    assert abs(d - fitted_kstest(x)) <= 1e-12
+    # heavier tails move the normal quantiles away from their fitted law
+    z = np.array([NormalDist().inv_cdf(p) for p in (np.arange(1, 201) - 0.5) / 200])
+    ds = [ks_distance(np.sign(z) * np.abs(z) ** k) for k in (1.0, 1.5, 2.0, 3.0)]
     assert all(b > a for a, b in zip(ds, ds[1:]))
 
 
@@ -119,10 +122,11 @@ def test_quantile_domain():
 
 
 def test_round_trip(tmp_path):
-    # the QQ column sits at the (i - 1/2)/n quantiles of its fitted law, so
-    # its distance to that law is exactly 1/(2n)
+    # the QQ column sits at the (i - 1/2)/n quantiles of the empirical column's
+    # fitted law, so its distance to that law is exactly 1/(2n)
     table = qq_table(tmp_path, 100)
     z = table[:, 1]
     loc, scale = float(np.mean(z)), float(np.std(z, ddof=1))
-    d = ks_distance(table[:, 0], loc=loc, scale=scale)
+    d = kstest(table[:, 0], "norm", args=(loc, scale)).statistic
     assert d == pytest.approx(0.5 / len(z), abs=1e-12)
+    assert abs(ks_distance(table[:, 0]) - fitted_kstest(table[:, 0])) <= 1e-12

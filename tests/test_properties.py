@@ -16,6 +16,7 @@ from lrcov import (
     DgpSpec,
     ExperimentSpec,
     Grid,
+    LrcovError,
     Surface,
     bias_rate_check,
     eigendecompose,
@@ -315,6 +316,36 @@ def test_long_window_takes_the_fft_path_and_matches_direct_lag_sums():
     f = estimate_spectral_density(sample, kernel, h, omega)
     assert_close(f.real_part.values * 2.0 * math.pi, re, case, 1e-10)
     assert_close(f.imag_part.values * 2.0 * math.pi, im, case, 1e-10)
+
+
+# ------------------------------------------------ extreme bandwidths and scales
+
+
+def powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(KERNEL_NAMES),
+    powers_of_ten(-3.0, 300.0),  # h
+    powers_of_ten(-100.0, 100.0),  # the scale of the curves
+    st.integers(2, 30),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example("parzen", 1e300, 1.0, 20, 2, 0)  # h^2 overflows
+@example("bartlett", 4.0, 1e100, 20, 2, 0)  # the plug-in's squared constants overflow
+def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale, n, g, seed):
+    sample = CurveSample(Grid(g), np.random.default_rng(seed).normal(size=(n, g)) * scale)
+    kernel = make_kernel(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for call in (estimate_lrcov, plugin_bandwidth):
+            try:
+                call(sample, kernel, h)
+            except LrcovError:
+                pass
 
 
 # ------------------------------------------------ Monte Carlo in score coordinates

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from lrcov import (
     ConfigError,
     DgpSpec,
-    DimensionError,
     Grid,
     generate,
     lag_products,
@@ -119,7 +118,7 @@ def test_truth_eigenvalues_are_those_of_the_long_run_surface():
         t = truth(spec, Grid(g))
         want = np.linalg.eigvalsh(t.c.values / g)[::-1][: len(spec.sigmas)]
         assert_allclose(t.eigen.eigenvalues, want, rtol=1e-12, atol=1e-14)
-    with pytest.raises(DimensionError):  # the 4th component would sit on the Nyquist cosine
+    with pytest.raises(ConfigError):  # the 4th component would sit on the Nyquist cosine
         truth(DgpSpec(kind="iid", sigmas=sigmas[:4]), Grid(4))
 
 
