@@ -156,17 +156,17 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     Slice k, for k = 0..max_lag, sums y[j] y[j+k]^T over j: entry (t, s) pairs
     the earlier curve at t with the later curve at s, so lag -k is the
     transpose of slice k.  Every lag-window quantity is a weighted sum of
-    these slices.
+    these slices.  A (B, N, G) stack gives (B, max_lag + 1, G, G), each as its array alone.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise DimensionError(f"lag products need an (N, G) array, got shape {y.shape}")
-    n = y.shape[0]
+    if y.ndim not in (2, 3):
+        raise DimensionError(f"lag products need an (N, G) or (B, N, G) array, got shape {y.shape}")
+    n, g = y.shape[-2:]
     if not 0 <= max_lag < n:
         raise ContractViolationError(f"max_lag must lie in [0, N), got {max_lag}")
-    out = np.empty((max_lag + 1, y.shape[1], y.shape[1]))
+    out = np.empty((*y.shape[:-2], max_lag + 1, g, g))
     for k in range(max_lag + 1):
-        out[k] = y[: n - k].T @ y[k:]
+        out[..., k, :, :] = y[..., : n - k, :].swapaxes(-1, -2) @ y[..., k:, :]
     return out
 
 
@@ -185,17 +185,29 @@ def _fft_length(n: int) -> int:
     return int(sizes[sizes >= n].min())
 
 
-def _window_sums(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _window_sums(y: np.ndarray, weights: np.ndarray | list) -> np.ndarray:
     """Sum over k of weights[r, k] y[:N-k]^T y[k:], one (G, G) slice per row r.
 
-    ``weights`` is (n_w, L+1) with L < N.  Short windows apply the rows to
-    ``lag_products``.  Long ones use A = Y^T Z, where Z[j] = sum_k w_k y[j+k]
-    is one real-FFT correlation along time, padded to at least N + L so it
-    does not wrap; the columns go through it a few at a time.
+    ``weights`` is (n_w, L+1) with L < N; a (B, N, G) stack takes it, or a list of one
+    per replication, and gives (B, n_w, G, G).  Short windows apply the rows to one
+    ``lag_products`` call.  Long ones use A = Y^T Z, where Z[j] = sum_k w_k y[j+k] is one
+    real-FFT correlation along time, padded to at least N + L so it does not wrap; the
+    columns go through it a few at a time.
     """
+    if isinstance(weights, list):  # products up to the longest short window serve every row
+        lags = [w.shape[1] - 1 for w in weights]
+        products = lag_products(y, max([k for k in lags if k < _FFT_MIN_LAG], default=0))
+        return np.stack([
+            np.tensordot(w, p[: k + 1], axes=1) if k < _FFT_MIN_LAG else _window_sums(s, w)
+            for s, w, p, k in zip(y, weights, products, lags)
+        ])
     max_lag = weights.shape[1] - 1
     if max_lag < _FFT_MIN_LAG:
-        return np.tensordot(weights, lag_products(y, max_lag), axes=1)
+        lp = lag_products(y, max_lag)
+        *stack, lags, g, _ = lp.shape
+        return (weights @ lp.reshape(*stack, lags, g * g)).reshape(*stack, len(weights), g, g)
+    if y.ndim == 3:
+        return np.stack([_window_sums(s, weights) for s in y])
     n, g = y.shape
     m = _fft_length(n + max_lag)
     w_hat = np.conj(np.fft.rfft(weights, m))
@@ -208,11 +220,11 @@ def _window_sums(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_surfaces(y: np.ndarray, weights: np.ndarray, phi: np.ndarray | None = None):
+def _window_surfaces(y: np.ndarray, weights: np.ndarray | list, phi: np.ndarray | None = None):
     """The symmetric surfaces A + A^T of the window sums A = ``_window_sums(y, weights)``.
 
-    One (G, G) surface per weight row.  When y holds (N, J) scores of the
-    basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
+    One (G, G) surface per weight row, for each array of a stack.  When y holds (N, J)
+    scores of the basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
     surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.
     """
     a = _window_sums(y, weights)
@@ -372,7 +384,7 @@ def plugin_bandwidth(
     ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
     """
     plan = _plugin_weights(kernel, pilot_h, m_trunc, sample.n_obs)
-    return _plugin_choice(_centered(sample), kernel, plan)
+    return next(_plugin_choices(_centered(sample)[None], kernel, plan))
 
 
 def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | None, n: int):
@@ -390,29 +402,26 @@ def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | N
     return ph, int(m_trunc), weights
 
 
-def _plugin_choice(
-    y: np.ndarray, kernel: KernelSpec, plan: tuple, phi: np.ndarray | None = None
-) -> BandwidthSelection:
-    """The plug-in bandwidth of centered data y under ``plan``, from ``_plugin_weights``.
+def _plugin_choices(y: np.ndarray, kernel: KernelSpec, plan: tuple, phi=None):
+    """Yield the plug-in bandwidth of each replication in a stack y, under ``_plugin_weights``' plan.
 
-    y is an (N, G) sample, or (N, J) scores of the basis ``phi`` as in
-    ``_window_surfaces``.  Data that is zero everywhere is refused before the
-    pilot's rate warning.
+    y stacks centered (N, G) samples, or (N, J) scores of the basis ``phi`` as in
+    ``_window_surfaces``.  Data that is zero everywhere is refused before the pilot's rate warning.
     """
     pilot_h, m_trunc, weights = plan
-    n = y.shape[0]
-    if float(np.max(np.abs(y))) == 0.0:
+    n = y.shape[1]
+    if not np.all(np.max(np.abs(y), axis=(1, 2))):
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
     _warn_rate(kernel, pilot_h, n)
-    pilot, bias = _window_surfaces(y, weights, phi)
-    grid = Grid(pilot.shape[0])
-    bias = Surface(grid, kernel.char_coefficient * bias)
-    sel = optimal_bandwidth(Surface(grid, pilot), bias, kernel, n)
-    h = sel.bandwidth.h
-    lo, hi = 1.0, n / 2.0
-    clamped = not lo <= h <= hi
-    h = min(max(h, lo), hi)
-    return replace(sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=pilot_h, m_trunc=m_trunc)
+    for pilot, bias in _window_surfaces(y, weights, phi):
+        grid = Grid(pilot.shape[0])
+        bias = Surface(grid, kernel.char_coefficient * bias)
+        sel = optimal_bandwidth(Surface(grid, pilot), bias, kernel, n)
+        h = sel.bandwidth.h
+        lo, hi = 1.0, n / 2.0
+        clamped = not lo <= h <= hi
+        h = min(max(h, lo), hi)
+        yield replace(sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=pilot_h, m_trunc=m_trunc)
 
 
 def project_psd(est: LrcovEstimate) -> LrcovEstimate:

@@ -2,17 +2,17 @@
 
 Every statistic draws its replications through one driver: consecutive blocks
 of at most 64 replications, run in-process at one worker or on one process
-pool, come back in replication order.  Replication r draws from the PCG64
-stream of (master_seed, r) and the parent takes the results in replication
-order, so a report is bit-identical for any worker count.  A block's warnings
-come back with its results and are raised again in the parent.  Estimation
-error is always centered at the across-replication mean, never at the truth,
-so bias never masquerades as variance.
+pool, come back in replication order, and a block's warnings are raised again in
+the parent.  Estimation error is always centered at the across-replication mean,
+never at the truth, so bias never masquerades as variance.
 
-Replications run in score coordinates.  Every sample is its (N, J) scores times
-the basis phi, which is orthonormal under the midpoint rule, so a lag-window sum
-of the sample is exactly phi^T A phi for the same sum A of the scores: each lag
-costs J^2 instead of G^2.
+A block works in score coordinates, on (B, N, J) stacks of at most STACK_BYTES of
+draws.  A sample is its scores times the basis phi, orthonormal under the midpoint
+rule, so a lag-window sum of it is exactly phi^T A phi for the same sum A of the
+scores: each lag costs J^2 instead of G^2, in one batched product per stack.
+Replication r fills its rows from the PCG64 stream of (master_seed, r), and every
+later step rounds each replication's numbers alone, in a lone draw's order, so a
+report is bit-identical for any stack size and worker count.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared
@@ -45,7 +45,7 @@ from .estimator import (
     CurveSample,
     _as_h,
     _lag_weights,
-    _plugin_choice,
+    _plugin_choices,
     _plugin_weights,
     _pow,
     _warn_rate,
@@ -58,7 +58,7 @@ from .fpca import eigendecompose  # noqa: F401  perfbench traces lrcov.mc.eigend
 from .grid import Grid, Surface, fourier_basis
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
-from .simulate import DgpSpec, _scores, replication_rng, truth
+from .simulate import FAR1_BURN_IN, DgpSpec, _scores, replication_rng, truth
 from .simulate import generate  # noqa: F401  perfbench traces lrcov.mc.generate
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
 
 WORKER_ENV_VAR = "LRCOV_THREADS"
 KS_MIN_VALUES = 8
+STACK_BYTES = 2**20  # a sub-stack's score draw, burn-in included, stays near this size
 
 
 @dataclass(frozen=True)
@@ -371,12 +372,18 @@ def _pooled(worker, job, replications: int, workers: int):
             yield result
 
 
-def _draw_scores(spec: ExperimentSpec, r: int, centered: bool = True) -> np.ndarray:
-    """Replication r's (N, J) scores (``simulate._scores``), centered over time by default."""
-    s = _scores(spec.dgp, spec.n_obs, replication_rng(spec.master_seed, r))
-    if not np.all(np.isfinite(s)):
-        raise DimensionError("sample contains non-finite values")
-    return s - s.mean(axis=0) if centered else s
+def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
+    """Yield each slice of ``reps`` that fits ``STACK_BYTES`` and its (b, N, J) ``_scores``."""
+    size = max(1, STACK_BYTES // (8 * (spec.n_obs + FAR1_BURN_IN) * len(spec.dgp.sigmas)))
+    for a in range(0, len(reps), size):
+        rows = slice(a, a + size)
+        s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r) for r in reps[rows]])
+        if not np.all(np.isfinite(s)):
+            raise DimensionError("sample contains non-finite values")
+        if centered:
+            s -= s.mean(axis=1, keepdims=True)
+        yield rows, s
+        del s  # with the caller's, one sub-stack at a time is alive
 
 
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
@@ -393,15 +400,17 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     surfaces = np.empty((count, g, g))
     if rule.kind == "plugin":
         plan = _plugin_weights(kernel, h[0], rule.m_trunc, n)
-    for i, r in enumerate(reps):
-        s = _draw_scores(spec, r)
+    for rows, s in _score_stacks(spec, reps):
         if rule.kind == "plugin":
-            sel = _plugin_choice(s, kernel, plan, phi)
-            h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
-        if i == 0 or rule.kind == "plugin":  # a fixed or power h does not depend on the sample
-            _warn_rate(kernel, _as_h(h[i]), n)
-            weights = _lag_weights(kernel, [h[i]], n, unbiased=False)
-        surfaces[i] = _window_surfaces(s, weights, phi)[0]
+            for i, sel in zip(range(count)[rows], _plugin_choices(s, kernel, plan, phi)):
+                h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
+                _warn_rate(kernel, _as_h(h[i]), n)
+            weights = [_lag_weights(kernel, [v], n, unbiased=False) for v in h[rows]]
+        elif rows.start == 0:  # a fixed or power h does not depend on the sample
+            _warn_rate(kernel, _as_h(h[0]), n)
+            weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
+        surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
+        del s  # before the next sub-stack is drawn
     # one np.sum per row: a product with the whole block would round by block size
     projs = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
     n_levels = max(spec.eigen_levels, default=0)
@@ -409,11 +418,15 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     return h, projs, lams[:, :n_levels], funcs[:, :n_levels], clamped, fallback
 
 
-def _window_estimates(job: tuple, reps: range) -> list:
+def _window_estimates(job: tuple, reps: range) -> np.ndarray:
     """Each replication's (n_h, G, G) window estimates, one per row of the lag weights."""
     spec, weights, centered = job
-    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
-    return [_window_surfaces(_draw_scores(spec, r, centered), weights, phi) for r in reps]
+    phi, g = fourier_basis(spec.grid, len(spec.dgp.sigmas)), spec.grid.n_points
+    out = np.empty((len(reps), len(weights), g, g))
+    for rows, s in _score_stacks(spec, reps, centered):
+        out[rows] = _window_surfaces(s, weights, phi)
+        del s  # before the next sub-stack is drawn
+    return out
 
 
 def run_experiment(spec: ExperimentSpec) -> McReport:

@@ -113,30 +113,28 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) -> CurveSample:
     """Draw a mean-zero sample of ``n_obs`` curves from the process."""
-    return CurveSample(grid, _scores(spec, n_obs, rng) @ fourier_basis(grid, len(spec.sigmas)))
+    return CurveSample(grid, _scores(spec, n_obs, [rng])[0] @ fourier_basis(grid, len(spec.sigmas)))
 
 
-def _scores(spec: DgpSpec, n_obs: int, rng: np.random.Generator) -> np.ndarray:
-    """The ``(n_obs, J)`` sigma-scaled scores that ``generate`` maps onto the grid."""
+def _scores(spec: DgpSpec, n_obs: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The sigma-scaled scores that ``generate`` maps onto the grid: (B, n_obs, J), one per stream."""
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
-    j = len(spec.sigmas)
-    main = rng.standard_normal((n_obs, j))
-    if spec.kind == "far1":
-        # rows in time order, burn-in first; the recursion starts from zero before row 0
-        scores = np.vstack([rng.standard_normal((FAR1_BURN_IN, j)), main])
-        for t in range(1, len(scores)):
-            scores[t] += spec.rho * scores[t - 1]
-        scores = scores[FAR1_BURN_IN:]
-    else:  # a moving average; iid is the one with theta = ()
-        scores, m = main, len(spec.theta)
-        if m:
-            pre = rng.standard_normal((m, j))
-            full = np.vstack([pre, main])  # rows in time order, oldest first
-            scores = main.copy()
-            for k, coef in enumerate(spec.theta, start=1):
-                scores += coef * full[m - k : m - k + n_obs]
-    return scores * spec.sigmas
+    pre = FAR1_BURN_IN if spec.kind == "far1" else len(spec.theta)
+    full = np.empty((len(rngs), pre + n_obs, len(spec.sigmas)))  # rows in time order, oldest first
+    for rng, rows in zip(rngs, full):
+        rng.standard_normal(out=rows[pre:])
+        rng.standard_normal(out=rows[:pre])
+    if spec.kind == "far1":  # from zero before the burn-in, on contiguous (B, J) time steps
+        steps = np.ascontiguousarray(full.swapaxes(0, 1))
+        for prev, cur in zip(steps, steps[1:]):
+            cur += spec.rho * prev
+        full[...] = steps.swapaxes(0, 1)
+    scores = full[:, pre:]
+    for k, coef in enumerate(spec.theta, start=1):  # numpy sums into the product's buffer
+        scores = coef * full[:, pre - k : pre - k + n_obs] + scores
+    # a fresh array unless the sum above made one, so that no burn-in rows stay alive
+    return np.multiply(scores, spec.sigmas, out=scores if spec.theta else None)
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:

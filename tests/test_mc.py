@@ -25,8 +25,10 @@ from lrcov import (
     estimate_lrcov,
     generate,
     ks_distance,
+    lag_products,
     make_kernel,
     mse_curve,
+    optimal_bandwidth,
     plugin_bandwidth,
     predicted_projection_variance,
     replication_rng,
@@ -34,10 +36,11 @@ from lrcov import (
     sample_moments,
     truth,
 )
-from lrcov import io
+from lrcov import io, mc
 from lrcov.estimator import (
-    _lag_weights, _plugin_choice, _plugin_weights, _window_sums, _window_surfaces,
+    _lag_weights, _plugin_choices, _plugin_weights, _window_sums, _window_surfaces,
 )
+from lrcov.fpca import _eigen_stack
 from lrcov.grid import fourier_basis
 from lrcov.mc import _pooled
 from lrcov.simulate import _scores
@@ -340,9 +343,9 @@ def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
     plan = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
     for r in range(s.replications):
         # the oracle: one replication at a time in score coordinates, in this process
-        scores = _scores(s.dgp, s.n_obs, replication_rng(s.master_seed, r))
+        scores = _scores(s.dgp, s.n_obs, [replication_rng(s.master_seed, r)])[0]
         scores = scores - scores.mean(axis=0)
-        h = _plugin_choice(scores, s.kernel, plan, phi).bandwidth.h
+        h = next(_plugin_choices(scores[None], s.kernel, plan, phi)).bandwidth.h
         weights = _lag_weights(s.kernel, [h], s.n_obs, False)
         lams = eigendecompose(Surface(s.grid, _window_surfaces(scores, weights, phi)[0])).eigenvalues
         want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
@@ -398,7 +401,7 @@ def serial_window_estimates(spec, weights, replications, centered):
     """
     phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
     for r in range(replications):
-        s = _scores(spec.dgp, spec.n_obs, replication_rng(spec.master_seed, r))
+        s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r)])[0]
         a = phi.T @ _window_sums(s - s.mean(axis=0) if centered else s, weights) @ phi
         est = a + a.transpose(0, 2, 1)
         y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
@@ -675,3 +678,129 @@ def test_report_json_is_byte_identical_to_hand_written_fields(tmp_path):
     # plain json can write both as they are: no numpy scalars, no raw samples
     assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(mc, sort_keys=True)
     assert json.dumps(bias.to_dict(), sort_keys=True) == json.dumps(bias_dict, sort_keys=True)
+
+
+def oracle_surfaces(s, weights, phi):
+    """phi^T (A + A^T) phi for one replication's (N, J) scores, from 2-D lag products alone."""
+    lags = weights.shape[1] - 1
+    a = np.tensordot(weights, lag_products(s, lags), axes=1) if lags < 64 else _window_sums(s, weights)
+    a = phi.T @ a @ phi
+    return a + a.transpose(0, 2, 1)
+
+
+def oracle_scores(spec, r, centered=True):
+    """Replication r's (N, J) scores, drawn alone (B = 1)."""
+    s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r)])[0]
+    assert np.all(np.isfinite(s))
+    return s - s.mean(axis=0) if centered else s
+
+
+def oracle_replicate_range(spec, reps):
+    """``mc._replicate_range`` one replication at a time: draw, choose h, estimate."""
+    kernel, n, rule, g = spec.kernel, spec.n_obs, spec.h_rule, spec.grid.n_points
+    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
+    hs, clamped, fallback, surfaces = [], [], [], []
+    for r in reps:
+        s, h, sel = oracle_scores(spec, r), rule._rule_h(n, kernel), None
+        if rule.kind == "plugin":
+            pilot, bias = oracle_surfaces(s, _plugin_weights(kernel, h, rule.m_trunc, n)[2], phi)
+            sel = optimal_bandwidth(
+                Surface(spec.grid, pilot), Surface(spec.grid, kernel.char_coefficient * bias), kernel, n
+            )
+            h = min(max(sel.bandwidth.h, 1.0), n / 2.0)
+        hs.append(h)
+        clamped.append(sel is not None and h != sel.bandwidth.h)
+        fallback.append(sel is not None and sel.fallback)
+        surfaces.append(oracle_surfaces(s, _lag_weights(kernel, [h], n, False), phi)[0])
+    surfaces = np.array(surfaces)
+    projs = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
+    levels = max(spec.eigen_levels, default=0)
+    lams, funcs = _eigen_stack(surfaces) if levels else (np.empty((len(reps), 0)),) * 2
+    return np.array(hs), projs, lams[:, :levels], funcs[:, :levels], np.array(clamped), np.array(fallback)
+
+
+def oracle_window_estimates(job, reps):
+    spec, weights, centered = job
+    phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
+    return [oracle_surfaces(oracle_scores(spec, r, centered), weights, phi) for r in reps]
+
+
+KINDS = {
+    "iid": DgpSpec(kind="iid", sigmas=(1.0, 0.6, 0.3)),
+    "fma": DgpSpec(kind="fma", sigmas=(1.0, 0.6, 0.3), theta=(0.5, -0.3)),
+    "far1": DgpSpec(kind="far1", sigmas=(1.0, 0.6, 0.3), rho=0.6),
+}
+RULES = {"fixed": "6", "power": "power:1,0.3333333333333333", "plugin": "plugin"}
+
+
+def stacked_and_oracle(monkeypatch, run, spec):
+    """``run`` of spec at workers 1 and 2, and of the per-replication oracle in this process."""
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short windows and plug-in clamps trip the rate warnings
+        got = [run(replace(spec, workers=w)) for w in (1, 2)]
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_replicate_range", oracle_replicate_range)
+            m.setattr(mc, "_window_estimates", oracle_window_estimates)
+            want = run(replace(spec, workers=1))
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "kind, rule, n_obs, kernel",
+    [(k, rule, 150, "bartlett") for k in KINDS for rule in RULES.values()]
+    + [
+        ("iid", "fixed:70", 150, "parzen"),  # a long window: the FFT path, once per replication
+        ("fma", "power:1,0.3333333333333333", 2000, "bartlett"),  # blocks split into sub-stacks
+        ("far1", "plugin:8", 40, "parzen"),  # a plug-in h clamped to N/2
+    ],
+)
+def test_stacked_replications_match_a_per_replication_loop_bit_for_bit(
+    monkeypatch, kind, rule, n_obs, kernel
+):
+    # batched matmul agreeing bit for bit with one product per replication is a
+    # property of the BLAS build, so the block path is held to it here
+    spec = ExperimentSpec(
+        dgp=KINDS[kind], kernel=make_kernel(kernel), n_obs=n_obs, grid=Grid(5),
+        h_rule=BandwidthRule.parse(rule), replications=40,
+        projections=(Surface(Grid(5), np.ones((5, 5))),), eigen_levels=(1, 2), master_seed=23,
+    )
+    got, want = stacked_and_oracle(monkeypatch, run_experiment, spec)
+    assert canonical(got[0]) == canonical(got[1]) == canonical(want)
+    if rule == "plugin:8":
+        assert want.h_clamped > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_h_grids_match_a_per_replication_loop_bit_for_bit(monkeypatch, kind):
+    spec = ExperimentSpec(
+        dgp=KINDS[kind], kernel=make_kernel("parzen"), n_obs=150, grid=Grid(5),
+        h_rule=BandwidthRule("fixed", value=4.0), replications=70, master_seed=31,
+    )
+    bias = functools.partial(bias_rate_check, h_values=[2.0, 4.0, 8.0], replications=70)
+    got, want = stacked_and_oracle(monkeypatch, lambda s: bias(s).to_dict(), spec)
+    assert json.dumps(got[0]) == json.dumps(got[1]) == json.dumps(want)
+    mse = functools.partial(mse_curve, h_values=[2.0, 5.0, 70.0], replications=70)  # 70: FFT
+    got, want = stacked_and_oracle(monkeypatch, lambda s: np.array(mse(s)).tobytes(), spec)
+    assert got[0] == got[1] == want
+
+
+@pytest.mark.parametrize("rule", ["power:1,0.5", "plugin"])
+def test_reports_do_not_depend_on_the_sub_stack_size(monkeypatch, rule):
+    # one replication per sub-stack against the default, which holds a whole block here
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    spec = ExperimentSpec(
+        dgp=KINDS["fma"], kernel=make_kernel("parzen"), n_obs=100, grid=Grid(4),
+        h_rule=BandwidthRule.parse(rule), replications=24,
+        projections=(Surface(Grid(4), np.ones((4, 4))),), eigen_levels=(1, 2), master_seed=3,
+    )
+    reports = []
+    for budget in (mc.STACK_BYTES, 1):
+        monkeypatch.setattr(mc, "STACK_BYTES", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short samples trip the rate warnings
+            reports.append((
+                canonical(run_experiment(spec)),
+                json.dumps(bias_rate_check(spec, [2.0, 3.0, 5.0], 24).to_dict()),
+            ))
+    assert reports[0] == reports[1]

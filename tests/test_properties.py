@@ -32,6 +32,7 @@ from lrcov import (
     truth,
 )
 from lrcov import estimator, mc
+from lrcov.simulate import _scores
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -430,3 +431,39 @@ def test_score_path_matches_the_library_on_the_generated_sample(case):
                 assert abs(got_proj[r, j] - want) <= 1e-10 * scale * np.max(np.abs(f.values))
             lam = eigendecompose(Surface(spec.grid, est)).eigenvalues[: len(spec.eigen_levels)]
             assert float(np.max(np.abs(got_lam[r] - lam))) <= 1e-10 * scale
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["iid", "fma", "far1"]),
+    st.integers(2, 60),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_score_stack_holds_each_streams_single_draw(kind, n, j, b, seed):
+    rng = np.random.default_rng(seed)
+    extra = {
+        "iid": {},
+        "fma": {"theta": tuple(rng.uniform(-1.0, 1.0, int(rng.integers(1, 4))))},
+        "far1": {"rho": float(rng.uniform(-0.9, 0.9))},
+    }[kind]
+    spec = DgpSpec(kind, tuple(rng.uniform(0.1, 2.0, j)), **extra)
+    stack = _scores(spec, n, [replication_rng(seed, r) for r in range(b)])
+    assert stack.shape == (b, n, j)
+    for r in range(b):
+        assert stack[r].tobytes() == _scores(spec, n, [replication_rng(seed, r)])[0].tobytes()
+
+
+def test_per_replication_windows_of_a_stack_match_each_replication_alone():
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((4, 200, 3))
+    weights = [rng.standard_normal((1, lags + 1)) for lags in (0, 12, 80, 7)]  # 80: the FFT path
+    got = estimator._window_sums(y, weights)
+    for s, w, a in zip(y, weights, got):
+        lags = w.shape[1] - 1
+        if lags < 64:
+            want = np.tensordot(w, estimator.lag_products(s, lags), axes=1)
+        else:
+            want = estimator._window_sums(s, w)
+        assert a.tobytes() == want.tobytes()

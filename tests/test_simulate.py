@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,8 @@ from lrcov import (
     replication_rng,
     truth,
 )
+from lrcov.grid import fourier_basis
+from lrcov.simulate import _scores
 
 G8 = Grid(8)
 NOISE2 = (1.0, 0.5)
@@ -199,3 +203,38 @@ def test_dgp_from_dict_validation():
 def test_generate_requires_two_observations():
     with pytest.raises(ConfigError):
         generate(DgpSpec(kind="iid", sigmas=NOISE2), 1, G8, replication_rng(0, 0))
+
+
+# sha256 of the draws before blocks shared one score stack: samples on Grid(1),
+# whose basis map multiplies by 1.0 on any BLAS, and three-component scores
+DRAW_DIGESTS = {
+    "iid": (
+        "5575b44bc73ef7ed4a13f57c28869ffe3b9e811e0b0f0d7139c8c84cd4d8e124",
+        "524417ab80ecec82fa05ab5fe0467b01f52274ef07539da7e2e5fc3c7a05fa35",
+    ),
+    "fma": (
+        "6b4cb69d7b9c9bff778d7fe774a93ed83ccb68c955247a168ff93fc8bfb3e21c",
+        "41c0e0fde0a2973705f3cf87636bb0653497ccc8b4da2cab6fae7c00c51c25f5",
+    ),
+    "far1": (
+        "8ed007062cf2d0d14acb38f63177b419ad9b0a83562f4a1b847eabacb6562c94",
+        "25007504290111ccc15ba3ea829f31861c03b05aab609e449b6410a4a6727da0",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DRAW_DIGESTS)
+def test_generate_keeps_its_bytes(kind):
+    extra = {"iid": {}, "fma": {"theta": (0.5, -0.3)}, "far1": {"rho": 0.7}}[kind]
+    samples, scores = hashlib.sha256(), hashlib.sha256()
+    for n in (2, 57, 400):
+        drawn = generate(DgpSpec(kind, (1.5,), **extra), n, Grid(1), replication_rng(13, n))
+        samples.update(drawn.values.tobytes())
+        spec = DgpSpec(kind, (1.0, 0.6, 0.3), **extra)
+        scores.update(_scores(spec, n, [replication_rng(13, n)]).tobytes())
+    assert (samples.hexdigest(), scores.hexdigest()) == DRAW_DIGESTS[kind]
+    # and generate is the basis map of those scores on any grid
+    spec = DgpSpec(kind, (1.0, 0.6, 0.3), **extra)
+    drawn = generate(spec, 57, G8, replication_rng(13, 57)).values
+    mapped = _scores(spec, 57, [replication_rng(13, 57)])[0] @ fourier_basis(G8, 3)
+    assert drawn.tobytes() == mapped.tobytes()
