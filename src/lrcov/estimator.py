@@ -157,6 +157,9 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     the earlier curve at t with the later curve at s, so lag -k is the
     transpose of slice k.  Every lag-window quantity is a weighted sum of
     these slices.  A (B, N, G) stack gives (B, max_lag + 1, G, G), each as its array alone.
+    Each lag is one product of the transposed series, y^T[:, :N-k] (y^T[:, k:])^T, so a
+    stack stored component-major, as a (B, N, G) view of a (B, G, N) array, reads every
+    series contiguously.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (2, 3):
@@ -164,9 +167,10 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     n, g = y.shape[-2:]
     if not 0 <= max_lag < n:
         raise ContractViolationError(f"max_lag must lie in [0, N), got {max_lag}")
+    yt = y.swapaxes(-1, -2)
     out = np.empty((*y.shape[:-2], max_lag + 1, g, g))
     for k in range(max_lag + 1):
-        out[..., k, :, :] = y[..., : n - k, :].swapaxes(-1, -2) @ y[..., k:, :]
+        out[..., k, :, :] = yt[..., : n - k] @ yt[..., k:].swapaxes(-1, -2)
     return out
 
 

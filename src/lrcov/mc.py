@@ -1,18 +1,20 @@
 """Monte Carlo verification harness for the distributional claims.
 
-Every statistic draws its replications through one driver: consecutive blocks
-of at most 64 replications, run in-process at one worker or on one process
-pool, come back in replication order, and a block's warnings are raised again in
-the parent.  Estimation error is always centered at the across-replication mean,
-never at the truth, so bias never masquerades as variance.
+Every statistic draws its replications through one driver: consecutive blocks,
+about four per worker, run in-process at one worker or on one process pool, come
+back in replication order, and each distinct warning of the blocks is raised again
+once in the parent.  Estimation error is always centered at the across-replication
+mean, never at the truth, so bias never masquerades as variance.
 
-A block works in score coordinates, on (B, N, J) stacks of at most STACK_BYTES of
-draws.  A sample is its scores times the basis phi, orthonormal under the midpoint
-rule, so a lag-window sum of it is exactly phi^T A phi for the same sum A of the
-scores: each lag costs J^2 instead of G^2, in one batched product per stack.
-Replication r fills its rows from the PCG64 stream of (master_seed, r), and every
-later step rounds each replication's numbers alone, in a lone draw's order, so a
-report is bit-identical for any stack size and worker count.
+A block works in score coordinates, on stacks of at most STACK_BYTES of draws,
+stored component-major (B, J, N) so that each score series is contiguous in time
+and handed on as a (B, N, J) view.  A sample is its scores times the basis phi,
+orthonormal under the midpoint rule, so a lag-window sum of it is exactly
+phi^T A phi for the same sum A of the scores: each lag costs J^2 instead of G^2,
+in one batched product per stack.  Replication r fills its rows from the PCG64
+stream of (master_seed, r), and every later step rounds each replication's numbers
+alone, as a stack of one would, so a report is bit-identical for any block size,
+stack size and worker count.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared
@@ -77,6 +79,7 @@ __all__ = [
 WORKER_ENV_VAR = "LRCOV_THREADS"
 KS_MIN_VALUES = 8
 STACK_BYTES = 2**20  # a sub-stack's score draw, burn-in included, stays near this size
+BLOCK_DOUBLES = 2**20  # 8 MB: a block's results may reach it when 64 replications stay below
 
 
 @dataclass(frozen=True)
@@ -354,26 +357,43 @@ def _recorded(worker, job, reps: range) -> tuple:
     return result, list(dict.fromkeys((w.category, str(w.message)) for w in caught))
 
 
-def _pooled(worker, job, replications: int, workers: int):
+def _block_size(replications: int, workers: int, row_doubles: int) -> int:
+    """Replications per block: ceil(R / (4 workers)), so about four blocks per worker.
+
+    A replication returns ``row_doubles`` doubles of surfaces, and a block's stay
+    within the larger of 64 replications' and BLOCK_DOUBLES.
+    """
+    return min(-(-replications // (4 * workers)), max(64, BLOCK_DOUBLES // row_doubles))
+
+
+def _pooled(worker, job, replications: int, workers: int, row_doubles: int):
     """Yield ``worker(job, reps)`` for consecutive blocks of replications, in order.
 
-    A block holds min(64, ceil(R / workers)) replications, so a small run still
-    reaches every worker.  One worker runs the blocks in-process.  Each block's
-    warnings are raised again here, so the caller's filters see them the same
-    way under every start method.
+    Blocks hold ``_block_size`` replications, so a small run still reaches every
+    worker and a large one sends few tasks through the pool.  One worker runs the
+    blocks in-process.  Each distinct warning of the blocks is raised again here
+    once, so the caller's filters see it the same way under every start method and
+    block count.
     """
-    size = min(64, -(-replications // workers))
+    size = _block_size(replications, workers, row_doubles)
     blocks = [range(a, min(a + size, replications)) for a in range(0, replications, size)]
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(_recorded, repeat(worker), repeat(job), blocks)
+        raised = set()
         for result, caught in results:
             for category, message in caught:
-                warnings.warn(message, category)
+                if (category, message) not in raised:
+                    raised.add((category, message))
+                    warnings.warn(message, category)
             yield result
 
 
 def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
-    """Yield each slice of ``reps`` that fits ``STACK_BYTES`` and its (b, N, J) ``_scores``."""
+    """Yield each slice of ``reps`` that fits ``STACK_BYTES`` and its scores as (b, N, J).
+
+    The stack is a view of the (b, J, N) ``_scores`` buffer, centred along its contiguous
+    time axis, so that each score series stays contiguous for ``lag_products``.
+    """
     size = max(1, STACK_BYTES // (8 * (spec.n_obs + FAR1_BURN_IN) * len(spec.dgp.sigmas)))
     for a in range(0, len(reps), size):
         rows = slice(a, a + size)
@@ -381,8 +401,8 @@ def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
         if not np.all(np.isfinite(s)):
             raise DimensionError("sample contains non-finite values")
         if centered:
-            s -= s.mean(axis=1, keepdims=True)
-        yield rows, s
+            s -= s.mean(axis=2, keepdims=True)
+        yield rows, s.swapaxes(1, 2)
         del s  # with the caller's, one sub-stack at a time is alive
 
 
@@ -436,7 +456,8 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     # refuse inseparable eigen levels before any replication runs
     msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
     workers = _effective_workers(spec.workers, spec.replications)
-    blocks = list(_pooled(_replicate_range, spec, spec.replications, workers))
+    row_doubles = spec.grid.n_points**2
+    blocks = list(_pooled(_replicate_range, spec, spec.replications, workers, row_doubles))
     h_arr, a, lams, vhats, clamped, fallback = (np.concatenate(p) for p in zip(*blocks))
 
     n = spec.n_obs
@@ -545,7 +566,8 @@ def _checked_h_grid(h_values, replications: int, min_h: int, min_reps: int) -> l
 def _h_grid_estimates(spec: ExperimentSpec, weights: np.ndarray, replications: int, centered: bool):
     """Each replication's (n_h, G, G) window estimates, in replication order, from the pool."""
     job, workers = (spec, weights, centered), _effective_workers(spec.workers, replications)
-    return chain.from_iterable(_pooled(_window_estimates, job, replications, workers))
+    row_doubles = len(weights) * spec.grid.n_points**2
+    return chain.from_iterable(_pooled(_window_estimates, job, replications, workers, row_doubles))
 
 
 def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRateReport:

@@ -113,11 +113,14 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) -> CurveSample:
     """Draw a mean-zero sample of ``n_obs`` curves from the process."""
-    return CurveSample(grid, _scores(spec, n_obs, [rng])[0] @ fourier_basis(grid, len(spec.sigmas)))
+    return CurveSample(grid, _scores(spec, n_obs, [rng])[0].T @ fourier_basis(grid, len(spec.sigmas)))
 
 
 def _scores(spec: DgpSpec, n_obs: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """The sigma-scaled scores that ``generate`` maps onto the grid: (B, n_obs, J), one per stream."""
+    """The sigma-scaled scores that ``generate`` maps onto the grid: (B, J, n_obs), one per stream.
+
+    Each score series is contiguous in time, written once from the draws.
+    """
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
     pre = FAR1_BURN_IN if spec.kind == "far1" else len(spec.theta)
@@ -129,12 +132,12 @@ def _scores(spec: DgpSpec, n_obs: int, rngs: list[np.random.Generator]) -> np.nd
         steps = np.ascontiguousarray(full.swapaxes(0, 1))
         for prev, cur in zip(steps, steps[1:]):
             cur += spec.rho * prev
-        full[...] = steps.swapaxes(0, 1)
+        full = steps.swapaxes(0, 1)  # the time-major steps, read below as they lie
     scores = full[:, pre:]
     for k, coef in enumerate(spec.theta, start=1):  # numpy sums into the product's buffer
         scores = coef * full[:, pre - k : pre - k + n_obs] + scores
-    # a fresh array unless the sum above made one, so that no burn-in rows stay alive
-    return np.multiply(scores, spec.sigmas, out=scores if spec.theta else None)
+    out = np.empty((len(rngs), len(spec.sigmas), n_obs))
+    return np.multiply(scores.swapaxes(1, 2), np.asarray(spec.sigmas)[:, None], out=out)
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:

@@ -321,7 +321,7 @@ def test_run_experiment_worker_determinism():
 
 
 def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
-    # R = 10 over 4 workers: blocks of 3, 3, 3 and 1 replications.  With a
+    # R = 13 over 3 workers: six blocks of 2 replications and one of 1.  With a
     # plug-in h each row's scale depends on its own sample, so a misplaced
     # eigenvalue or eigenfunction row changes the report.
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
@@ -332,22 +332,22 @@ def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
         h_rule=BandwidthRule("plugin", pilot_h=3.0),
         projections=(Surface(Grid(4), np.ones((4, 4))),),
         eigen_levels=(1, 2),
-        replications=10,
+        replications=13,
     )
-    pooled = run_experiment(spec(workers=4))
-    assert pooled.workers == 4
+    pooled = run_experiment(spec(workers=3))
+    assert pooled.workers == 3
     assert canonical(pooled) == canonical(run_experiment(spec()))
     s = spec()
     t = truth(s.dgp, s.grid, s.kernel)
     phi = fourier_basis(s.grid, 2)
     plan = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
     for r in range(s.replications):
-        # the oracle: one replication at a time in score coordinates, in this process
-        scores = _scores(s.dgp, s.n_obs, [replication_rng(s.master_seed, r)])[0]
-        scores = scores - scores.mean(axis=0)
-        h = next(_plugin_choices(scores[None], s.kernel, plan, phi)).bandwidth.h
+        # the oracle: one replication at a time, a stack of one in score coordinates
+        scores = oracle_scores(s, r)
+        h = next(_plugin_choices(scores, s.kernel, plan, phi)).bandwidth.h
         weights = _lag_weights(s.kernel, [h], s.n_obs, False)
-        lams = eigendecompose(Surface(s.grid, _window_surfaces(scores, weights, phi)[0])).eigenvalues
+        surface = _window_surfaces(scores, weights, phi)[0, 0]
+        lams = eigendecompose(Surface(s.grid, surface)).eigenvalues
         want = math.sqrt(s.n_obs / h) * (lams[:2] - t.eigen.eigenvalues[:2])
         assert pooled.eigen_error_samples[r].tobytes() == want.tobytes()
         # and the library's grid-space path, to rounding
@@ -384,25 +384,30 @@ def block_of(job, reps):
 
 
 def test_pooled_blocks_come_back_in_replication_order():
-    # a block is min(64, ceil(R / workers)) replications long
-    assert list(_pooled(block_of, "job", 10, 4)) == [
-        ("job", range(0, 3)), ("job", range(3, 6)), ("job", range(6, 9)), ("job", range(9, 10))
+    # a block is ceil(R / (4 workers)) replications long, at most the larger of 64
+    # replications and 2**20 doubles of results
+    assert list(_pooled(block_of, "job", 10, 2, 1)) == [
+        ("job", range(0, 2)), ("job", range(2, 4)), ("job", range(4, 6)), ("job", range(6, 8)),
+        ("job", range(8, 10)),
     ]
-    for workers in (1, 2):
-        blocks = [reps for _, reps in _pooled(block_of, None, 300, workers)]
-        assert blocks == [range(a, min(a + 64, 300)) for a in range(0, 300, 64)]
+    for workers, row_doubles, size in ((1, 1, 75), (2, 1, 38), (1, 2**16, 64), (3, 2**14, 25)):
+        blocks = [reps for _, reps in _pooled(block_of, None, 300, workers, row_doubles)]
+        assert blocks == [range(a, min(a + size, 300)) for a in range(0, 300, size)]
+    assert mc._block_size(6000, 2, 1) == 750  # the scalar A2 config: eight blocks
+    assert mc._block_size(6000, 2, 256) == 750  # 750 G = 16 surfaces: 1.5 MB
+    assert mc._block_size(6000, 2, 64**2) == 256  # 8 MB of G = 64 surfaces
+    assert mc._block_size(6000, 2, 128**2) == 64  # 64 replications, as many as before
 
 
 def serial_window_estimates(spec, weights, replications, centered):
     """Each replication's h-grid estimates from one serial loop in this process (the oracle).
 
-    It works in score coordinates, as the pool does, and checks each estimate
-    against the same window sums of the sample on the grid.
+    It works on stacks of one in score coordinates, as the pool does, and checks
+    each estimate against the same window sums of the sample on the grid.
     """
     phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
     for r in range(replications):
-        s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r)])[0]
-        a = phi.T @ _window_sums(s - s.mean(axis=0) if centered else s, weights) @ phi
+        a = phi.T @ _window_sums(oracle_scores(spec, r, centered), weights)[0] @ phi
         est = a + a.transpose(0, 2, 1)
         y = generate(spec.dgp, spec.n_obs, spec.grid, replication_rng(spec.master_seed, r)).values
         a = _window_sums(y - y.mean(axis=0) if centered else y, weights)
@@ -412,7 +417,7 @@ def serial_window_estimates(spec, weights, replications, centered):
 
 
 def test_h_grid_checks_match_a_serial_loop_at_any_worker_count(monkeypatch):
-    # 150 replications: blocks of 64, 64 and 22 at one or two workers, 38 at four
+    # 150 replications: blocks of 38 at one worker, 19 at two and 10 at four
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
     spec = scalar_experiment(
         dgp=DgpSpec(kind="fma", sigmas=(1.0, 0.5), theta=(0.5,)),
@@ -681,18 +686,23 @@ def test_report_json_is_byte_identical_to_hand_written_fields(tmp_path):
 
 
 def oracle_surfaces(s, weights, phi):
-    """phi^T (A + A^T) phi for one replication's (N, J) scores, from 2-D lag products alone."""
+    """phi^T (A + A^T) phi for a stack of one replication's scores, from its lag products alone."""
     lags = weights.shape[1] - 1
-    a = np.tensordot(weights, lag_products(s, lags), axes=1) if lags < 64 else _window_sums(s, weights)
+    if lags < 64:
+        a = np.tensordot(weights, lag_products(s, lags)[0], axes=1)
+    else:
+        a = _window_sums(s[0], weights)
     a = phi.T @ a @ phi
     return a + a.transpose(0, 2, 1)
 
 
 def oracle_scores(spec, r, centered=True):
-    """Replication r's (N, J) scores, drawn alone (B = 1)."""
-    s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r)])[0]
+    """Replication r's scores drawn alone: a (1, N, J) view of its (1, J, N) stack, as a block's."""
+    s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r)])
     assert np.all(np.isfinite(s))
-    return s - s.mean(axis=0) if centered else s
+    if centered:
+        s = s - s.mean(axis=2, keepdims=True)
+    return s.swapaxes(1, 2)
 
 
 def oracle_replicate_range(spec, reps):
@@ -804,3 +814,27 @@ def test_reports_do_not_depend_on_the_sub_stack_size(monkeypatch, rule):
                 json.dumps(bias_rate_check(spec, [2.0, 3.0, 5.0], 24).to_dict()),
             ))
     assert reports[0] == reports[1]
+
+
+def test_reports_do_not_depend_on_the_block_size_or_worker_count(monkeypatch):
+    # one replication per block against the default blocks, at one, two and three workers
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    spec = ExperimentSpec(
+        dgp=KINDS["far1"], kernel=make_kernel("parzen"), n_obs=120, grid=Grid(5),
+        h_rule=BandwidthRule.parse("plugin"), replications=30,
+        projections=(Surface(Grid(5), np.ones((5, 5))),), eigen_levels=(1, 2), master_seed=7,
+    )
+    reports = []
+    for one_per_block in (False, True):
+        if one_per_block:
+            monkeypatch.setattr(mc, "_block_size", lambda *args: 1)
+        for workers in (1, 2, 3):
+            s = replace(spec, workers=workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # short samples trip the rate warnings
+                reports.append((
+                    canonical(run_experiment(s)),
+                    json.dumps(bias_rate_check(s, [2.0, 4.0, 8.0], 30).to_dict()),
+                    np.array(mse_curve(s, [2.0, 5.0, 70.0], 30)).tobytes(),  # 70: the FFT path
+                ))
+    assert all(r == reports[0] for r in reports[1:])

@@ -450,20 +450,63 @@ def test_a_score_stack_holds_each_streams_single_draw(kind, n, j, b, seed):
     }[kind]
     spec = DgpSpec(kind, tuple(rng.uniform(0.1, 2.0, j)), **extra)
     stack = _scores(spec, n, [replication_rng(seed, r) for r in range(b)])
-    assert stack.shape == (b, n, j)
+    assert stack.shape == (b, j, n) and stack.flags.c_contiguous  # each series contiguous
     for r in range(b):
         assert stack[r].tobytes() == _scores(spec, n, [replication_rng(seed, r)])[0].tobytes()
 
 
 def test_per_replication_windows_of_a_stack_match_each_replication_alone():
     rng = np.random.default_rng(5)
-    y = rng.standard_normal((4, 200, 3))
+    y = rng.standard_normal((4, 3, 200)).swapaxes(1, 2)  # laid out as a Monte Carlo block's
     weights = [rng.standard_normal((1, lags + 1)) for lags in (0, 12, 80, 7)]  # 80: the FFT path
     got = estimator._window_sums(y, weights)
     for s, w, a in zip(y, weights, got):
         lags = w.shape[1] - 1
-        if lags < 64:
-            want = np.tensordot(w, estimator.lag_products(s, lags), axes=1)
+        if lags < 64:  # a stack of one
+            want = np.tensordot(w, estimator.lag_products(s[None], lags)[0], axes=1)
         else:
             want = estimator._window_sums(s, w)
         assert a.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["iid", "fma", "far1"]),
+    st.integers(8, 160),
+    st.integers(1, 4),
+    st.one_of(st.floats(0.5, 30.0), st.floats(64.0, 120.0)),  # the latter: FFT path
+    st.sampled_from(("bartlett", "parzen", "tukey-hanning")),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_component_major_stacks_match_2d_lag_products_and_the_naive_oracle(
+    kind, n, j, h, name, b, seed
+):
+    rng = np.random.default_rng(seed)
+    extra = {"iid": {}, "fma": {"theta": (0.5, -0.3)}, "far1": {"rho": float(rng.uniform(-0.9, 0.9))}}
+    kernel, g = make_kernel(name), 2 * (j // 2) + 1 + int(rng.integers(0, 3))
+    spec = ExperimentSpec(
+        dgp=DgpSpec(kind, tuple(rng.uniform(0.1, 2.0, j)), **extra[kind]), kernel=kernel, n_obs=n,
+        grid=Grid(g), h_rule=BandwidthRule("fixed", value=h), replications=2, master_seed=seed,
+    )
+    weights = estimator._lag_weights(kernel, [h], n, False)
+    lags = weights.shape[1] - 1
+    stack = _scores(spec.dgp, n, [replication_rng(seed, r) for r in range(b)])
+    y = (stack - stack.mean(axis=2, keepdims=True)).swapaxes(1, 2)  # as a block centres it
+    if lags < estimator._FFT_MIN_LAG:
+        # the stack's window sums against the 2-D products of the same (N, J) scores
+        got = estimator._window_sums(y, weights)[:, 0]
+        for r in range(b):
+            s = np.ascontiguousarray(y[r])
+            want = np.tensordot(weights, estimator.lag_products(s, lags), axes=1)[0]
+            bound = np.tensordot(np.abs(weights), estimator.lag_products(np.abs(s), lags), axes=1)[0]
+            assert np.all(np.abs(got[r] - want) <= 1e-13 * bound)
+    # the surfaces on the grid against the naive oracle on the generated sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short samples trip the rate warnings
+        got = mc._window_estimates((spec, weights, True), range(b))
+        for r in (0, b - 1):
+            sample = generate(spec.dgp, n, spec.grid, replication_rng(seed, r))
+            want = estimate_lrcov_naive(sample, kernel, h).surface.values
+            case = {"sample": sample, "h": h}
+            assert_close(got[r][0], want, case, 1e-10)

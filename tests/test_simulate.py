@@ -231,10 +231,13 @@ def test_generate_keeps_its_bytes(kind):
         drawn = generate(DgpSpec(kind, (1.5,), **extra), n, Grid(1), replication_rng(13, n))
         samples.update(drawn.values.tobytes())
         spec = DgpSpec(kind, (1.0, 0.6, 0.3), **extra)
-        scores.update(_scores(spec, n, [replication_rng(13, n)]).tobytes())
+        # the stack is component-major; its bytes in (N, J) order are the draws'
+        scores.update(_scores(spec, n, [replication_rng(13, n)]).swapaxes(1, 2).tobytes())
     assert (samples.hexdigest(), scores.hexdigest()) == DRAW_DIGESTS[kind]
-    # and generate is the basis map of those scores on any grid
+    # and generate is the basis map of those scores on any grid, with the bits of
+    # the product of C-ordered (N, J) scores
     spec = DgpSpec(kind, (1.0, 0.6, 0.3), **extra)
     drawn = generate(spec, 57, G8, replication_rng(13, 57)).values
-    mapped = _scores(spec, 57, [replication_rng(13, 57)])[0] @ fourier_basis(G8, 3)
+    s = np.ascontiguousarray(_scores(spec, 57, [replication_rng(13, 57)])[0].T)
+    mapped = s @ fourier_basis(G8, 3)
     assert drawn.tobytes() == mapped.tobytes()
