@@ -337,13 +337,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_qq_csv(path: str, values: np.ndarray) -> None:
+def _write_qq_csv(path: str, values: np.ndarray, quantiles: np.ndarray) -> None:
+    """Sorted ``values`` beside the standard normal ``quantiles`` at their mean and sd."""
     z = np.sort(np.asarray(values, dtype=float))
-    n = len(z)
-    loc = float(np.mean(z))
-    scale = float(np.std(z, ddof=1))
-    probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = loc + scale * np.array([NormalDist().inv_cdf(p) for p in probs])
+    theo = float(np.mean(z)) + float(np.std(z, ddof=1)) * quantiles
     io.write_matrix_csv(path, np.column_stack([theo, z]), header=["normal", "empirical"])
 
 
@@ -370,10 +367,12 @@ def cmd_mc_verify(args) -> int:
     report = run_experiment(spec)
     os.makedirs(out, exist_ok=True)
     payload = {"experiment": exp_raw, "report": report.to_dict(), "bias_check": None}
+    probs = (np.arange(1, spec.replications + 1) - 0.5) / spec.replications  # every QQ file's
+    quantiles = np.array([NormalDist().inv_cdf(p) for p in probs])
     for j in range(report.projection_samples.shape[1]):
-        _write_qq_csv(f"{out}/qq_projection_{j}.csv", report.projection_samples[:, j])
+        _write_qq_csv(f"{out}/qq_projection_{j}.csv", report.projection_samples[:, j], quantiles)
     for j, level in enumerate(spec.eigen_levels):
-        _write_qq_csv(f"{out}/qq_eigen_{level}.csv", report.eigen_error_samples[:, j])
+        _write_qq_csv(f"{out}/qq_eigen_{level}.csv", report.eigen_error_samples[:, j], quantiles)
     if bias_cfg is not None:
         payload["bias_check"] = bias_report.to_dict()
         rows = [

@@ -6,15 +6,15 @@ back in replication order, and each distinct warning of the blocks is raised aga
 once in the parent.  Estimation error is always centered at the across-replication
 mean, never at the truth, so bias never masquerades as variance.
 
-A block works in score coordinates, on stacks of at most STACK_BYTES of draws,
-stored component-major (B, J, N) so that each score series is contiguous in time
-and handed on as a (B, N, J) view.  A sample is its scores times the basis phi,
-orthonormal under the midpoint rule, so a lag-window sum of it is exactly
-phi^T A phi for the same sum A of the scores: each lag costs J^2 instead of G^2,
-in one batched product per stack.  Replication r fills its rows from the PCG64
-stream of (master_seed, r), and every later step rounds each replication's numbers
-alone, as a stack of one would, so a report is bit-identical for any block size,
-stack size and worker count.
+A block works in score coordinates, on stacks of at most STACK_BYTES of draws, written
+into score buffers that the block allocates once and stored component-major (B, J, N),
+so that each score series is contiguous in time; they are handed on as (B, N, J) views.
+A sample is its scores times the basis phi, orthonormal under the midpoint rule, so a
+lag-window sum of it is exactly phi^T A phi for the same sum A of the scores: each lag
+costs J^2 instead of G^2, in one batched product per stack.  Replication r fills its
+rows from the PCG64 stream of (master_seed, r), and every later step rounds each
+replication's numbers alone, as a stack of one would, so a report is bit-identical
+for any block size, stack size and worker count.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared
@@ -60,7 +60,7 @@ from .fpca import eigendecompose  # noqa: F401  perfbench traces lrcov.mc.eigend
 from .grid import Grid, Surface, fourier_basis
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
-from .simulate import FAR1_BURN_IN, DgpSpec, _scores, replication_rng, truth
+from .simulate import DgpSpec, _pre_sample, _scores, replication_rng, truth
 from .simulate import generate  # noqa: F401  perfbench traces lrcov.mc.generate
 
 __all__ = [
@@ -78,7 +78,7 @@ __all__ = [
 
 WORKER_ENV_VAR = "LRCOV_THREADS"
 KS_MIN_VALUES = 8
-STACK_BYTES = 2**20  # a sub-stack's score draw, burn-in included, stays near this size
+STACK_BYTES = 2**20  # a sub-stack's score draw, pre-sample included, stays near this size
 BLOCK_DOUBLES = 2**20  # 8 MB: a block's results may reach it when 64 replications stay below
 
 
@@ -391,19 +391,19 @@ def _pooled(worker, job, replications: int, workers: int, row_doubles: int):
 def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
     """Yield each slice of ``reps`` that fits ``STACK_BYTES`` and its scores as (b, N, J).
 
-    The stack is a view of the (b, J, N) ``_scores`` buffer, centred along its contiguous
-    time axis, so that each score series stays contiguous for ``lag_products``.
+    The stack views the (b, J, N) buffer that each sub-stack of the block overwrites, centred
+    along its contiguous time axis so that each series stays contiguous for ``lag_products``.
     """
-    size = max(1, STACK_BYTES // (8 * (spec.n_obs + FAR1_BURN_IN) * len(spec.dgp.sigmas)))
+    n, work = spec.n_obs, {}
+    size = max(1, STACK_BYTES // (8 * (n + _pre_sample(spec.dgp)) * len(spec.dgp.sigmas)))
     for a in range(0, len(reps), size):
         rows = slice(a, a + size)
-        s = _scores(spec.dgp, spec.n_obs, [replication_rng(spec.master_seed, r) for r in reps[rows]])
+        s = _scores(spec.dgp, n, [replication_rng(spec.master_seed, r) for r in reps[rows]], work)
         if not np.all(np.isfinite(s)):
             raise DimensionError("sample contains non-finite values")
         if centered:
             s -= s.mean(axis=2, keepdims=True)
         yield rows, s.swapaxes(1, 2)
-        del s  # with the caller's, one sub-stack at a time is alive
 
 
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
@@ -430,9 +430,10 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
             _warn_rate(kernel, _as_h(h[0]), n)
             weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
         surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
-        del s  # before the next sub-stack is drawn
-    # one np.sum per row: a product with the whole block would round by block size
-    projs = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
+        del s  # the last stack's buffers are freed before the eigensolve
+    flat, projs = surfaces.reshape(count, g * g), np.empty((count, len(spec.projections)))
+    for j, f in enumerate(spec.projections):  # each row sums as np.sum(v * f.values) alone
+        projs[:, j] = (flat * f.values.ravel()).sum(axis=1) / g**2
     n_levels = max(spec.eigen_levels, default=0)
     lams, funcs = _eigen_stack(surfaces) if n_levels else (np.empty((count, 0)),) * 2
     return h, projs, lams[:, :n_levels], funcs[:, :n_levels], clamped, fallback
@@ -445,7 +446,6 @@ def _window_estimates(job: tuple, reps: range) -> np.ndarray:
     out = np.empty((len(reps), len(weights), g, g))
     for rows, s in _score_stacks(spec, reps, centered):
         out[rows] = _window_surfaces(s, weights, phi)
-        del s  # before the next sub-stack is drawn
     return out
 
 

@@ -116,28 +116,49 @@ def generate(spec: DgpSpec, n_obs: int, grid: Grid, rng: np.random.Generator) ->
     return CurveSample(grid, _scores(spec, n_obs, [rng])[0].T @ fourier_basis(grid, len(spec.sigmas)))
 
 
-def _scores(spec: DgpSpec, n_obs: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def _pre_sample(spec: DgpSpec) -> int:
+    """Innovations drawn before the window: the burn-in of far1, the MA order of fma, 0 for iid."""
+    return FAR1_BURN_IN if spec.kind == "far1" else len(spec.theta)
+
+
+def _work_array(work: dict, key: str, shape: tuple) -> np.ndarray:
+    """An uninitialised C-ordered array of ``shape``: a prefix of ``work[key]``, grown to fit."""
+    size = math.prod(shape)
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size)
+    return work[key][:size].reshape(shape)
+
+
+def _scores(spec: DgpSpec, n_obs: int, rngs: list, work: dict | None = None) -> np.ndarray:
     """The sigma-scaled scores that ``generate`` maps onto the grid: (B, J, n_obs), one per stream.
 
-    Each score series is contiguous in time, written once from the draws.
+    Each series is contiguous in time; calls sharing ``work`` overwrite one set of arrays.
     """
     if n_obs < 2:
         raise ConfigError(f"need n_obs >= 2, got {n_obs}")
-    pre = FAR1_BURN_IN if spec.kind == "far1" else len(spec.theta)
-    full = np.empty((len(rngs), pre + n_obs, len(spec.sigmas)))  # rows in time order, oldest first
+    work = {} if work is None else work
+    pre = _pre_sample(spec)
+    full = _work_array(work, "draw", (len(rngs), pre + n_obs, len(spec.sigmas)))  # oldest first
     for rng, rows in zip(rngs, full):
         rng.standard_normal(out=rows[pre:])
-        rng.standard_normal(out=rows[:pre])
+        if pre:
+            rng.standard_normal(out=rows[:pre])
     if spec.kind == "far1":  # from zero before the burn-in, on contiguous (B, J) time steps
-        steps = np.ascontiguousarray(full.swapaxes(0, 1))
+        steps = full.swapaxes(0, 1)  # time-major as it lies for one stream, else copied
+        if len(rngs) > 1:
+            np.copyto(steps := _work_array(work, "steps", steps.shape), full.swapaxes(0, 1))
         for prev, cur in zip(steps, steps[1:]):
             cur += spec.rho * prev
         full = steps.swapaxes(0, 1)  # the time-major steps, read below as they lie
-    scores = full[:, pre:]
-    for k, coef in enumerate(spec.theta, start=1):  # numpy sums into the product's buffer
-        scores = coef * full[:, pre - k : pre - k + n_obs] + scores
-    out = np.empty((len(rngs), len(spec.sigmas), n_obs))
-    return np.multiply(scores.swapaxes(1, 2), np.asarray(spec.sigmas)[:, None], out=out)
+    x, sigmas = full.swapaxes(1, 2), np.asarray(spec.sigmas)[:, None]  # x: (B, J, pre + N)
+    out = _work_array(work, "out", (len(rngs), len(spec.sigmas), n_obs))
+    if not spec.theta:
+        return np.multiply(x[..., pre:], sigmas, out=out)
+    np.multiply(spec.theta[0], x[..., pre - 1 : -1], out=out)  # theta_1 x_-1 + x, + theta_k x_-k
+    out += x[..., pre:]
+    for k, coef in enumerate(spec.theta[1:], start=2):
+        out += coef * x[..., pre - k : -k]
+    return np.multiply(out, sigmas, out=out)
 
 
 def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:

@@ -32,6 +32,7 @@ from lrcov import (
     truth,
 )
 from lrcov import estimator, mc
+from lrcov.grid import fourier_basis
 from lrcov.simulate import _scores
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -453,6 +454,57 @@ def test_a_score_stack_holds_each_streams_single_draw(kind, n, j, b, seed):
     assert stack.shape == (b, j, n) and stack.flags.c_contiguous  # each series contiguous
     for r in range(b):
         assert stack[r].tobytes() == _scores(spec, n, [replication_rng(seed, r)])[0].tobytes()
+
+
+@PROPERTY
+@given(
+    st.sampled_from([("iid", {}), ("fma", {"theta": (0.5,)}), ("fma", {"theta": (0.5, -0.3)}),
+                     ("far1", {"rho": 0.6})]),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@example(("fma", {"theta": (0.5, -0.3)}), 30, 3, [6, 2], 0)  # long, then short: a stale tail shows
+def test_stacks_drawn_into_one_work_dict_match_fresh_draws(kind_extra, n, j, sizes, seed):
+    kind, extra = kind_extra
+    spec = DgpSpec(kind, tuple(np.random.default_rng(seed).uniform(0.1, 2.0, j)), **extra)
+    grid = Grid(2 * j + 1)
+    phi = fourier_basis(grid, j)
+    work, start = {}, 0
+    for b in [*sizes, max(sizes) + 2, 1]:  # grows, shrinks, then a long stack and a stack of one
+        reps = range(start, start + b)
+        start += b
+        got = _scores(spec, n, [replication_rng(seed, r) for r in reps], work)
+        assert np.shares_memory(got, work["out"])  # drawn into the work arrays
+        want = _scores(spec, n, [replication_rng(seed, r) for r in reps])
+        assert got.shape == (b, j, n) and got.tobytes() == want.tobytes()
+        for r, s in zip(reps, got):
+            sample = generate(spec, n, grid, replication_rng(seed, r))
+            assert sample.values.tobytes() == (s.T @ phi).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 32), st.integers(1, 3), st.integers(1, 70), st.integers(0, 2**16))
+def test_block_projections_round_each_row_as_a_sum_of_its_own(g, n_proj, count, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(g)
+    spec = ExperimentSpec(
+        dgp=DgpSpec("iid", (1.0,)), kernel=make_kernel("bartlett"), n_obs=12, grid=grid,
+        h_rule=BandwidthRule("fixed", value=2.0), replications=count + 8, master_seed=seed,
+        projections=tuple(Surface(grid, rng.standard_normal((g, g))) for _ in range(n_proj)),
+    )
+    surfaces = []
+
+    def recording(*args):  # the block's surfaces, as _replicate_range stores them
+        out = estimator._window_surfaces(*args)
+        surfaces.extend(out[:, 0])
+        return out
+    with mock.patch.object(mc, "_window_surfaces", recording):
+        projs = mc._replicate_range(spec, range(count))[1]
+    assert len(surfaces) == count
+    want = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
+    assert projs.tobytes() == want.tobytes()
 
 
 def test_per_replication_windows_of_a_stack_match_each_replication_alone():
