@@ -38,7 +38,7 @@ from .errors import (
 )
 from .estimator import estimate_lrcov, project_psd
 from .fpca import _separation_gaps, eigendecompose, eigenvalue_ci
-from .grid import Grid, Surface, l2_norm_surface, surface_integral
+from .grid import Grid, surface_integral
 from .kernels import KERNEL_NAMES, make_kernel
 from .mc import BandwidthRule, ExperimentSpec, _effective_workers, bias_rate_check, run_experiment
 from .simulate import DgpSpec, generate, replication_rng, truth
@@ -308,6 +308,8 @@ def cmd_simulate(args) -> int:
     grid = Grid(grid_points)
     truth_set = truth(dgp, grid)  # refuses more noise components than the grid resolves
     sample = generate(dgp, n_obs, grid, replication_rng(seed, 0))
+    # the L2 norm of the noise surface Φᵀ diag(σ²) Φ: the basis Φ is orthonormal on the grid
+    noise_norm = math.hypot(*(s * s for s in dgp.sigmas))
     os.makedirs(out, exist_ok=True)
     io.write_curves_csv(f"{out}/sample.csv", sample)
     io.write_json(
@@ -317,8 +319,7 @@ def cmd_simulate(args) -> int:
             "c_integral": surface_integral(truth_set.c),
             "eigenvalues": truth_set.eigen.eigenvalues,
             "gamma_norms": {
-                str(lag): l2_norm_surface(Surface(grid, gam))
-                for lag, gam in enumerate(truth_set.gammas)
+                str(lag): abs(c) * noise_norm for lag, c in enumerate(truth_set.coeffs.tolist())
             },
         },
     )

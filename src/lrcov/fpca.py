@@ -155,8 +155,8 @@ def eigenfunction_deviation_msd(truth: EigenSystem, kernel: KernelSpec, level: i
     lam_l = lam[level - 1]
     total = 0.0
     for k, lam_k in enumerate(lam):  # a sequential sum: sum() may round differently
-        if k != level - 1:
-            total += lam_k / (lam_l - lam_k) ** 2
+        if k != level - 1:  # the gap's square may overflow where the term does not
+            total += lam_k / (lam_l - lam_k) / (lam_l - lam_k)
     return lam_l * kernel.square_integral * total
 
 

@@ -57,7 +57,7 @@ from .estimator import (
 )
 from .fpca import _eigen_stack, align_sign, eigenfunction_deviation_msd, eigenvalue_clt_params
 from .fpca import eigendecompose  # noqa: F401  perfbench traces lrcov.mc.eigendecompose
-from .grid import Grid, Surface, fourier_basis
+from .grid import Grid, Surface, fourier_basis, l2_norm_surface
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
 from .kernels import KernelSpec, kernel_value, make_kernel  # noqa: F401
 from .simulate import DgpSpec, _pre_sample, _scores, replication_rng, truth
@@ -586,7 +586,7 @@ def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRa
     if truth_set.bias is None:
         raise ContractViolationError(f"{kernel.name} has no power-law bias to measure")
     c_true, f_true = truth_set.c.values, truth_set.bias.values
-    f_norm = math.sqrt(float(np.sum(f_true**2)) / g**2)
+    f_norm = l2_norm_surface(truth_set.bias)
     # uncentered, unbiased divisor: each lag surface has exact expectation
     weights = _lag_weights(kernel, h_list, spec.n_obs, unbiased=True)
     sums = np.zeros((len(h_list), g, g))

@@ -3,7 +3,8 @@
 Every process is driven by finite-basis Gaussian noise: independent standard
 normal scores per trigonometric basis function, scaled by per-component
 sigmas.  Scalar moving-average and autoregressive recursions act pointwise on
-the scores, so autocovariances, the long-run surface, its eigensystem and the
+the scores, so each lag's autocovariance is a scalar factor times one noise
+surface, and those factors, the long-run surface, its eigensystem and the
 leading bias surface are all known exactly and ship with the generator.
 
 Reproducibility: generators are PCG64 streams.  The observation-window
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, config_number, config_numbers, config_object
-from .estimator import CurveSample, bias_kernel
+from .estimator import CurveSample, _bias_weights
 from .fpca import EigenSystem
 from .grid import Grid, Surface, fourier_basis
 from .kernels import KernelSpec
@@ -98,9 +99,9 @@ class DgpSpec:
 
 @dataclass(frozen=True, eq=False)
 class TruthSet:
-    """Exact population quantities for a DgpSpec on a given grid."""
+    """Exact population quantities for a DgpSpec on a given grid, each lag as a scalar factor."""
 
-    gammas: np.ndarray  # (L+1, G, G), lags 0..L; lag -k is the transpose of lag k
+    coeffs: np.ndarray  # (L+1,): lag l's autocovariance is coeffs[l] times Φᵀ diag(σ²) Φ
     c: Surface
     eigen: EigenSystem
     bias: Surface | None = None
@@ -161,11 +162,11 @@ def _scores(spec: DgpSpec, n_obs: int, rngs: list, work: dict | None = None) -> 
     return np.multiply(out, sigmas, out=out)
 
 
-def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:
+def _gamma_coeffs(spec: DgpSpec) -> tuple[np.ndarray, float]:
     """Scalar lag coefficients (lag 0, 1, ...) and the long-run scalar factor."""
     if spec.kind != "far1":  # a moving average; iid is the one with theta = ()
         full = np.array([1.0, *spec.theta])
-        coeffs = [float(full[: len(full) - ell] @ full[ell:]) for ell in range(len(full))]
+        coeffs = np.array([full[: len(full) - ell] @ full[ell:] for ell in range(len(full))])
         return coeffs, float(np.sum(full) ** 2)  # numpy's pow: inf, not OverflowError
     rho = spec.rho
     long_run = 1.0 / (1.0 - rho) ** 2
@@ -178,43 +179,40 @@ def _gamma_coeffs(spec: DgpSpec) -> tuple[list[float], float]:
         while 2.0 * var0 * abs(rho) ** ell / (1.0 - abs(rho)) > FAR1_TAIL_RTOL * total:
             coeffs.append(var0 * rho**ell)
             ell += 1
-    return coeffs, long_run
+    return np.asarray(coeffs), long_run
 
 
 def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthSet:
-    """Exact autocovariances, long-run surface, eigensystem, and bias surface.
+    """Exact lag factors, long-run surface, eigensystem, and bias surface.
 
-    The long-run surface of a moving average is assembled as the literal sum
-    of the stored autocovariance surfaces (ascending lags), so that identity
-    holds bit-for-bit.  The autoregressive tail is truncated at relative mass
-    1e-12 for the lag list while the long-run factor stays in closed form.
-    The bias surface is built per kernel and is None for the flat-top kernel,
+    Every lag's autocovariance is its scalar factor times one noise surface
+    Φᵀ diag(σ²) Φ, so the long-run and bias surfaces are scalars times that
+    surface too.  The autoregressive tail is truncated at relative mass 1e-12
+    for the lag factors while the long-run factor stays in closed form.  The
+    bias surface is built per kernel and is None for the flat-top kernel,
     which has no power-law bias.  A process is refused with ConfigError when
-    the grid does not resolve its basis (``fourier_basis``), or when the
-    long-run surface, its integral, an eigenvalue or an autocovariance's
-    norm overflows a double on this grid.
+    the grid does not resolve its basis (``fourier_basis``), or when an
+    entry of a surface or autocovariance, the long-run integral or an
+    eigenvalue overflows a double on this grid.
     """
     phi = fourier_basis(grid, len(spec.sigmas))
+    bias = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         s2 = np.asarray(spec.sigmas) ** 2
         noise_surface = (phi.T * s2) @ phi
         coeffs, long_run = _gamma_coeffs(spec)
-        gammas = np.asarray(coeffs)[:, None, None] * noise_surface
-        if spec.kind == "far1":
-            c_vals = long_run * noise_surface
-        else:
-            c_vals = gammas[0].copy()
-            for ell in range(1, len(coeffs)):
-                c_vals += gammas[ell] + gammas[ell].T
+        c_vals = long_run * noise_surface
         order = np.argsort(-s2, kind="stable")
         lam = long_run * s2[order]
-        sizes = [np.sum(c_vals), *lam, *(np.linalg.norm(g) for g in gammas)]
+        sizes = [np.sum(c_vals), *lam, np.max(np.abs(coeffs)) * np.max(np.abs(noise_surface))]
+        if kernel is not None and math.isfinite(kernel.char_exponent):
+            bias = (_bias_weights(kernel, len(coeffs) - 1) @ coeffs) * noise_surface
+            bias += bias.T  # numpy buffers the overlapping transpose
+            bias *= kernel.char_coefficient
+            sizes.append(np.max(np.abs(bias)))
     if not np.all(np.isfinite(sizes)):
         what = f"the {spec.kind} process's truth"
         raise ConfigError(f"{what} overflows a double on {grid.n_points} grid points")
     c = Surface(grid, c_vals)
     eigen = EigenSystem(grid, lam, phi[order])
-    bias = None
-    if kernel is not None and math.isfinite(kernel.char_exponent):
-        bias = bias_kernel(gammas, kernel)
-    return TruthSet(gammas, c, eigen, bias)
+    return TruthSet(coeffs, c, eigen, None if bias is None else Surface(grid, bias))

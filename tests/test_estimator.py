@@ -230,9 +230,9 @@ def test_bias_kernel_scalar_ma1():
 
 def test_bias_kernel_truncation_stable():
     spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
-    t = truth(spec, Grid(1))
-    f1 = bias_kernel(t.gammas[:2], BARTLETT)
-    f6 = bias_kernel(np.concatenate([t.gammas, np.zeros((5, 1, 1))]), BARTLETT)  # lags 2..6 are zero
+    lags = truth(spec, Grid(1)).coeffs[:, None, None]  # unit noise on one point: the surface is 1
+    f1 = bias_kernel(lags[:2], BARTLETT)
+    f6 = bias_kernel(np.concatenate([lags, np.zeros((5, 1, 1))]), BARTLETT)  # lags 2..6 are zero
     assert_allclose(f6.values, f1.values, atol=0)
 
 

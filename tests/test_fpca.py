@@ -234,6 +234,14 @@ def test_deviation_msd_scale_invariant():
     assert c == pytest.approx(a, rel=1e-12)
 
 
+def test_deviation_msd_survives_gaps_whose_square_overflows():
+    # gaps near 2^520 square past the largest double; a power-of-two scale is exact
+    es, scaled = system((3.0, 2.0, 1.0)), system(tuple(2.0**520 * v for v in (3.0, 2.0, 1.0)))
+    for level in (1, 2, 3):
+        want = eigenfunction_deviation_msd(es, BARTLETT, level=level)
+        assert eigenfunction_deviation_msd(scaled, BARTLETT, level=level) == want
+
+
 def test_deviation_msd_sums_every_other_level():
     # (3, 2, 1) with Bartlett's 2/3: level 2 is 2 (2/3) (3/1 + 1/1), level 3 is (2/3) (3/4 + 2/1)
     es = system((3.0, 2.0, 1.0))

@@ -1030,6 +1030,32 @@ def test_overflowing_powers_warn_or_exit_4(tmp_path, capsys, argv, scale, code, 
     assert capsys.readouterr().err == err
 
 
+# every truth surface is finite although the noise surface's squared entries sum past a double
+HUGE_NOISE = {"kind": "fma", "sigmas": [1e77, 1.0], "theta": [0.5]}
+
+
+def test_simulate_huge_noise_gives_closed_form_gamma_norms(tmp_path, capsys):
+    cfg = write(tmp_path / "sim.json", json.dumps(dict(SIM_CFG, dgp=HUGE_NOISE, grid_points=4)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "truth.json").read_text())
+    assert doc["gamma_norms"] == {"0": 1.25e154, "1": 5e153}
+    assert doc["eigenvalues"] == [2.25e154, 2.25]
+
+
+@pytest.mark.parametrize(
+    "h, err",
+    [(3, "error: sample variance overflows a double\n"), ("plugin", H_NAN)],
+    ids=["fixed", "plugin"],
+)
+def test_mc_verify_huge_noise_exits_4_after_its_truth(tmp_path, capsys, monkeypatch, h, err):
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    cfg = write(tmp_path / "mc.json", json.dumps(mc_config(dgp=HUGE_NOISE, h=h, eigen_levels=[1])))
+    assert main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == err
+
+
 def test_mc_verify_overflowing_drift_exits_0(tmp_path, capsys, monkeypatch):
     # the eigenvalue drift N / h^(1+2q) is 0 once h^3 overflows, even for Bartlett
     monkeypatch.delenv("LRCOV_THREADS", raising=False)

@@ -1,24 +1,49 @@
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lrcov import (
     ConfigError,
     DgpSpec,
     Grid,
+    bias_kernel,
     generate,
     lag_products,
     make_kernel,
     replication_rng,
     truth,
 )
+from lrcov.cli import main
+from lrcov.estimator import _bias_weights
 from lrcov.grid import fourier_basis
 from lrcov.simulate import _scores
 
 G8 = Grid(8)
 NOISE2 = (1.0, 0.5)
+
+
+def noise_surface(spec, grid):
+    phi = fourier_basis(grid, len(spec.sigmas))
+    return (phi.T * np.square(spec.sigmas)) @ phi
+
+
+def lag_stack(spec, grid):
+    """The (L+1, G, G) autocovariances of the process at lags 0..L, one G x G surface per lag."""
+    return truth(spec, grid).coeffs[:, None, None] * noise_surface(spec, grid)
+
+
+def literal_lag_sum(lags):
+    total = lags[0].copy()
+    for lag in lags[1:]:
+        total += lag + lag.T
+    return total
 
 
 def test_zero_scale_noise_gives_zero_curves():
@@ -42,7 +67,7 @@ def test_iid_truth_is_the_moving_average_without_coefficients():
     iid, fma = DgpSpec(kind="iid", sigmas=NOISE2), DgpSpec(kind="fma", sigmas=NOISE2, theta=())
     for name in ("bartlett", "parzen"):
         want, got = (truth(spec, G8, make_kernel(name)) for spec in (iid, fma))
-        assert np.array_equal(got.gammas, want.gammas)
+        assert np.array_equal(got.coeffs, want.coeffs)
         assert np.array_equal(got.c.values, want.c.values)
         assert np.array_equal(got.eigen.eigenvalues, want.eigen.eigenvalues)
         assert np.array_equal(got.eigen.eigenfunctions, want.eigen.eigenfunctions)
@@ -67,9 +92,10 @@ def test_fma_lag_one_autocovariance():
 
 
 def test_truth_iid():
-    t = truth(DgpSpec(kind="iid", sigmas=NOISE2), G8)
-    assert t.gammas.shape == (1, 8, 8)
-    assert np.array_equal(t.c.values, t.gammas[0])
+    spec = DgpSpec(kind="iid", sigmas=NOISE2)
+    t = truth(spec, G8)
+    assert t.coeffs.tolist() == [1.0]
+    assert np.array_equal(t.c.values, lag_stack(spec, G8)[0])
 
 
 def test_truth_fma_long_run_factor():
@@ -77,34 +103,78 @@ def test_truth_fma_long_run_factor():
     base = truth(DgpSpec(kind="iid", sigmas=NOISE2), G8)
     # (1 + 0.5)^2 = 2.25 times the noise surface
     assert_allclose(t.c.values, 2.25 * base.c.values, rtol=1e-13)
-    assert t.gammas.shape == (2, 8, 8)
-    assert_allclose(t.gammas[0], 1.25 * base.c.values, rtol=1e-13)
-    assert_allclose(t.gammas[1], 0.5 * base.c.values, rtol=1e-13)
+    lags = lag_stack(DgpSpec(kind="fma", sigmas=NOISE2, theta=(0.5,)), G8)
+    assert lags.shape == (2, 8, 8)
+    assert_allclose(lags[0], 1.25 * base.c.values, rtol=1e-13)
+    assert_allclose(lags[1], 0.5 * base.c.values, rtol=1e-13)
 
 
 def test_truth_far1_long_run_factor():
     t = truth(DgpSpec(kind="far1", sigmas=NOISE2, rho=0.5), G8)
     base = truth(DgpSpec(kind="iid", sigmas=NOISE2), G8)
     assert_allclose(t.c.values, 4.0 * base.c.values, rtol=1e-13)
-    assert_allclose(t.gammas[0], base.c.values / 0.75, rtol=1e-13)
-    assert_allclose(t.gammas[3], 0.5**3 / 0.75 * base.c.values, rtol=1e-13)
+    lags = lag_stack(DgpSpec(kind="far1", sigmas=NOISE2, rho=0.5), G8)
+    assert_allclose(lags[0], base.c.values / 0.75, rtol=1e-13)
+    assert_allclose(lags[3], 0.5**3 / 0.75 * base.c.values, rtol=1e-13)
 
 
-def test_truth_fma_c_is_literal_gamma_sum():
-    t = truth(DgpSpec(kind="fma", sigmas=NOISE2, theta=(0.5, -0.25)), G8)
-    total = t.gammas[0].copy()
-    for ell in range(1, len(t.gammas)):
-        total += t.gammas[ell] + t.gammas[ell].T
-    assert np.array_equal(t.c.values, total)
+def test_truth_fma_c_is_the_long_run_factor_times_the_noise_surface():
+    spec = DgpSpec(kind="fma", sigmas=NOISE2, theta=(0.5, -0.25))
+    c = truth(spec, G8).c.values
+    assert np.array_equal(c, (1.0 + 0.5 - 0.25) ** 2 * noise_surface(spec, G8))
+    # the literal sum of the lag surfaces agrees up to its own rounding
+    ulp = np.spacing(np.max(np.abs(c)))
+    assert np.max(np.abs(literal_lag_sum(lag_stack(spec, G8)) - c)) <= 8 * ulp
 
 
 def test_truth_far1_gamma_sum_matches_closed_form():
-    t = truth(DgpSpec(kind="far1", sigmas=NOISE2, rho=0.7), G8)
-    total = t.gammas[0].copy()
-    for ell in range(1, len(t.gammas)):
-        total += t.gammas[ell] + t.gammas[ell].T
-    # stored lags stop once the remaining tail mass is negligible
+    spec = DgpSpec(kind="far1", sigmas=NOISE2, rho=0.7)
+    t = truth(spec, G8)
+    total = literal_lag_sum(lag_stack(spec, G8))
+    # the lag factors stop once the remaining tail mass is negligible
     assert np.max(np.abs(total - t.c.values)) <= 1e-9 * np.max(np.abs(t.c.values))
+
+
+@st.composite
+def truth_cases(draw):
+    # values on a 1e-6 lattice, so that no squared entry of the oracle's lag stack underflows
+    def lattice(low, high):
+        return st.floats(low, high).map(lambda v: round(v, 6))
+
+    kind = draw(st.sampled_from(["iid", "fma", "far1"]))
+    extra = {}
+    if kind == "fma":
+        extra["theta"] = tuple(draw(st.lists(lattice(-2.0, 2.0), min_size=1, max_size=3)))
+    if kind == "far1":
+        extra["rho"] = draw(lattice(-0.9, 0.9))
+    sigmas = draw(st.lists(lattice(0.0, 3.0), min_size=1, max_size=4))
+    g = draw(st.integers(2 * (len(sigmas) // 2) + 1, 32))  # the grid resolves every component
+    kernel = make_kernel(draw(st.sampled_from(["bartlett", "parzen", "tukey-hanning"])))
+    return DgpSpec(kind=kind, sigmas=tuple(sigmas), **extra), Grid(g), kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(truth_cases())
+def test_truth_matches_its_lag_stack(case):
+    spec, grid, kernel = case
+    t = truth(spec, grid, kernel)
+    lags, noise = lag_stack(spec, grid), np.max(np.abs(noise_surface(spec, grid)))
+    # each tolerance scales with the terms summed, not with a result they may cancel to
+    w_c = _bias_weights(kernel, len(t.coeffs) - 1) * t.coeffs
+    bias_scale = 2.0 * abs(kernel.char_coefficient) * np.sum(np.abs(w_c)) * noise
+    assert np.max(np.abs(t.bias.values - bias_kernel(lags, kernel).values)) <= 1e-12 * bias_scale
+    # far1's lag factors stop where the two-sided tail falls below FAR1_TAIL_RTOL of their mass
+    c_scale = (2.0 * np.sum(np.abs(t.coeffs)) - abs(t.coeffs[0])) * noise
+    c_rtol = 2e-12 if spec.kind == "far1" else 1e-13
+    assert np.max(np.abs(t.c.values - literal_lag_sum(lags))) <= c_rtol * c_scale
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "sim.json")
+        cfg.write_text(json.dumps({"dgp": spec.to_dict(), "n_obs": 2, "grid_points": grid.n_points}))
+        assert main(["simulate", "--config", str(cfg), "--out", tmp]) == 0
+        norms = json.loads(Path(tmp, "truth.json").read_text())["gamma_norms"]
+    want = [np.linalg.norm(lag) / grid.n_points for lag in lags]
+    assert len(norms) == len(lags)
+    assert_allclose([norms[str(lag)] for lag in range(len(lags))], want, rtol=1e-13, atol=0)
 
 
 def test_truth_eigensystem_sorted_by_scale():
@@ -136,12 +206,12 @@ def test_truth_bias_surface_presence():
 
 def test_empirical_autocov_matches_truth():
     spec = DgpSpec(kind="fma", sigmas=NOISE2, theta=(0.5, 0.25))
-    t = truth(spec, G8)
+    lags = lag_stack(spec, G8)
     s = generate(spec, 100000, G8, replication_rng(21, 0))
     p = lag_products(s.values - s.values.mean(axis=0), 2) / s.n_obs
     for ell in range(3):
-        diff = p[ell] - t.gammas[ell]
-        rel = np.linalg.norm(diff) / np.linalg.norm(t.gammas[0])
+        diff = p[ell] - lags[ell]
+        rel = np.linalg.norm(diff) / np.linalg.norm(lags[0])
         assert rel <= 0.03
 
 
