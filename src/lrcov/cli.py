@@ -2,8 +2,10 @@
 
 Data files are CSV with one observed curve per row (time runs down the file,
 the number of columns defines the evaluation grid; optional single header
-row).  Every command writes its results plus a metadata JSON holding the full
-resolved configuration into the output directory.
+row).  A command writes its results into the output directory only after it
+succeeds, and last writes metadata.json, which holds the full resolved
+configuration: its presence marks a complete run.  An output directory that
+cannot be written is a configuration error.
 
 Exit codes are stable: 0 success, 2 data parse failure, 3 invalid
 configuration, 4 numeric contract violation, 5 statistical precondition
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args, required=(), optional=()) -> dict:
+def _load_config(args, required, optional) -> dict:
     """The --config object (empty without one), with every required key and only known ones."""
     raw = {}
     if args.config is not None:
@@ -212,8 +214,7 @@ def _estimate(args, cfg: dict, p: int = 0):
     est = estimate_lrcov(sample, kernel, bandwidth, unbiased=settings["unbiased"])
     if settings["psd"]:
         est = project_psd(est)
-    meta = {
-        "command": args.command,
+    record = {
         "data": args.data,
         "n_obs": sample.n_obs,
         "grid_points": sample.grid.n_points,
@@ -222,27 +223,20 @@ def _estimate(args, cfg: dict, p: int = 0):
         "psd_applied": settings["psd"],
         "h_selection": _selection_trace(rule, bandwidth.h, sel),
     }
-    return est, meta
+    return est, record
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load_config(args, optional=_ESTIMATE_KEYS)
-    out = _pick(args, cfg, "out", ".", _path)
-    est, meta = _estimate(args, cfg)
-    os.makedirs(out, exist_ok=True)
-    io.write_surface_csv(f"{out}/estimate.csv", est.surface)
-    io.write_json(f"{out}/metadata.json", meta)
-    return EXIT_OK
+def cmd_estimate(args, cfg: dict):
+    est, record = _estimate(args, cfg)
+    return record, {"estimate.csv": est.surface.values}
 
 
-def cmd_fpca(args) -> int:
-    cfg = _load_config(args, optional=(*_ESTIMATE_KEYS, "p", "level"))
+def cmd_fpca(args, cfg: dict):
     p = _pick(args, cfg, "p", 1, partial(config_number, integer=True, low=1))
     conf = _pick(args, cfg, "level", 0.95, config_number)
     if not 0.0 < conf < 1.0:
         raise ConfigError(f"confidence level must lie in (0, 1), got {conf}")
-    out = _pick(args, cfg, "out", ".", _path)
-    est, meta = _estimate(args, cfg, p)
+    est, record = _estimate(args, cfg, p)
     eigen = eigendecompose(est.surface)
     rows = []
     for level in range(1, p + 1):
@@ -253,19 +247,15 @@ def cmd_fpca(args) -> int:
         else:
             # interval undefined for a non-positive estimate; row kept for audit
             rows.append([level, lam, math.nan, math.nan])
-    meta["config"] |= {"p": p, "level": conf}
-    meta["separation_gaps"] = _separation_gaps(eigen.eigenvalues)[:p].tolist()
-    os.makedirs(out, exist_ok=True)
-    io.write_matrix_csv(
-        f"{out}/eigenvalues.csv", np.array(rows), header=["level", "eigenvalue", "ci_low", "ci_high"]
-    )
-    io.write_matrix_csv(f"{out}/eigenfunctions.csv", eigen.eigenfunctions[:p].T)
-    io.write_json(f"{out}/metadata.json", meta)
-    return EXIT_OK
+    record["config"] |= {"p": p, "level": conf}
+    record["separation_gaps"] = _separation_gaps(eigen.eigenvalues)[:p].tolist()
+    return record, {
+        "eigenvalues.csv": (np.array(rows), ["level", "eigenvalue", "ci_low", "ci_high"]),
+        "eigenfunctions.csv": eigen.eigenfunctions[:p].T,
+    }
 
 
-def cmd_bandwidth(args) -> int:
-    cfg = _load_config(args, optional=("kernel", "flat_width", "pilot_h", "m_trunc"))
+def cmd_bandwidth(args, cfg: dict):
     flat_width = _pick(args, cfg, "flat_width", 0.5, config_number)
     kernel = make_kernel(_pick(args, cfg, "kernel", "bartlett"), flat_width)
     rule = BandwidthRule(
@@ -274,47 +264,39 @@ def cmd_bandwidth(args) -> int:
         m_trunc=_pick(args, cfg, "m_trunc", None, _lag_count),
     )
     rule.check_kernel(kernel)
-    out = _pick(args, cfg, "out", ".", _path)
     sample = _read_data(args)
     _, sel = rule.resolve(sample, kernel)
-    os.makedirs(out, exist_ok=True)
-    io.write_json(f"{out}/bandwidth.json", {"h_plugin": sel.bandwidth.h, **_plugin_constants(sel)})
-    io.write_json(
-        f"{out}/metadata.json",
-        {
-            "command": "bandwidth",
-            "data": args.data,
-            "n_obs": sample.n_obs,
-            "grid_points": sample.grid.n_points,
-            "config": {
-                "kernel": kernel.name,
-                "flat_width": flat_width,
-                "pilot_h": sel.pilot_h,
-                "m_trunc": sel.m_trunc,
-            },
-            "clamped": sel.clamped,
+    record = {
+        "data": args.data,
+        "n_obs": sample.n_obs,
+        "grid_points": sample.grid.n_points,
+        "config": {
+            "kernel": kernel.name,
+            "flat_width": flat_width,
+            "pilot_h": sel.pilot_h,
+            "m_trunc": sel.m_trunc,
         },
-    )
-    return EXIT_OK
+        "clamped": sel.clamped,
+    }
+    return record, {"bandwidth.json": {"h_plugin": sel.bandwidth.h, **_plugin_constants(sel)}}
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args, required=("dgp", "n_obs", "grid_points"), optional=("seed",))
+def cmd_simulate(args, cfg: dict):
     n_obs = config_number(cfg["n_obs"], "n_obs", integer=True, low=2)
     grid_points = config_number(cfg["grid_points"], "grid_points", integer=True, low=1)
     dgp = DgpSpec.from_dict(cfg["dgp"])
     seed = _pick(args, cfg, "seed", 0, partial(config_number, integer=True, low=0))
-    out = _pick(args, cfg, "out", ".", _path)
     grid = Grid(grid_points)
     truth_set = truth(dgp, grid)  # refuses more noise components than the grid resolves
     sample = generate(dgp, n_obs, grid, replication_rng(seed, 0))
     # the L2 norm of the noise surface Φᵀ diag(σ²) Φ: the basis Φ is orthonormal on the grid
     noise_norm = math.hypot(*(s * s for s in dgp.sigmas))
-    os.makedirs(out, exist_ok=True)
-    io.write_curves_csv(f"{out}/sample.csv", sample)
-    io.write_json(
-        f"{out}/truth.json",
-        {
+    record = {
+        "config": {"dgp": dgp.to_dict(), "n_obs": n_obs, "grid_points": grid_points, "seed": seed}
+    }
+    return record, {
+        "sample.csv": sample.values,
+        "truth.json": {
             "c": truth_set.c.values,
             "c_integral": surface_integral(truth_set.c),
             "eigenvalues": truth_set.eigen.eigenvalues,
@@ -322,32 +304,17 @@ def cmd_simulate(args) -> int:
                 str(lag): abs(c) * noise_norm for lag, c in enumerate(truth_set.coeffs.tolist())
             },
         },
-    )
-    io.write_json(
-        f"{out}/metadata.json",
-        {
-            "command": "simulate",
-            "config": {
-                "dgp": dgp.to_dict(),
-                "n_obs": n_obs,
-                "grid_points": grid_points,
-                "seed": seed,
-            },
-        },
-    )
-    return EXIT_OK
+    }
 
 
-def _write_qq_csv(path: str, values: np.ndarray, quantiles: np.ndarray) -> None:
+def _qq_table(values: np.ndarray, quantiles: np.ndarray):
     """Sorted ``values`` beside the standard normal ``quantiles`` at their mean and sd."""
     z = np.sort(np.asarray(values, dtype=float))
     theo = float(np.mean(z)) + float(np.std(z, ddof=1)) * quantiles
-    io.write_matrix_csv(path, np.column_stack([theo, z]), header=["normal", "empirical"])
+    return np.column_stack([theo, z]), ["normal", "empirical"]
 
 
-def cmd_mc_verify(args) -> int:
-    cfg = _load_config(args, required=("experiment",), optional=("bias_check",))
-    out = _pick(args, cfg, "out", ".", _path)
+def cmd_mc_verify(args, cfg: dict):
     exp_raw = cfg["experiment"]
     if args.seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
         exp_raw = {**exp_raw, "master_seed": args.seed}
@@ -366,14 +333,14 @@ def cmd_mc_verify(args) -> int:
         except ContractViolationError as exc:  # its arguments are refused
             raise ConfigError(f"bias_check: {exc}") from None
     report = run_experiment(spec)
-    os.makedirs(out, exist_ok=True)
     payload = {"experiment": exp_raw, "report": report.to_dict(), "bias_check": None}
     probs = (np.arange(1, spec.replications + 1) - 0.5) / spec.replications  # every QQ file's
     quantiles = np.array([NormalDist().inv_cdf(p) for p in probs])
+    files = {}
     for j in range(report.projection_samples.shape[1]):
-        _write_qq_csv(f"{out}/qq_projection_{j}.csv", report.projection_samples[:, j], quantiles)
+        files[f"qq_projection_{j}.csv"] = _qq_table(report.projection_samples[:, j], quantiles)
     for j, level in enumerate(spec.eigen_levels):
-        _write_qq_csv(f"{out}/qq_eigen_{level}.csv", report.eigen_error_samples[:, j], quantiles)
+        files[f"qq_eigen_{level}.csv"] = _qq_table(report.eigen_error_samples[:, j], quantiles)
     if bias_cfg is not None:
         payload["bias_check"] = bias_report.to_dict()
         rows = [
@@ -384,26 +351,46 @@ def cmd_mc_verify(args) -> int:
             ]
             for p in bias_report.points
         ]
-        io.write_matrix_csv(
-            f"{out}/bias.csv",
+        files["bias.csv"] = (
             np.array(rows),
-            header=["h", "err_raw", "err_debiased", "noise_sd", "signal", "log_h", "log_err"],
+            ["h", "err_raw", "err_debiased", "noise_sd", "signal", "log_h", "log_err"],
         )
-    io.write_json(f"{out}/report.json", payload)
-    io.write_json(
-        f"{out}/metadata.json",
-        {"command": "mc-verify", "config": {"experiment": exp_raw, "bias_check": bias_cfg}},
-    )
-    return EXIT_OK
+    files["report.json"] = payload
+    return {"config": {"experiment": exp_raw, "bias_check": bias_cfg}}, files
 
 
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "fpca": cmd_fpca,
-    "bandwidth": cmd_bandwidth,
-    "simulate": cmd_simulate,
-    "mc-verify": cmd_mc_verify,
+# name: (command, required config keys, optional ones besides "out").  A command
+# takes the flags and the config and returns (record, files): the record goes to
+# metadata.json, and each file is a dict (JSON), an array (CSV) or an
+# (array, header) pair (CSV with a header row).
+_COMMANDS = {
+    "estimate": (cmd_estimate, (), _ESTIMATE_KEYS),
+    "fpca": (cmd_fpca, (), (*_ESTIMATE_KEYS, "p", "level")),
+    "bandwidth": (cmd_bandwidth, (), ("kernel", "flat_width", "pilot_h", "m_trunc")),
+    "simulate": (cmd_simulate, ("dgp", "n_obs", "grid_points"), ("seed",)),
+    "mc-verify": (cmd_mc_verify, ("experiment",), ("bias_check",)),
 }
+
+
+def _run(args) -> None:
+    """Run one command, then write its files and, last, its metadata.json into ``out``."""
+    command, required, optional = _COMMANDS[args.command]
+    cfg = _load_config(args, required, optional)
+    out = _pick(args, cfg, "out", ".", _path)
+    record, files = command(args, cfg)
+    files["metadata.json"] = {"command": args.command, **record}
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, content in files.items():
+            path = f"{out}/{name}"
+            if isinstance(content, dict):
+                io.write_json(path, content)
+            elif isinstance(content, tuple):
+                io.write_matrix_csv(path, *content)
+            else:
+                io.write_matrix_csv(path, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out}: {exc}") from None
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -418,8 +405,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:
-            args = parser.parse_args(argv)
-            return _DISPATCH[args.command](args)
+            _run(parser.parse_args(argv))
+            return EXIT_OK
         except LrcovError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -161,8 +161,10 @@ def test_first_line_with_a_number_is_data_not_a_header(tmp_path, capsys, text):
     p = write(tmp_path / "mixed.csv", text)
     with pytest.raises(DataFormatError, match="row 1, column 2"):
         read_both(p)
-    assert main(["estimate", "--data", p, "--h", "2", "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["estimate", "--data", p, "--h", "2", "--out", str(out)]) == 2
     assert "row 1, column 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_header_width_mismatch(tmp_path):
@@ -183,9 +185,11 @@ def test_non_utf8_data_file_is_a_data_error(tmp_path, capsys):
     p.write_bytes(b"1,2\n3,\xff4\n")
     with pytest.raises(DataFormatError, match="not UTF-8"):
         read_both(str(p))
-    assert main(["estimate", "--data", str(p), "--h", "2", "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["estimate", "--data", str(p), "--h", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(p) in err and "UTF-8" in err
+    assert not out.exists()
 
 
 def test_non_utf8_byte_past_the_first_block_names_its_file_offset(tmp_path, monkeypatch):
@@ -471,11 +475,13 @@ def test_worker_warnings_print_as_one_line_each(tmp_path, capfd, monkeypatch, me
 
 def test_exit_code_data_error(tmp_path, capsys):
     data = write(tmp_path / "ragged.csv", "1,2\n3\n")
+    out = tmp_path / "out"
     for parser in (contextlib.nullcontext(), per_line_parser_only()):
         with parser:
-            rc = main(["estimate", "--data", data, "--h", "2"])
+            rc = main(["estimate", "--data", data, "--h", "2", "--out", str(out)])
         assert rc == 2
         assert "row 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_code_config_errors(tmp_path, capsys):
@@ -508,18 +514,22 @@ def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
 
 def test_exit_code_numeric_contract(tmp_path, capsys):
     data = write(tmp_path / "const.csv", "1,1\n1,1\n1,1\n1,1\n")
-    rc = main(["bandwidth", "--data", data, "--h", "2"])
+    out = tmp_path / "out"
+    rc = main(["bandwidth", "--data", data, "--h", "2", "--out", str(out)])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_separation(tmp_path, capsys):
     # two orthogonal unit-variance directions: the lag-0 surface is exactly
     # the identity, so the top eigenvalues tie and level-1 inference refuses
     data = write(tmp_path / "tied.csv", "1,1\n-1,-1\n1,-1\n-1,1\n")
-    rc = main(["fpca", "--data", data, "--h", "1", "--p", "1"])
+    out = tmp_path / "out"
+    rc = main(["fpca", "--data", data, "--h", "1", "--p", "1", "--out", str(out)])
     assert rc == 5
     assert "separat" in capsys.readouterr().err.lower()
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- cli: fpca
@@ -677,6 +687,9 @@ def test_every_json_output_is_strict_json(tmp_path, capsys):
         for path in sorted(tmp_path.glob("*/*.json"))
     }
     assert len(docs) == 11  # simulate, bandwidth and mc-verify write two each, the others one
+    for name, argv in {"sim": ["simulate"], **runs}.items():
+        meta = docs[f"{name}/metadata.json"]
+        assert meta["command"] == argv[0] and isinstance(meta["config"], dict), name
     assert docs["bandwidth/metadata.json"]["config"]["flat_width"] == 0.5
     assert docs["bandwidth-fallback/bandwidth.json"]["fallback_used"] is True
     assert docs["bandwidth-fallback/bandwidth.json"]["c0_hat"] is None
@@ -993,6 +1006,39 @@ def test_bad_settings_exit_3_before_the_data_is_read(
     assert not out.exists()
 
 
+# each command's argv without --out, and one file it writes
+WRITING_RUNS = {
+    "estimate": (["estimate", "--h", "2"], "estimate.csv"),
+    "fpca": (["fpca", "--h", "2", "--p", "2"], "eigenvalues.csv"),
+    "bandwidth": (["bandwidth"], "bandwidth.json"),
+    "simulate": (["simulate"], "sample.csv"),
+    "mc-verify": (["mc-verify"], "report.json"),
+}
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file", "output-is-a-directory"])
+@pytest.mark.parametrize("command", WRITING_RUNS)
+def test_unwritable_out_exits_3_without_a_traceback(tmp_path, capsys, command, case):
+    argv, name = WRITING_RUNS[command]
+    if command in ("simulate", "mc-verify"):
+        cfg = SIM_CFG if command == "simulate" else MC_CFG
+        argv = [*argv, "--config", write(tmp_path / "cfg.json", json.dumps(cfg))]
+    else:
+        data = str(tmp_path / "d.csv")
+        io.write_matrix_csv(data, np.random.default_rng(12).standard_normal((60, 3)))
+        argv = [*argv, "--data", data]
+    afile = tmp_path / "afile"
+    afile.write_text("taken\n")
+    out = {"out-is-a-file": afile, "out-under-a-file": afile / "sub"}.get(case, tmp_path / "out")
+    if case == "output-is-a-directory":
+        (out / name).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert afile.read_text() == "taken\n"
+
+
 # ---------------------------------------------------------------- cli: overflow
 
 RATE_WARNING = "warning: h^{} = {} exceeds N = {}; the leading bias approximation degrades\n"
@@ -1026,8 +1072,10 @@ OVERFLOW_PROBES = {
 def test_overflowing_powers_warn_or_exit_4(tmp_path, capsys, argv, scale, code, err):
     data = str(tmp_path / "d.csv")
     io.write_matrix_csv(data, np.random.default_rng(11).standard_normal((200, 3)) * scale)
-    assert main([*argv, "--data", data, "--out", str(tmp_path / "out")]) == code
+    out = tmp_path / "out"
+    assert main([*argv, "--data", data, "--out", str(out)]) == code
     assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)  # a refused run writes nothing
 
 
 # every truth surface is finite although the noise surface's squared entries sum past a double
@@ -1052,8 +1100,10 @@ def test_simulate_huge_noise_gives_closed_form_gamma_norms(tmp_path, capsys):
 def test_mc_verify_huge_noise_exits_4_after_its_truth(tmp_path, capsys, monkeypatch, h, err):
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
     cfg = write(tmp_path / "mc.json", json.dumps(mc_config(dgp=HUGE_NOISE, h=h, eigen_levels=[1])))
-    assert main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 4
     assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_mc_verify_overflowing_drift_exits_0(tmp_path, capsys, monkeypatch):
@@ -1071,5 +1121,7 @@ def test_zero_variance_is_refused_before_the_pilot_rate_warning(tmp_path, capsys
     # pilot h = 100 on N = 50 would warn; the refusal comes first, alone
     data = str(tmp_path / "c.csv")
     io.write_matrix_csv(data, np.full((50, 3), 2.5))
-    assert main(["bandwidth", "--data", data, "--h", "100", "--out", str(tmp_path / "out")]) == 4
+    out = tmp_path / "out"
+    assert main(["bandwidth", "--data", data, "--h", "100", "--out", str(out)]) == 4
     assert capsys.readouterr().err == "error: zero-variance sample: every curve is constant over time\n"
+    assert not out.exists()
