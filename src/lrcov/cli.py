@@ -5,7 +5,8 @@ the number of columns defines the evaluation grid; optional single header
 row).  A command writes its results into the output directory only after it
 succeeds, and last writes metadata.json, which holds the full resolved
 configuration: its presence marks a complete run.  An output directory that
-cannot be written is a configuration error.
+cannot be written, or an output that is the --data file, is a configuration
+error.
 
 Exit codes are stable: 0 success, 2 data parse failure, 3 invalid
 configuration, 4 numeric contract violation, 5 statistical precondition
@@ -379,6 +380,12 @@ def _run(args) -> None:
     out = _pick(args, cfg, "out", ".", _path)
     record, files = command(args, cfg)
     files["metadata.json"] = {"command": args.command, **record}
+    data = getattr(args, "data", None)
+    if data is not None and os.path.exists(data):
+        for name in files:
+            path = f"{out}/{name}"
+            if os.path.exists(path) and os.path.samefile(path, data):
+                raise ConfigError(f"output {path} would overwrite the --data file {data}")
     try:
         os.makedirs(out, exist_ok=True)
         for name, content in files.items():

@@ -174,12 +174,15 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-# Windows reaching this lag take the FFT path.  A scan of both paths (N 2000
-# and 20000; G 1, 4, 16, 64, 256; L 8 to 128) put the crossover at L = 8-48
-# for G >= 16, 30-60 for G = 4, and from 30 to beyond 128 for G = 1.  64 also
-# keeps the short windows of the Monte Carlo harness (L <= 32) on lag products.
+# Windows reaching this lag take the FFT path.  A scan of both paths (one weight
+# row; N 2000, 20000 and 50000; G 1, 4 and 16, G 64 to N 20000, G 256 at N 2000;
+# L 8 to 256) put the crossover at L <= 8 for G >= 64, 8-32 for G = 16, 16-32
+# for G = 4, and for G = 1 at 24-64 (N 2000), 96 (N 20000), 192-256 (N 50000).
+# 64 also keeps the short windows of the Monte Carlo harness (L <= 32), and so
+# their bits, on lag products.
 _FFT_MIN_LAG = 64
-_FFT_COLUMNS = 8  # columns of the sample transformed at a time; bounds the FFT buffers
+_FFT_COLUMNS = 8  # columns of the sample transformed at a time; bounds the FFT buffer
+_FFT_CHUNK_BYTES = 1 << 19  # size of the (G, bins) half-spectrum slice behind each GEMM
 
 
 def _fft_length(n: int) -> int:
@@ -189,14 +192,20 @@ def _fft_length(n: int) -> int:
     return int(sizes[sizes >= n].min())
 
 
-def _window_sums(y: np.ndarray, weights: np.ndarray | list) -> np.ndarray:
+def _window_sums(
+    y: np.ndarray, weights: np.ndarray | list, mean: np.ndarray | None = None
+) -> np.ndarray:
     """Sum over k of weights[r, k] y[:N-k]^T y[k:], one (G, G) slice per row r.
 
     ``weights`` is (n_w, L+1) with L < N; a (B, N, G) stack takes it, or a list of one
-    per replication, and gives (B, n_w, G, G).  Short windows apply the rows to one
-    ``lag_products`` call.  Long ones use A = Y^T Z, where Z[j] = sum_k w_k y[j+k] is one
-    real-FFT correlation along time, padded to at least N + L so it does not wrap; the
-    columns go through it a few at a time.
+    per replication, and gives (B, n_w, G, G).  A (G,) ``mean`` is subtracted from y
+    first, as the same float operation as ``y - mean``.  Short windows apply the rows to
+    one ``lag_products`` call.  Long ones are a Parseval inner product of half spectra:
+    with Y_s the real FFT of column s, zero-padded to m >= N + L so the correlation does
+    not wrap, and W that of a weight row, A[s, t] = (1/m) sum_f conj(Y_s W) Y_t over the
+    full spectrum, in which each half-spectrum bin but 0 and m/2 stands for two.  Each
+    block of columns is transformed once; each weight row is then one real GEMM per
+    frequency chunk, and no inverse transform is needed.
     """
     if isinstance(weights, list):  # products up to the longest short window serve every row
         lags = [w.shape[1] - 1 for w in weights]
@@ -207,31 +216,49 @@ def _window_sums(y: np.ndarray, weights: np.ndarray | list) -> np.ndarray:
         ])
     max_lag = weights.shape[1] - 1
     if max_lag < _FFT_MIN_LAG:
-        lp = lag_products(y, max_lag)
+        lp = lag_products(y if mean is None else y - mean, max_lag)
         *stack, lags, g, _ = lp.shape
         return (weights @ lp.reshape(*stack, lags, g * g)).reshape(*stack, len(weights), g, g)
     if y.ndim == 3:
-        return np.stack([_window_sums(s, weights) for s in y])
+        return np.stack([_window_sums(s, weights, mean) for s in y])
     n, g = y.shape
     m = _fft_length(n + max_lag)
-    w_hat = np.conj(np.fft.rfft(weights, m))
-    out = np.empty((len(weights), g, g))
+    bin_weights = np.full(m // 2 + 1, 2.0 / m)
+    bin_weights[0] = 1.0 / m
+    if m % 2 == 0:
+        bin_weights[-1] = 1.0 / m
+    d = np.conj(np.fft.rfft(weights, m)) * bin_weights
+    centre = np.zeros(g) if mean is None else mean
+    padded = np.zeros((min(g, _FFT_COLUMNS), m))  # only its first n columns are ever written
+    spectra = []  # one per block of columns: no single array as large as the sample
     for c in range(0, g, _FFT_COLUMNS):
-        y_hat = np.fft.rfft(y[:, c : c + _FFT_COLUMNS].T, m)
-        for r, w_r in enumerate(w_hat):
-            z = np.fft.irfft(y_hat * w_r, m)[:, :n]
-            out[r, :, c : c + _FFT_COLUMNS] = (z @ y).T
+        block = padded[: min(g - c, _FFT_COLUMNS), :n]
+        np.subtract(y[:, c : c + _FFT_COLUMNS].T, centre[c : c + _FFT_COLUMNS, None], out=block)
+        spectra.append(np.fft.rfft(padded[: len(block)]))
+    del padded
+    out = np.zeros((len(weights), g, g))
+    chunk = max(1, _FFT_CHUNK_BYTES // (16 * g))
+    for f in range(0, len(bin_weights), chunk):
+        y_hat = np.concatenate([s[:, f : f + chunk] for s in spectra])
+        y_real = y_hat.view(float)
+        for r, d_r in enumerate(d[:, f : f + chunk]):
+            out[r] += y_real @ (y_hat * d_r).view(float).T
     return out
 
 
-def _window_surfaces(y: np.ndarray, weights: np.ndarray | list, phi: np.ndarray | None = None):
-    """The symmetric surfaces A + A^T of the window sums A = ``_window_sums(y, weights)``.
+def _window_surfaces(
+    y: np.ndarray,
+    weights: np.ndarray | list,
+    phi: np.ndarray | None = None,
+    mean: np.ndarray | None = None,
+):
+    """The symmetric surfaces A + A^T of the window sums A = ``_window_sums(y, weights, mean)``.
 
     One (G, G) surface per weight row, for each array of a stack.  When y holds (N, J)
     scores of the basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
     surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.
     """
-    a = _window_sums(y, weights)
+    a = _window_sums(y, weights, mean)
     if phi is not None:
         a = phi.T @ a @ phi
     return a + np.swapaxes(a, -1, -2)
@@ -251,7 +278,8 @@ def estimate_lrcov(
     h = _as_h(bandwidth)
     n = sample.n_obs
     _warn_rate(kernel, h, n)
-    surface = _window_surfaces(_centered(sample), _lag_weights(kernel, [h], n, unbiased))[0]
+    y = sample.values
+    surface = _window_surfaces(y, _lag_weights(kernel, [h], n, unbiased), mean=y.mean(axis=0))[0]
     return LrcovEstimate(Surface(sample.grid, surface), kernel, Bandwidth(h), n)
 
 
@@ -302,7 +330,8 @@ def estimate_spectral_density(
     n = sample.n_obs
     w = _lag_weights(kernel, [h], n, unbiased)[0]
     phase = omega * np.arange(len(w))
-    a, b = _window_sums(_centered(sample), np.stack([w * np.cos(phase), w * np.sin(phase)]))
+    y = sample.values
+    a, b = _window_sums(y, np.stack([w * np.cos(phase), w * np.sin(phase)]), y.mean(axis=0))
     two_pi = 2.0 * math.pi
     return SpectralDensityEstimate(
         Surface(sample.grid, (a + a.T) / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
@@ -363,8 +392,7 @@ def optimal_bandwidth(
     """
     q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
     power = 1.0 / (1.0 + 2.0 * q)
-    with np.errstate(over="ignore"):  # an overflowing constant leaves h non-finite: refused
-        f_norm = l2_norm_surface(bias)
+    f_norm = l2_norm_surface(bias)
     c_int = surface_integral(c)
     denom = _pow(c_int, 2) * kernel.square_integral
     if f_norm == 0.0 or denom <= 0.0:

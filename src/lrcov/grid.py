@@ -8,6 +8,7 @@ is a row of a float array: ``(..., G)`` arrays hold any number of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,20 @@ class Surface:
 
 
 def l2_norm_surface(s: Surface) -> float:
-    """L2 norm of a surface; the constant-1 surface has norm 1."""
+    """L2 norm of a surface; the constant-1 surface has norm 1.
+
+    Below 1e-150, where the squared entries fall near or under the smallest normal
+    double and lose bits, and where they overflow to inf, the entries are first divided
+    by the power of two just above their largest magnitude, so that norm(2^k S) =
+    2^k norm(S) holds on both sides of the rescaling.  Every other norm is unscaled.
+    """
     g = s.grid.n_points
-    return float(np.linalg.norm(s.values)) / g
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(s.values))
+    if not 1e-150 <= norm < math.inf and np.any(s.values):
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(s.values))))[1])
+        norm = scale * float(np.linalg.norm(s.values / scale))
+    return norm / g
 
 
 def surface_integral(s: Surface) -> float:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -506,3 +507,21 @@ def test_long_window_estimate_imports_no_scipy():
     argv = [sys.executable, "-c", code]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n, g, h", [(50_000, 64, 78), (2_000, 256, 100)])
+def test_long_window_memory_stays_near_the_sample_size(n, g, h):
+    """No centred copy beside the spectra, and GEMM chunks bounded in bytes whatever G is."""
+    sample = CurveSample(Grid(g), np.random.default_rng(5).normal(size=(n, g)))
+    bound = 1.25 * sample.values.nbytes + 4 * 2**20
+    for run in (
+        lambda: estimate_lrcov(sample, BARTLETT, h),
+        lambda: estimate_spectral_density(sample, BARTLETT, h, math.pi / 8),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak / 2**20, bound / 2**20)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,8 @@ from lrcov import (
     Surface,
     fourier_basis,
     l2_norm_surface,
+    make_kernel,
+    optimal_bandwidth,
     surface_integral,
 )
 
@@ -32,6 +36,30 @@ def test_surface_norm_examples():
     assert l2_norm_surface(Surface(g, np.full((3, 3), 3.0))) == pytest.approx(3.0)
     g2 = Grid(2)
     assert l2_norm_surface(Surface(g2, np.eye(2))) == pytest.approx(np.sqrt(0.5))
+
+
+def test_surface_norm_survives_squares_that_underflow_or_overflow():
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for size in (1e-170, 1e-300, 5e-324, 1e200, 1e300):
+        assert l2_norm_surface(Surface(Grid(2), size * signs)) == size
+    # ±1e-170 bias of a Bartlett rule: the norm is no longer 0, though the squared
+    # integral of C = 1e-170 still underflows, so the rule keeps its rate-only fallback
+    bias, c = Surface(Grid(2), 1e-170 * signs), Surface(Grid(2), np.full((2, 2), 1e-170))
+    with pytest.warns(UserWarning, match="degenerate"):
+        assert optimal_bandwidth(c, bias, make_kernel("bartlett"), 1000).f_norm == 1e-170
+
+
+def test_surface_norm_scales_exactly_by_powers_of_two():
+    s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 4))
+    base = l2_norm_surface(Surface(Grid(4), s))
+    for k in range(-600, 601):
+        values = np.ldexp(s, k)
+        got = l2_norm_surface(Surface(Grid(4), values))
+        assert got == math.ldexp(base, k)
+        with np.errstate(over="ignore"):
+            unscaled = float(np.linalg.norm(values))
+        if 1e-150 <= unscaled < math.inf:  # no rescaling: the bits of the plain norm
+            assert got == unscaled / 4
 
 
 def test_curve_norm_and_integrals():

@@ -1039,6 +1039,26 @@ def test_unwritable_out_exits_3_without_a_traceback(tmp_path, capsys, command, c
     assert afile.read_text() == "taken\n"
 
 
+@pytest.mark.parametrize("out", [None, "link"])  # the default --out ., and the cwd by a symlink
+@pytest.mark.parametrize(
+    "command, name",
+    [("estimate", "estimate.csv"), ("fpca", "eigenvalues.csv"), ("bandwidth", "metadata.json")],
+)
+def test_an_output_that_is_the_data_file_exits_3_and_leaves_it(
+    tmp_path, capsys, monkeypatch, command, name, out
+):
+    monkeypatch.chdir(tmp_path)
+    os.symlink(tmp_path, "link")
+    io.write_matrix_csv(name, np.random.default_rng(12).standard_normal((50, 3)))
+    before = Path(name).read_bytes()
+    argv = [*WRITING_RUNS[command][0], "--data", name, *(["--out", out] if out else [])]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: output {out or '.'}/{name} would overwrite the --data file {name}\n"
+    assert Path(name).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "link"])
+
+
 # ---------------------------------------------------------------- cli: overflow
 
 RATE_WARNING = "warning: h^{} = {} exceeds N = {}; the leading bias approximation degrades\n"
@@ -1094,7 +1114,8 @@ def test_simulate_huge_noise_gives_closed_form_gamma_norms(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "h, err",
-    [(3, "error: sample variance overflows a double\n"), ("plugin", H_NAN)],
+    # the plug-in's bias norm is finite, but its squared pilot integral overflows to inf
+    [(3, "error: sample variance overflows a double\n"), ("plugin", H_NAN.replace("nan", "0.0"))],
     ids=["fixed", "plugin"],
 )
 def test_mc_verify_huge_noise_exits_4_after_its_truth(tmp_path, capsys, monkeypatch, h, err):

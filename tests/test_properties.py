@@ -320,6 +320,45 @@ def test_long_window_takes_the_fft_path_and_matches_direct_lag_sums():
     assert_close(f.imag_part.values * 2.0 * math.pi, im, case, 1e-10)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(64, 100),  # L, at least the default crossover
+    st.integers(1, 60),  # N - L
+    st.integers(1, 19),  # G: one column, whole blocks of columns, or a partial last block
+    st.sampled_from(KERNEL_NAMES),
+    st.booleans(),
+    st.integers(1, 3),  # weight rows: kernel, then sine, then cosine
+    st.floats(0.1, 3.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((16, 4096, 1 << 30)),  # GEMM chunks of one bin, a few bins, every bin
+)
+@example(64, 7, 1, "bartlett", False, 1, 1.0, 0, 4096)  # m = 135: odd, no Nyquist bin
+@example(64, 16, 9, "parzen", True, 3, 0.5, 1, 16)  # m = 144: even, a Nyquist bin
+def test_fft_window_sums_match_lag_products_and_the_naive_oracle(
+    max_lag, extra, g, name, unbiased, rows, omega, seed, chunk_bytes
+):
+    n = max_lag + extra
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, g)) + rng.normal(size=g) * 10.0  # far from centred
+    mean = y.mean(axis=0)
+    sample, kernel, h = CurveSample(Grid(g), y), make_kernel(name), max_lag + 0.5
+    w = estimator._lag_weights(kernel, [h], n, unbiased)[0]
+    phase = omega * np.arange(len(w))
+    weights = np.stack([w, w * np.sin(phase), w * np.cos(phase)])[:rows]
+    with mock.patch.object(estimator, "_FFT_CHUNK_BYTES", chunk_bytes), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # h^q > N for the smooth kernels
+        a = estimator._window_sums(y, weights, mean)
+        assert np.array_equal(a, estimator._window_sums(y - mean, weights))
+        surface = estimate_lrcov(sample, kernel, h, unbiased=unbiased).surface.values
+        assert np.array_equal(surface, estimator._window_surfaces(y - mean, weights[:1])[0])
+        naive = estimate_lrcov_naive(sample, kernel, h, unbiased=unbiased).surface.values
+    lagged = np.tensordot(weights, estimator.lag_products(y - mean, max_lag), axes=1)
+    case = {"sample": sample, "h": h}
+    for got, want in zip(a, lagged):
+        assert_close(got, want, case, 1e-10)
+    assert_close(a[0] + a[0].T, naive, case, 1e-10)
+
+
 # ------------------------------------------------ extreme bandwidths and scales
 
 
