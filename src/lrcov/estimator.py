@@ -29,7 +29,6 @@ __all__ = [
     "estimate_lrcov",
     "estimate_lrcov_naive",
     "estimate_spectral_density",
-    "bias_kernel",
     "amse",
     "optimal_bandwidth",
     "plugin_bandwidth",
@@ -338,21 +337,6 @@ def estimate_spectral_density(
     )
 
 
-def bias_kernel(gammas: np.ndarray, kernel: KernelSpec) -> Surface:
-    """Leading-bias surface: flatness coefficient times |lag|^q-weighted autocovariances.
-
-    ``gammas`` is an (L+1, G, G) array of autocovariances at lags 0..L, every
-    one of which enters the sum; lags beyond L count as zero, which is exact
-    for finite-order truths.  Refused for the flat-top kernel, whose bias
-    decays faster than any power.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
-        raise DimensionError(f"autocovariances must be (L+1, G, G), got shape {gammas.shape}")
-    a = np.tensordot(_bias_weights(kernel, len(gammas) - 1), gammas, axes=1)
-    return Surface(Grid(a.shape[0]), kernel.char_coefficient * (a + a.T))
-
-
 def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
     """|k|^q for lags 0..max_lag; refused for a kernel of infinite exponent."""
     if not math.isfinite(kernel.char_exponent):
@@ -381,6 +365,11 @@ def amse(
     return (h / n_obs) * variance + _pow(h, -2.0 * q) * _pow(l2_norm_surface(bias), 2)
 
 
+def _rate_h(kernel: KernelSpec, n: int) -> float:
+    """The rate-only bandwidth N^(1/(1+2q)): the plug-in rule's default pilot and fallback."""
+    return float(n) ** (1.0 / (1.0 + 2.0 * kernel.char_exponent))
+
+
 def optimal_bandwidth(
     c: Surface, bias: Surface, kernel: KernelSpec, n_obs: int
 ) -> BandwidthSelection:
@@ -391,21 +380,21 @@ def optimal_bandwidth(
     is degenerate.
     """
     q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
-    power = 1.0 / (1.0 + 2.0 * q)
+    power, rate = 1.0 / (1.0 + 2.0 * q), _rate_h(kernel, n_obs)
     f_norm = l2_norm_surface(bias)
     c_int = surface_integral(c)
     denom = _pow(c_int, 2) * kernel.square_integral
     if f_norm == 0.0 or denom <= 0.0:
         warnings.warn("degenerate bias or variance constant; using rate-only bandwidth")
-        return BandwidthSelection(Bandwidth(float(n_obs) ** power), None, True, f_norm, c_int)
+        return BandwidthSelection(Bandwidth(rate), None, True, f_norm, c_int)
     c0 = (q * _pow(f_norm, 2)) ** power * denom ** (-power)
-    return BandwidthSelection(Bandwidth(c0 * float(n_obs) ** power), c0, False, f_norm, c_int)
+    return BandwidthSelection(Bandwidth(c0 * rate), c0, False, f_norm, c_int)
 
 
 def plugin_bandwidth(
     sample: CurveSample,
     kernel: KernelSpec,
-    pilot_h: BandwidthLike,
+    pilot_h: BandwidthLike | None = None,
     m_trunc: int | None = None,
 ) -> BandwidthSelection:
     """Data-driven bandwidth: pilot estimates feed the closed-form rule.
@@ -413,35 +402,32 @@ def plugin_bandwidth(
     The pilot long-run surface at ``pilot_h`` and the lag-truncated bias
     surface are two weight rows of one window sum; the resulting h is
     clamped to [1, N/2].
-    ``m_trunc`` defaults to floor(pilot_h), capped at sqrt(N).
+    ``pilot_h`` defaults to the rate N^(1/(1+2q)), and ``m_trunc`` to
+    floor(pilot_h), capped at sqrt(N).
     """
-    plan = _plugin_weights(kernel, pilot_h, m_trunc, sample.n_obs)
-    return next(_plugin_choices(_centered(sample)[None], kernel, plan))
+    return next(_plugin_choices(_centered(sample)[None], kernel, pilot_h, m_trunc))
 
 
-def _plugin_weights(kernel: KernelSpec, pilot_h: BandwidthLike, m_trunc: int | None, n: int):
-    """The pilot h, the lag truncation, and the plug-in's two weight rows: pilot and bias."""
-    ph = _as_h(pilot_h)
+def _plugin_choices(
+    y: np.ndarray, kernel: KernelSpec, pilot_h: BandwidthLike | None, m_trunc: int | None, phi=None
+):
+    """Yield the plug-in bandwidth of each replication in a stack y, as ``plugin_bandwidth`` does.
+
+    y stacks centered (N, G) samples, or (N, J) scores of the basis ``phi`` as in
+    ``_window_surfaces``.  The pilot and bias sums are the two weight rows of one window
+    sum.  Data that is zero everywhere is refused before the pilot's rate warning.
+    """
+    n = y.shape[1]
+    pilot_h = _as_h(_rate_h(kernel, n) if pilot_h is None else pilot_h)
     if m_trunc is None:
-        m_trunc = min(int(math.floor(ph)), int(math.floor(math.sqrt(n))))
+        m_trunc = min(int(math.floor(pilot_h)), int(math.floor(math.sqrt(n))))
     if not 0 <= m_trunc < n:
         raise ContractViolationError(f"lag truncation {m_trunc} out of range [0, N)")
-    pilot_w = _lag_weights(kernel, [ph], n, False)[0]
+    pilot_w = _lag_weights(kernel, [pilot_h], n, False)[0]
     bias_w = _bias_weights(kernel, m_trunc) / n
     weights = np.zeros((2, max(len(pilot_w), len(bias_w))))
     weights[0, : len(pilot_w)] = pilot_w
     weights[1, : len(bias_w)] = bias_w
-    return ph, int(m_trunc), weights
-
-
-def _plugin_choices(y: np.ndarray, kernel: KernelSpec, plan: tuple, phi=None):
-    """Yield the plug-in bandwidth of each replication in a stack y, under ``_plugin_weights``' plan.
-
-    y stacks centered (N, G) samples, or (N, J) scores of the basis ``phi`` as in
-    ``_window_surfaces``.  Data that is zero everywhere is refused before the pilot's rate warning.
-    """
-    pilot_h, m_trunc, weights = plan
-    n = y.shape[1]
     if not np.all(np.max(np.abs(y), axis=(1, 2))):
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
     _warn_rate(kernel, pilot_h, n)
@@ -453,7 +439,9 @@ def _plugin_choices(y: np.ndarray, kernel: KernelSpec, plan: tuple, phi=None):
         lo, hi = 1.0, n / 2.0
         clamped = not lo <= h <= hi
         h = min(max(h, lo), hi)
-        yield replace(sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=pilot_h, m_trunc=m_trunc)
+        yield replace(
+            sel, bandwidth=Bandwidth(h), clamped=clamped, pilot_h=pilot_h, m_trunc=int(m_trunc)
+        )
 
 
 def project_psd(est: LrcovEstimate) -> LrcovEstimate:

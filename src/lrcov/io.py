@@ -51,12 +51,19 @@ def write_matrix_csv(path: str, values: np.ndarray, header: list | None = None) 
             fh.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
+def _number(text: str) -> float:
+    """A stripped cell's value, read as ``np.loadtxt`` reads it: ASCII, no ``_`` separator."""
+    if not text.isascii() or "_" in text:  # float() alone reads 1_0 and non-ASCII digits
+        raise ValueError(text)
+    return float(text)
+
+
 def _header(line: str) -> list | None:
     """The first line's stripped fields if it is a header: none of them parses as a number."""
     fields = [s.strip() for s in line.split(",")]
     for field in fields:
         try:
-            float(field)
+            _number(field)
         except ValueError:
             continue
         return None
@@ -73,7 +80,7 @@ def _parse_row(line: str, row_no: int, n_cols: int | None) -> list:
     for col_no, field in enumerate(fields, start=1):
         text = field.strip()
         try:
-            value = float(text)
+            value = _number(text)
         except ValueError:
             raise DataFormatError(
                 f"row {row_no}, column {col_no}: cannot parse {text!r}"

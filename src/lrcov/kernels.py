@@ -17,8 +17,6 @@ from .errors import ConfigError
 
 __all__ = ["KernelSpec", "KERNEL_NAMES", "make_kernel", "kernel_value"]
 
-KERNEL_NAMES = ("bartlett", "parzen", "tukey-hanning", "flat-top")
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -31,18 +29,23 @@ class KernelSpec:
     flat_width: float = math.nan  # flat-top plateau half-width, nan otherwise
 
 
-def _bartlett(a: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - a)
-
-
 def _parzen(a: np.ndarray) -> np.ndarray:
     inner = 1.0 - 6.0 * a**2 + 6.0 * a**3
     outer = 2.0 * (1.0 - a) ** 3
     return np.where(a <= 0.5, inner, np.where(a <= 1.0, outer, 0.0))
 
 
-def _tukey_hanning(a: np.ndarray) -> np.ndarray:
-    return np.where(a <= 1.0, 0.5 * (1.0 + np.cos(np.pi * a)), 0.0)
+# name: (shape of |u|, characteristic exponent, coefficient, square integral); flat-top,
+# whose shape and square integral depend on its plateau width, is built in make_kernel
+_KERNELS = {
+    "bartlett": (lambda a: np.maximum(0.0, 1.0 - a), 1.0, -1.0, 2.0 / 3.0),
+    "parzen": (_parzen, 2.0, -6.0, 151.0 / 280.0),
+    "tukey-hanning": (
+        lambda a: np.where(a <= 1.0, 0.5 * (1.0 + np.cos(np.pi * a)), 0.0),
+        2.0, -np.pi**2 / 4.0, 0.75,
+    ),
+}
+KERNEL_NAMES = (*_KERNELS, "flat-top")
 
 
 def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
@@ -51,12 +54,8 @@ def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
     ``flat_width`` is only consulted for the flat-top kernel, where it sets
     the half-width of the plateau (strictly between 0 and 1).
     """
-    if name == "bartlett":
-        return KernelSpec("bartlett", 1.0, -1.0, 2.0 / 3.0)
-    if name == "parzen":
-        return KernelSpec("parzen", 2.0, -6.0, 151.0 / 280.0)
-    if name == "tukey-hanning":
-        return KernelSpec("tukey-hanning", 2.0, -np.pi**2 / 4.0, 0.75)
+    if name in _KERNELS:
+        return KernelSpec(name, *_KERNELS[name][1:])
     if name == "flat-top":
         if not (0.0 < flat_width < 1.0):
             raise ConfigError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
@@ -69,14 +68,8 @@ def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
 def kernel_value(spec: KernelSpec, u):
     """Evaluate the kernel at ``u`` (scalar or array); even in u, zero outside support."""
     a = np.abs(np.asarray(u, dtype=float))
-    if spec.name == "bartlett":
-        out = _bartlett(a)
-    elif spec.name == "parzen":
-        out = _parzen(a)
-    elif spec.name == "tukey-hanning":
-        out = _tukey_hanning(a)
-    elif spec.name == "flat-top":
+    if spec.name == "flat-top":
         out = np.clip((1.0 - a) / (1.0 - spec.flat_width), 0.0, 1.0)
-    else:  # pragma: no cover - constructor rejects unknown names
-        raise ConfigError(f"unknown kernel {spec.name!r}")
+    else:
+        out = _KERNELS[spec.name][0](a)
     return float(out) if np.isscalar(u) else out

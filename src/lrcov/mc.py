@@ -48,7 +48,6 @@ from .estimator import (
     _as_h,
     _lag_weights,
     _plugin_choices,
-    _plugin_weights,
     _pow,
     _warn_rate,
     _window_surfaces,
@@ -145,23 +144,23 @@ class BandwidthRule:
         if self.kind == "plugin" and not math.isfinite(kernel.char_exponent):
             raise ConfigError(f"{kernel.name} has no plug-in bandwidth rule")
 
+    def _check_m_trunc(self, n: int) -> None:
+        """ConfigError for a plug-in lag truncation at or above the number n of curves."""
+        if self.m_trunc is not None and self.m_trunc >= n:
+            raise ConfigError(f"m_trunc = {self.m_trunc} must be below N = {n}")
+
     def resolve(
         self, sample: CurveSample, kernel: KernelSpec
     ) -> tuple[Bandwidth, BandwidthSelection | None]:
-        h = self._rule_h(sample.n_obs, kernel)
         if self.kind != "plugin":
-            return Bandwidth(h), None
-        sel = plugin_bandwidth(sample, kernel, h, self.m_trunc)
+            return Bandwidth(self._rule_h(sample.n_obs)), None
+        self._check_m_trunc(sample.n_obs)
+        sel = plugin_bandwidth(sample, kernel, self.pilot_h, self.m_trunc)
         return sel.bandwidth, sel
 
-    def _rule_h(self, n: int, kernel: KernelSpec) -> float:
-        """For N = n: a fixed or power rule's bandwidth, or the plug-in rule's pilot bandwidth."""
-        if self.kind != "plugin":
-            return self.value if self.kind == "fixed" else self.coef * float(n) ** self.power
-        if self.m_trunc is not None and self.m_trunc >= n:
-            raise ConfigError(f"m_trunc = {self.m_trunc} must be below N = {n}")
-        q = kernel.char_exponent
-        return float(n) ** (1.0 / (1.0 + 2.0 * q)) if self.pilot_h is None else self.pilot_h
+    def _rule_h(self, n: int) -> float:
+        """A fixed or power rule's bandwidth for N = n."""
+        return self.value if self.kind == "fixed" else self.coef * float(n) ** self.power
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +187,7 @@ class ExperimentSpec:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         self.h_rule.check_kernel(self.kernel)
+        self.h_rule._check_m_trunc(self.n_obs)
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
@@ -415,14 +415,14 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     """
     kernel, n, rule, g, count = spec.kernel, spec.n_obs, spec.h_rule, spec.grid.n_points, len(reps)
     phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
-    h = np.full(count, rule._rule_h(n, kernel))  # a plug-in rule's pilot, replaced below
+    plugin = rule.kind == "plugin"
+    h = np.empty(count) if plugin else np.full(count, rule._rule_h(n))
     clamped, fallback = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     surfaces = np.empty((count, g, g))
-    if rule.kind == "plugin":
-        plan = _plugin_weights(kernel, h[0], rule.m_trunc, n)
     for rows, s in _score_stacks(spec, reps):
-        if rule.kind == "plugin":
-            for i, sel in zip(range(count)[rows], _plugin_choices(s, kernel, plan, phi)):
+        if plugin:
+            choices = _plugin_choices(s, kernel, rule.pilot_h, rule.m_trunc, phi)
+            for i, sel in zip(range(count)[rows], choices):
                 h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
                 _warn_rate(kernel, _as_h(h[i]), n)
             weights = [_lag_weights(kernel, [v], n, unbiased=False) for v in h[rows]]

@@ -20,7 +20,6 @@ from lrcov import (
     Grid,
     Surface,
     amse,
-    bias_kernel,
     estimate_lrcov,
     estimate_lrcov_naive,
     estimate_spectral_density,
@@ -219,27 +218,14 @@ def test_spectral_density_domain():
 
 
 def test_bias_kernel_iid_zero():
-    f = bias_kernel(np.eye(2)[None], BARTLETT)
+    f = truth(DgpSpec(kind="iid", sigmas=(1.0, 0.5)), Grid(3), BARTLETT).bias
     assert np.all(f.values == 0.0)
 
 
 def test_bias_kernel_scalar_ma1():
     # MA(1), theta = 0.5, sigma = 1: gamma_1 = 0.5 so F = -1 * 2 * 0.5
-    f = bias_kernel(np.array([[[1.25]], [[0.5]]]), BARTLETT)
+    f = truth(DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,)), Grid(1), BARTLETT).bias
     assert f.values[0, 0] == pytest.approx(-1.0)
-
-
-def test_bias_kernel_truncation_stable():
-    spec = DgpSpec(kind="fma", sigmas=(1.0,), theta=(0.5,))
-    lags = truth(spec, Grid(1)).coeffs[:, None, None]  # unit noise on one point: the surface is 1
-    f1 = bias_kernel(lags[:2], BARTLETT)
-    f6 = bias_kernel(np.concatenate([lags, np.zeros((5, 1, 1))]), BARTLETT)  # lags 2..6 are zero
-    assert_allclose(f6.values, f1.values, atol=0)
-
-
-def test_bias_kernel_refuses_flat_top():
-    with pytest.raises(ContractViolationError):
-        bias_kernel(np.ones((1, 1, 1)), make_kernel("flat-top"))
 
 
 def dense_limit_tensor(c, kernel):
@@ -322,13 +308,13 @@ def test_projection_variance_against_ones_is_twice_the_squared_integral(values):
 def test_amse_monotonicity():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_bias = bias_kernel(c.values[None], BARTLETT)
+    zero_bias = Surface(g, np.array([[0.0]]))
     hs = [2.0, 4.0, 8.0, 16.0]
     vals = [amse(c, zero_bias, BARTLETT, h, 500) for h in hs]
     assert all(b > a for a, b in zip(vals, vals[1:]))  # pure variance: increasing
 
     zero_c = Surface(g, np.array([[0.0]]))
-    f = bias_kernel(np.array([[[0.0]], [[0.5]]]), BARTLETT)
+    f = Surface(g, np.array([[-1.0]]))
     vals = [amse(zero_c, f, BARTLETT, h, 500) for h in hs]
     assert all(b < a for a, b in zip(vals, vals[1:]))  # pure bias: decreasing
 
@@ -360,7 +346,7 @@ def test_optimal_bandwidth_matches_grid_search():
 def test_optimal_bandwidth_fallback_on_zero_bias():
     g = Grid(1)
     c = Surface(g, np.array([[1.0]]))
-    zero_f = bias_kernel(c.values[None], BARTLETT)
+    zero_f = Surface(g, np.array([[0.0]]))
     with pytest.warns(UserWarning):
         sel = optimal_bandwidth(c, zero_f, BARTLETT, 1000)
     assert sel.fallback
@@ -417,6 +403,16 @@ def test_plugin_bandwidth_clamp_and_m_trunc():
     # default truncation: floor(pilot) bounded by sqrt(N)
     assert sel.m_trunc == 10
     assert 1.0 <= sel.bandwidth.h <= 50.0
+
+
+@pytest.mark.parametrize("name", ["bartlett", "parzen", "tukey-hanning"])
+def test_plugin_bandwidth_default_pilot_is_the_rate(name):
+    kernel, spec = make_kernel(name), DgpSpec(kind="fma", sigmas=(1.0, 0.5), theta=(0.5,))
+    s = generate(spec, 500, Grid(4), replication_rng(3, 0))
+    rate = 500 ** (1 / (1 + 2 * kernel.char_exponent))
+    sel = plugin_bandwidth(s, kernel)
+    assert sel == plugin_bandwidth(s, kernel, rate)  # every field, h to the bit
+    assert sel.pilot_h == rate
 
 
 def test_project_psd_identity_on_psd():

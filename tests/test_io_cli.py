@@ -106,6 +106,9 @@ def test_matrix_header_round_trip(tmp_path):
     back, header = read_both(p)
     assert header == ["alpha", "beta"]
     assert np.array_equal(back, a)
+    # no field of "1_0,x" is a plain number, so that line is a header too
+    back, header = read_both(write(tmp_path / "sep.csv", "1_0,x\n1.5,2.5\n3.5,4.5\n"))
+    assert header == ["1_0", "x"] and np.array_equal(back, a)
 
 
 def test_ragged_row_is_named(tmp_path):
@@ -115,9 +118,11 @@ def test_ragged_row_is_named(tmp_path):
 
 
 def test_bad_cell_is_named(tmp_path):
-    p = write(tmp_path / "bad.csv", "1,2\n3,x\n")
-    with pytest.raises(DataFormatError, match="row 2, column 2"):
-        read_both(p)
+    # float() alone reads a digit separator and non-ASCII digits; np.loadtxt refuses them
+    for cell in ("x", "1_0", "\u0661", "\uff11"):
+        p = write(tmp_path / "bad.csv", f"1,2\n3,{cell}\n")
+        with pytest.raises(DataFormatError, match="row 2, column 2"):
+            read_both(p)
 
 
 def test_non_finite_cells_are_data_errors_not_headers(tmp_path):

@@ -24,6 +24,7 @@ from lrcov import (
     eigendecompose,
     estimate_lrcov,
     generate,
+    kernel_value,
     ks_distance,
     lag_products,
     make_kernel,
@@ -38,7 +39,7 @@ from lrcov import (
 )
 from lrcov import io, mc
 from lrcov.estimator import (
-    _lag_weights, _plugin_choices, _plugin_weights, _window_sums, _window_surfaces,
+    _lag_weights, _plugin_choices, _window_sums, _window_surfaces,
 )
 from lrcov.fpca import _eigen_stack
 from lrcov.grid import fourier_basis
@@ -92,6 +93,15 @@ def test_bandwidth_rule_resolve():
     for rule in (BandwidthRule("plugin"), BandwidthRule("plugin", pilot_h=4.0)):
         with pytest.raises(ContractViolationError, match="flat-top admits no power-law bias expansion"):
             rule.resolve(s, make_kernel("flat-top"))
+
+
+def test_m_trunc_at_n_obs_is_refused_before_the_truth(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truth was built before m_trunc was checked against N")
+
+    monkeypatch.setattr("lrcov.mc.truth", refuse)
+    with pytest.raises(ConfigError, match="m_trunc = 200 must be below N = 200"):
+        scalar_experiment(h_rule=BandwidthRule("plugin", m_trunc=200))
 
 
 def test_bandwidth_rule_resolve_plugin_diagnostics():
@@ -340,11 +350,10 @@ def test_run_experiment_uneven_blocks_go_back_in_order(monkeypatch):
     s = spec()
     t = truth(s.dgp, s.grid, s.kernel)
     phi = fourier_basis(s.grid, 2)
-    plan = _plugin_weights(s.kernel, 3.0, None, s.n_obs)
     for r in range(s.replications):
         # the oracle: one replication at a time, a stack of one in score coordinates
         scores = oracle_scores(s, r)
-        h = next(_plugin_choices(scores, s.kernel, plan, phi)).bandwidth.h
+        h = next(_plugin_choices(scores, s.kernel, 3.0, None, phi)).bandwidth.h
         weights = _lag_weights(s.kernel, [h], s.n_obs, False)
         surface = _window_surfaces(scores, weights, phi)[0, 0]
         lams = eigendecompose(Surface(s.grid, surface)).eigenvalues
@@ -705,15 +714,29 @@ def oracle_scores(spec, r, centered=True):
     return s.swapaxes(1, 2)
 
 
+def oracle_plugin_weights(kernel, pilot_h, m_trunc, n):
+    """The plug-in's two weight rows, written out: the pilot's K(k/h)/N halved at lag 0, |k|^q/N."""
+    q = kernel.char_exponent
+    h = n ** (1.0 / (1.0 + 2.0 * q)) if pilot_h is None else pilot_h
+    m = min(math.floor(h), math.floor(math.sqrt(n))) if m_trunc is None else m_trunc
+    lags = np.arange(max(min(n - 1, math.floor(h)), m) + 1)
+    pilot = kernel_value(kernel, lags / h) / n
+    pilot[0] *= 0.5
+    return np.stack([pilot, np.where(lags <= m, lags**q, 0.0) / n])
+
+
 def oracle_replicate_range(spec, reps):
     """``mc._replicate_range`` one replication at a time: draw, choose h, estimate."""
     kernel, n, rule, g = spec.kernel, spec.n_obs, spec.h_rule, spec.grid.n_points
     phi = fourier_basis(spec.grid, len(spec.dgp.sigmas))
     hs, clamped, fallback, surfaces = [], [], [], []
     for r in reps:
-        s, h, sel = oracle_scores(spec, r), rule._rule_h(n, kernel), None
-        if rule.kind == "plugin":
-            pilot, bias = oracle_surfaces(s, _plugin_weights(kernel, h, rule.m_trunc, n)[2], phi)
+        s, sel = oracle_scores(spec, r), None
+        if rule.kind != "plugin":
+            h = rule._rule_h(n)
+        else:
+            weights = oracle_plugin_weights(kernel, rule.pilot_h, rule.m_trunc, n)
+            pilot, bias = oracle_surfaces(s, weights, phi)
             sel = optimal_bandwidth(
                 Surface(spec.grid, pilot), Surface(spec.grid, kernel.char_coefficient * bias), kernel, n
             )

@@ -13,7 +13,6 @@ from lrcov import (
     ConfigError,
     DgpSpec,
     Grid,
-    bias_kernel,
     generate,
     lag_products,
     make_kernel,
@@ -162,7 +161,10 @@ def test_truth_matches_its_lag_stack(case):
     # each tolerance scales with the terms summed, not with a result they may cancel to
     w_c = _bias_weights(kernel, len(t.coeffs) - 1) * t.coeffs
     bias_scale = 2.0 * abs(kernel.char_coefficient) * np.sum(np.abs(w_c)) * noise
-    assert np.max(np.abs(t.bias.values - bias_kernel(lags, kernel).values)) <= 1e-12 * bias_scale
+    # the oracle: every lag's surface weighted by |k|^q, with its transpose
+    a = np.tensordot(_bias_weights(kernel, len(lags) - 1), lags, axes=1)
+    want = kernel.char_coefficient * (a + a.T)
+    assert np.max(np.abs(t.bias.values - want)) <= 1e-12 * bias_scale
     # far1's lag factors stop where the two-sided tail falls below FAR1_TAIL_RTOL of their mass
     c_scale = (2.0 * np.sum(np.abs(t.coeffs)) - abs(t.coeffs[0])) * noise
     c_rtol = 2e-12 if spec.kind == "far1" else 1e-13
