@@ -173,15 +173,27 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-# Windows reaching this lag take the FFT path.  A scan of both paths (one weight
-# row; N 2000, 20000 and 50000; G 1, 4 and 16, G 64 to N 20000, G 256 at N 2000;
-# L 8 to 256) put the crossover at L <= 8 for G >= 64, 8-32 for G = 16, 16-32
-# for G = 4, and for G = 1 at 24-64 (N 2000), 96 (N 20000), 192-256 (N 50000).
-# 64 also keeps the short windows of the Monte Carlo harness (L <= 32), and so
-# their bits, on lag products.
-_FFT_MIN_LAG = 64
+# A window of lags 0..L over G columns takes the FFT path once L * max(G, _FFT_COLUMNS)
+# reaches _FFT_MIN_WORK: lag products cost a G x G GEMM per lag, while the FFT path costs
+# about the same for any L, so the wider the sample the shorter the window at which the
+# FFT wins.  A scan of both paths (two weight rows, 2-CPU host, interleaved medians of 7),
+# lag-product time over FFT time, at L * G = 256 / 512 / 1024 (2048):
+#   N  2000: G 16 0.42/0.74/1.26, G 32 0.65/1.20/2.70, G 64 0.37/0.85/1.65,
+#            G 128 0.40/0.64/1.22
+#   N 50000: G 16 1.18/2.74/5.89, G 32 0.79/1.59/2.38, G 64 0.44/0.93/1.84,
+#            G 128 0.27/0.60/0.85, and 2.09 at 2048 (best of 3)
+# 512 sits at the crossover for G 16-64 and one doubling early for G 128.  It is 64 * 8,
+# so a sample of at most 8 columns keeps the 64-lag rule of an earlier scan (G = 1 crosses
+# at 24-64 lags for N 2000, 192-256 for N 50000), and the Monte Carlo score stacks
+# (J <= 3, L <= 32) keep their bits on lag products.
+_FFT_MIN_WORK = 512
 _FFT_COLUMNS = 8  # columns of the sample transformed at a time; bounds the FFT buffer
 _FFT_CHUNK_BYTES = 1 << 19  # size of the (G, bins) half-spectrum slice behind each GEMM
+
+
+def _takes_fft(max_lag: int, g: int) -> bool:
+    """Whether a window of lags 0..max_lag over G columns takes the FFT path."""
+    return max_lag * max(g, _FFT_COLUMNS) >= _FFT_MIN_WORK
 
 
 def _fft_length(n: int) -> int:
@@ -198,29 +210,31 @@ def _window_sums(
 
     ``weights`` is (n_w, L+1) with L < N; a (B, N, G) stack takes it, or a list of one
     per replication, and gives (B, n_w, G, G).  A (G,) ``mean`` is subtracted from y
-    first, as the same float operation as ``y - mean``.  Short windows apply the rows to
-    one ``lag_products`` call.  Long ones are a Parseval inner product of half spectra:
+    first, as the same float operation as ``y - mean``.  Windows short for their width
+    (``_takes_fft``) apply the rows to one ``lag_products`` call.  The others are a
+    Parseval inner product of half spectra:
     with Y_s the real FFT of column s, zero-padded to m >= N + L so the correlation does
     not wrap, and W that of a weight row, A[s, t] = (1/m) sum_f conj(Y_s W) Y_t over the
     full spectrum, in which each half-spectrum bin but 0 and m/2 stands for two.  Each
     block of columns is transformed once; each weight row is then one real GEMM per
     frequency chunk, and no inverse transform is needed.
     """
-    if isinstance(weights, list):  # products up to the longest short window serve every row
+    g = y.shape[-1]
+    if isinstance(weights, list):  # products up to the longest lag-product window serve every row
         lags = [w.shape[1] - 1 for w in weights]
-        products = lag_products(y, max([k for k in lags if k < _FFT_MIN_LAG], default=0))
+        products = lag_products(y, max([k for k in lags if not _takes_fft(k, g)], default=0))
         return np.stack([
-            np.tensordot(w, p[: k + 1], axes=1) if k < _FFT_MIN_LAG else _window_sums(s, w)
+            _window_sums(s, w) if _takes_fft(k, g) else np.tensordot(w, p[: k + 1], axes=1)
             for s, w, p, k in zip(y, weights, products, lags)
         ])
     max_lag = weights.shape[1] - 1
-    if max_lag < _FFT_MIN_LAG:
+    if not _takes_fft(max_lag, g):
         lp = lag_products(y if mean is None else y - mean, max_lag)
         *stack, lags, g, _ = lp.shape
         return (weights @ lp.reshape(*stack, lags, g * g)).reshape(*stack, len(weights), g, g)
     if y.ndim == 3:
         return np.stack([_window_sums(s, weights, mean) for s in y])
-    n, g = y.shape
+    n = y.shape[0]
     m = _fft_length(n + max_lag)
     bin_weights = np.full(m // 2 + 1, 2.0 / m)
     bin_weights[0] = 1.0 / m
@@ -377,17 +391,17 @@ def optimal_bandwidth(
 
     Falls back to the rate-only rule h = N^(1/(1+2q)) (flagged, with no
     constant ``c0``) when the bias surface vanishes or the variance constant
-    is degenerate.
+    is degenerate.  The data enter only through the ratio of the bias norm to
+    the variance constant, formed before any power, so h is scale-free.
     """
     q = _power_law_exponent(kernel, n_obs, "bandwidth rule")
     power, rate = 1.0 / (1.0 + 2.0 * q), _rate_h(kernel, n_obs)
     f_norm = l2_norm_surface(bias)
     c_int = surface_integral(c)
-    denom = _pow(c_int, 2) * kernel.square_integral
-    if f_norm == 0.0 or denom <= 0.0:
+    if f_norm == 0.0 or c_int == 0.0:
         warnings.warn("degenerate bias or variance constant; using rate-only bandwidth")
         return BandwidthSelection(Bandwidth(rate), None, True, f_norm, c_int)
-    c0 = (q * _pow(f_norm, 2)) ** power * denom ** (-power)
+    c0 = (q / kernel.square_integral) ** power * (f_norm / abs(c_int)) ** (2.0 * power)
     return BandwidthSelection(Bandwidth(c0 * rate), c0, False, f_norm, c_int)
 
 

@@ -59,8 +59,10 @@ def _number(text: str) -> float:
 
 
 def _header(line: str) -> list | None:
-    """The first line's stripped fields if it is a header: none of them parses as a number."""
+    """The first line's stripped fields if it is a header: some field has text, none is a number."""
     fields = [s.strip() for s in line.split(",")]
+    if not any(fields):
+        return None
     for field in fields:
         try:
             _number(field)
@@ -153,7 +155,7 @@ def _parse_bulk(fh) -> tuple[np.ndarray, list | None] | None:
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
     """Strict rectangular CSV parse; returns (values, header or None).
 
-    A first line is a header when none of its fields parses as a number;
+    A first line is a header when some field has text and none parses as a number;
     everywhere else a bad or non-finite cell is an error naming its row and
     column.  A leading byte-order mark and trailing blank lines are ignored;
     a blank line between data rows is an error, and so is a file that is not

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,11 +43,17 @@ def test_surface_norm_survives_squares_that_underflow_or_overflow():
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
     for size in (1e-170, 1e-300, 5e-324, 1e200, 1e300):
         assert l2_norm_surface(Surface(Grid(2), size * signs)) == size
-    # ±1e-170 bias of a Bartlett rule: the norm is no longer 0, though the squared
-    # integral of C = 1e-170 still underflows, so the rule keeps its rate-only fallback
+    # ±1e-170 bias of a Bartlett rule: the norm is not 0, and the rule, which reads the
+    # ratio of that norm to the integral of C = 1e-170, gives the h of the unit surfaces
     bias, c = Surface(Grid(2), 1e-170 * signs), Surface(Grid(2), np.full((2, 2), 1e-170))
-    with pytest.warns(UserWarning, match="degenerate"):
-        assert optimal_bandwidth(c, bias, make_kernel("bartlett"), 1000).f_norm == 1e-170
+    kernel = make_kernel("bartlett")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no rate-only fallback
+        sel = optimal_bandwidth(c, bias, kernel, 1000)
+        ones = Surface(Grid(2), np.ones((2, 2)))
+        unit = optimal_bandwidth(ones, Surface(Grid(2), signs), kernel, 1000)
+    assert sel.f_norm == 1e-170 and not sel.fallback
+    assert sel.bandwidth.h == pytest.approx(unit.bandwidth.h, rel=1e-14)
 
 
 def test_surface_norm_scales_exactly_by_powers_of_two():

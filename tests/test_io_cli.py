@@ -136,6 +136,17 @@ def test_non_finite_cells_are_data_errors_not_headers(tmp_path):
         read_both(p)
 
 
+@pytest.mark.parametrize("first", [",", " , "], ids=["bare", "spaces"])
+def test_a_first_line_with_no_text_is_data_not_a_header(tmp_path, capsys, first):
+    p = write(tmp_path / "empty.csv", f"{first}\n1,2\n3,4\n")
+    with pytest.raises(DataFormatError, match="^row 1, column 1: cannot parse ''$"):
+        read_both(p)
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", p, "--h", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: row 1, column 1: cannot parse ''\n"
+    assert not out.exists()
+
+
 def test_blank_line_is_an_error(tmp_path):
     p = write(tmp_path / "blank.csv", "1\n\n3\n")
     with pytest.raises(DataFormatError, match="row 2"):
@@ -1068,10 +1079,10 @@ def test_an_output_that_is_the_data_file_exits_3_and_leaves_it(
 
 RATE_WARNING = "warning: h^{} = {} exceeds N = {}; the leading bias approximation degrades\n"
 PARZEN_INF = RATE_WARNING.format(2, "inf", 200)
-H_NAN = "error: bandwidth must be positive and finite, got nan\n"
 
 # a double overflows to inf where Python's float power raises OverflowError: h^q
-# past 1e154, and the plug-in's squared constants on curves of size 1e100 and up
+# past 1e154.  The plug-in's constants enter as their ratio, never squared, so curves
+# of size 1e100 and 1e140 give the h of the unscaled curves
 OVERFLOW_PROBES = {
     "estimate-parzen": (["estimate", "--kernel", "parzen", "--h", "1e200"], 1.0, 0, PARZEN_INF),
     "fpca-tukey-hanning-power": (
@@ -1084,10 +1095,10 @@ OVERFLOW_PROBES = {
         0,
         PARZEN_INF + RATE_WARNING.format(2, "1e+04", 200),  # the plug-in h, clamped to N/2
     ),
-    "bandwidth-1e100": (["bandwidth"], 1e100, 4, H_NAN),
-    "bandwidth-1e140": (["bandwidth"], 1e140, 4, H_NAN),
-    "estimate-plugin-1e100": (["estimate", "--h", "plugin"], 1e100, 4, H_NAN),
-    "estimate-plugin-1e140": (["estimate", "--h", "plugin"], 1e140, 4, H_NAN),
+    "bandwidth-1e100": (["bandwidth"], 1e100, 0, ""),
+    "bandwidth-1e140": (["bandwidth"], 1e140, 0, ""),
+    "estimate-plugin-1e100": (["estimate", "--h", "plugin"], 1e100, 0, ""),
+    "estimate-plugin-1e140": (["estimate", "--h", "plugin"], 1e140, 0, ""),
 }
 
 
@@ -1119,8 +1130,8 @@ def test_simulate_huge_noise_gives_closed_form_gamma_norms(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "h, err",
-    # the plug-in's bias norm is finite, but its squared pilot integral overflows to inf
-    [(3, "error: sample variance overflows a double\n"), ("plugin", H_NAN.replace("nan", "0.0"))],
+    # the plug-in's ratio of finite constants gives a finite h, as the fixed rule does
+    [(h, "error: sample variance overflows a double\n") for h in (3, "plugin")],
     ids=["fixed", "plugin"],
 )
 def test_mc_verify_huge_noise_exits_4_after_its_truth(tmp_path, capsys, monkeypatch, h, err):

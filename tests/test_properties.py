@@ -175,7 +175,7 @@ def test_one_pass_plugin_matches_three_pass_reference(case, pilot_h, m_trunc):
 
 # ------------------------------------------------------------ the FFT window path
 
-# _FFT_MIN_LAG values that send every window down one path: the FFT path, the lag products
+# _FFT_MIN_WORK values that send every window down one path: the FFT path, the lag products
 BOTH_PATHS = st.sampled_from((0, 10**9))
 
 
@@ -199,7 +199,7 @@ def test_window_sums_match_the_lag_products_and_the_naive_oracle(case, more_h, t
     n = sample.n_obs
     y = sample.values - sample.values.mean(axis=0)
     weights = estimator._lag_weights(kernel, h_values, n, unbiased)
-    with mock.patch.object(estimator, "_FFT_MIN_LAG", threshold):
+    with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold):
         a = estimator._window_sums(y, weights)
     lagged = np.tensordot(weights, estimator.lag_products(y, weights.shape[1] - 1), axes=1)
     scaled = dict(case, h=max(h_values))  # the widest window bounds the terms summed
@@ -216,7 +216,7 @@ def test_window_sums_match_the_lag_products_and_the_naive_oracle(case, more_h, t
 @PROPERTY
 @given(cases(), BOTH_PATHS)
 def test_estimate_on_either_path_matches_naive_oracle(case, threshold):
-    with mock.patch.object(estimator, "_FFT_MIN_LAG", threshold):
+    with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold):
         got = estimate(case).surface.values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -231,7 +231,7 @@ def test_estimate_on_either_path_matches_naive_oracle(case, threshold):
 @given(cases(), st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 def test_spectral_density_agrees_across_the_crossover(case, omega):
     def density(threshold):
-        with mock.patch.object(estimator, "_FFT_MIN_LAG", threshold), warnings.catch_warnings():
+        with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             f = estimate_spectral_density(
                 case["sample"], case["kernel"], case["h"], omega, unbiased=case["unbiased"]
@@ -266,7 +266,7 @@ def test_mc_h_grids_match_a_lag_product_reference(dgp, name, n, g, h_values, see
     kernel, grid, reps = make_kernel(name), Grid(g), 4
     samples = [generate(dgp, n, grid, replication_rng(seed, r)).values for r in range(reps)]
     c_true = truth(dgp, grid, kernel).c.values
-    with mock.patch.object(estimator, "_FFT_MIN_LAG", threshold), warnings.catch_warnings():
+    with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = ExperimentSpec(
             dgp=dgp, kernel=kernel, n_obs=n, grid=grid, h_rule=BandwidthRule("fixed", value=1.0),
@@ -290,9 +290,52 @@ def test_mc_h_grids_match_a_lag_product_reference(dgp, name, n, g, h_values, see
     assert [v for _, v in curve] == pytest.approx(list(mse), rel=1e-12)
 
 
+@pytest.mark.parametrize("threshold, fft", [(0, True), (10**9, False)])
+@pytest.mark.parametrize("lags, g", [(0, 1), (15, 6), (32, 3)])
+def test_the_patch_point_sends_every_window_down_one_path(threshold, fft, lags, g):
+    # the shortest window, the longest and widest the properties above draw, and the
+    # longest of mc-verify's score stacks
+    rng = np.random.default_rng(lags + g)
+    y = rng.standard_normal((40, g))
+    weights = rng.standard_normal((2, lags + 1))
+    with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold):
+        for args in ((y, weights), (y[None], weights), (y[None], [weights])):
+            with mock.patch("numpy.fft.rfft", wraps=np.fft.rfft) as rfft:
+                estimator._window_sums(*args)
+            assert rfft.called == fft
+
+
+@pytest.mark.parametrize("j, lags", [(3, 4), (3, 8), (3, 12), (3, 32), (1, 12)])
+def test_monte_carlo_windows_keep_the_bits_of_lag_products(j, lags):
+    # component-major score stacks as mc-verify holds them: J = 3 with the A4 config's
+    # windows and its bias_check h up to 32, and the scalar A2 config
+    rng = np.random.default_rng(10 * j + lags)
+    y = rng.standard_normal((4, j, 2000)).swapaxes(1, 2)
+    weights = rng.standard_normal((2, lags + 1))
+    for got in (estimator._window_sums(y, weights), estimator._window_sums(y, [weights] * 4)):
+        for s, a in zip(y, got):
+            want = np.tensordot(weights, estimator.lag_products(s[None], lags)[0], axes=1)
+            assert a.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, unbiased", [("bartlett", False), ("parzen", True)])
+def test_a_wide_short_window_matches_the_naive_oracle(name, unbiased):
+    # G = 64 at L = 8, a short window of a wide sample, on whichever path the crossover picks
+    n, g, h = 50, 64, 8.5
+    rng = np.random.default_rng(64)
+    y = rng.normal(size=(n, g)).cumsum(axis=0) * 0.1 + rng.normal(size=g) * 10.0
+    sample, kernel = CurveSample(Grid(g), y), make_kernel(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # h^2 > N for Parzen
+        got = estimate_lrcov(sample, kernel, h, unbiased=unbiased).surface.values
+        want = estimate_lrcov_naive(sample, kernel, h, unbiased=unbiased).surface.values
+    assert np.array_equal(got, got.T)
+    assert_close(got, want, {"sample": sample, "h": h}, 1e-10)
+
+
 def test_long_window_takes_the_fft_path_and_matches_direct_lag_sums():
     n, g, h = 3000, 4, 200.0
-    assert estimator._FFT_MIN_LAG <= h  # past the default crossover, no patching
+    assert estimator._takes_fft(int(h), g)  # past the default crossover, no patching
     y = np.random.default_rng(2024).normal(size=(n, g)).cumsum(axis=0) * 0.05
     sample = CurveSample(Grid(g), y)
     yc = y - y.mean(axis=0)
@@ -376,7 +419,7 @@ def powers_of_ten(low, high):
     st.integers(0, 2**32 - 1),
 )
 @example("parzen", 1e300, 1.0, 20, 2, 0)  # h^2 overflows
-@example("bartlett", 4.0, 1e100, 20, 2, 0)  # the plug-in's squared constants overflow
+@example("bartlett", 4.0, 1e100, 20, 2, 0)  # the plug-in's constants squared overflow a double
 def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale, n, g, seed):
     sample = CurveSample(Grid(g), np.random.default_rng(seed).normal(size=(n, g)) * scale)
     kernel = make_kernel(name)
@@ -387,6 +430,28 @@ def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale,
                 call(sample, kernel, h)
             except LrcovError:
                 pass
+
+
+@PROPERTY
+@given(
+    st.sampled_from(("bartlett", "parzen", "tukey-hanning")),
+    st.integers(-330, 330),  # 2^k, about 1e-100 to 1e100
+    powers_of_ten(-100.0, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+@example("bartlett", 332, 1e100, 0)  # the plug-in's constants squared overflow a double
+@example("bartlett", -332, 1e-100, 0)  # the pilot's integral squared underflows to 0
+def test_plugin_h_is_scale_free(name, k, scale, seed):
+    y = np.random.default_rng(seed).normal(size=(200, 3))
+    kernel = make_kernel(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fallback warning at any scale
+        want = plugin_bandwidth(CurveSample(Grid(3), y), kernel)
+        by_two = plugin_bandwidth(CurveSample(Grid(3), y * 2.0**k), kernel)
+        by_ten = plugin_bandwidth(CurveSample(Grid(3), y * scale), kernel)
+    assert not want.fallback and not by_two.fallback and not by_ten.fallback
+    assert by_two.bandwidth.h == want.bandwidth.h  # a power of two changes no rounding
+    assert by_ten.bandwidth.h == pytest.approx(want.bandwidth.h, rel=1e-12)
 
 
 # ------------------------------------------------ Monte Carlo in score coordinates
@@ -584,7 +649,7 @@ def test_component_major_stacks_match_2d_lag_products_and_the_naive_oracle(
     lags = weights.shape[1] - 1
     stack = _scores(spec.dgp, n, [replication_rng(seed, r) for r in range(b)])
     y = (stack - stack.mean(axis=2, keepdims=True)).swapaxes(1, 2)  # as a block centres it
-    if lags < estimator._FFT_MIN_LAG:
+    if not estimator._takes_fft(lags, y.shape[-1]):
         # the stack's window sums against the 2-D products of the same (N, J) scores
         got = estimator._window_sums(y, weights)[:, 0]
         for r in range(b):
