@@ -173,8 +173,8 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-# A window of lags 0..L over G columns takes the FFT path once L * max(G, _FFT_COLUMNS)
-# reaches _FFT_MIN_WORK: lag products cost a G x G GEMM per lag, while the FFT path costs
+# A window of lags 0..L over G columns takes the FFT path once L * max(G, 8) reaches
+# _FFT_MIN_WORK: lag products cost a G x G GEMM per lag, while the FFT path costs
 # about the same for any L, so the wider the sample the shorter the window at which the
 # FFT wins.  A scan of both paths (two weight rows, 2-CPU host, interleaved medians of 7),
 # lag-product time over FFT time, at L * G = 256 / 512 / 1024 (2048):
@@ -185,7 +185,9 @@ def lag_products(y: np.ndarray, max_lag: int) -> np.ndarray:
 # 512 sits at the crossover for G 16-64 and one doubling early for G 128.  It is 64 * 8,
 # so a sample of at most 8 columns keeps the 64-lag rule of an earlier scan (G = 1 crosses
 # at 24-64 lags for N 2000, 192-256 for N 50000), and the Monte Carlo score stacks
-# (J <= 3, L <= 32) keep their bits on lag products.
+# (J <= 3, L <= 32) keep their bits on lag products.  The scan covers 2-D samples with
+# two weight rows; the FFT path's cost grows with the rows and it loops over a stack's
+# replications, so wide Monte Carlo stacks and many-row h grids route unmeasured.
 _FFT_MIN_WORK = 512
 _FFT_COLUMNS = 8  # columns of the sample transformed at a time; bounds the FFT buffer
 _FFT_CHUNK_BYTES = 1 << 19  # size of the (G, bins) half-spectrum slice behind each GEMM
@@ -193,7 +195,7 @@ _FFT_CHUNK_BYTES = 1 << 19  # size of the (G, bins) half-spectrum slice behind e
 
 def _takes_fft(max_lag: int, g: int) -> bool:
     """Whether a window of lags 0..max_lag over G columns takes the FFT path."""
-    return max_lag * max(g, _FFT_COLUMNS) >= _FFT_MIN_WORK
+    return max_lag * max(g, 8) >= _FFT_MIN_WORK  # 512 = 64 * 8: G <= 8 crosses at 64 lags
 
 
 def _fft_length(n: int) -> int:

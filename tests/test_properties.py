@@ -419,7 +419,7 @@ def powers_of_ten(low, high):
     st.integers(0, 2**32 - 1),
 )
 @example("parzen", 1e300, 1.0, 20, 2, 0)  # h^2 overflows
-@example("bartlett", 4.0, 1e100, 20, 2, 0)  # the plug-in's constants squared overflow a double
+@example("bartlett", 4.0, 1e100, 20, 2, 0)  # curves whose constants' squares pass a double
 def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale, n, g, seed):
     sample = CurveSample(Grid(g), np.random.default_rng(seed).normal(size=(n, g)) * scale)
     kernel = make_kernel(name)
@@ -439,8 +439,8 @@ def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale,
     powers_of_ten(-100.0, 100.0),
     st.integers(0, 2**32 - 1),
 )
-@example("bartlett", 332, 1e100, 0)  # the plug-in's constants squared overflow a double
-@example("bartlett", -332, 1e-100, 0)  # the pilot's integral squared underflows to 0
+@example("bartlett", 332, 1e100, 0)  # constants whose squares would overflow a double
+@example("bartlett", -332, 1e-100, 0)  # a pilot integral whose square would underflow to 0
 def test_plugin_h_is_scale_free(name, k, scale, seed):
     y = np.random.default_rng(seed).normal(size=(200, 3))
     kernel = make_kernel(name)
