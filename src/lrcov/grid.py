@@ -85,9 +85,15 @@ def l2_norm_surface(s: Surface) -> float:
 
 
 def surface_integral(s: Surface) -> float:
-    """Integral of the surface over the unit square."""
-    g = s.grid.n_points
-    return float(np.sum(s.values)) / g**2
+    """Integral of the surface over the unit square.
+
+    The entries are summed after division by the power of two just above their
+    largest magnitude, and the mean is scaled back, so a sum of G² entries that
+    overflows a double leaves a finite integral finite.  Scaling by a power of
+    two is exact, so every other integral keeps the bits of the plain sum.
+    """
+    e = math.frexp(float(np.max(np.abs(s.values))))[1]
+    return float(np.ldexp(np.sum(np.ldexp(s.values, -e)) / s.grid.n_points**2, e))
 
 
 def fourier_basis(grid: Grid, count: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Numbers are written with shortest round-trip decimal formatting (``repr``),
 so parse(write(x)) returns x bit-exactly and output files are stable across
 platforms.  Parsing is strict: ragged rows and unparsable or non-finite cells
-are reported with 1-based row/column positions instead of being coerced.  A
-clean file is parsed in one ``np.loadtxt`` call; anything that call refuses
+are reported with 1-based row/column positions instead of being coerced.
+Rows end only at a newline (``\n``, ``\r\n`` or ``\r``), as in ``np.loadtxt``.
+A clean file is parsed in one ``np.loadtxt`` call; anything that call refuses
 or might read differently goes through the per-line parser, which names the
 bad cell.
 """
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _WRITE_BLOCK_ROWS = 1024
-_READ_BLOCK_CHARS = 1 << 20  # characters of text split into lines at once
 
 
 def write_matrix_csv(path: str, values: np.ndarray, header: list | None = None) -> None:
@@ -95,59 +95,40 @@ def _parse_row(line: str, row_no: int, n_cols: int | None) -> list:
     return out
 
 
-def _file_lines(fh):
-    """``fh.read().splitlines()`` less its trailing blank lines, read a block at a time.
-
-    ``readlines`` stops right after a line feed, which always ends a line, so
-    the blocks' lines are the file's lines.  Blank lines are held back until a
-    line with text follows them.  Only one block is alive at once: a read costs
-    the array, not the file's text and a string for each of its lines.
-    """
-    blank = []
-    while block := fh.readlines(_READ_BLOCK_CHARS):
-        lines = "".join(block).splitlines()
-        k = len(lines)
-        while k and not lines[k - 1].strip():
-            k -= 1
-        if k:
-            yield from blank
-            yield from itertools.islice(lines, k)
-            blank = []
-        blank += lines[k:]
-
-
 def _parse_bulk(fh) -> tuple[np.ndarray, list | None] | None:
     """(values, header) from one ``np.loadtxt`` call, or None unless the result is sure.
 
     ``loadtxt`` parses a field with the correctly rounded C conversion and
     accepts a subset of what ``float`` accepts, so an array it returns holds
-    the values the per-line parser would give.  It skips blank lines, so the
-    shape must count every line; non-finite cells, a header of another width
-    and text that is not UTF-8 are left to the per-line parser, which names them.
+    the values the per-line parser would give.  It reads the handle's own
+    lines, which end only at a newline, and skips empty ones, so the shape
+    must reach the last line with text; non-finite cells, a header of another
+    width and text that is not UTF-8 are left to the per-line parser, which
+    names them.
     """
-    lines = _file_lines(fh)
     try:
-        first = next(lines, None)
-        header = None if first is None else _header(first)
+        first = fh.readline()
+        header = _header(first)
         if header is not None:
-            first = next(lines, None)
-        if first is None:  # loadtxt warns on no input; the per-line parser reports it
+            first = fh.readline()
+        if not first.strip():  # no data, or a blank line the per-line parser reports
             return None
         n_cols = first.count(",") + 1
         if header is not None and len(header) != n_cols:
             return None
-        n_lines = 0
+        n_rows = 0
 
-        def counted():
-            nonlocal n_lines
-            for line in itertools.chain([first], lines):
-                n_lines += 1
+        def lines():
+            nonlocal n_rows
+            for i, line in enumerate(itertools.chain([first], fh), start=1):
+                if line != "\n":
+                    n_rows = i
                 yield line
 
-        values = np.loadtxt(counted(), delimiter=",", comments=None, dtype=float, ndmin=2)
+        values = np.loadtxt(lines(), delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:  # UnicodeDecodeError included
         return None
-    if values.shape != (n_lines, n_cols) or not np.isfinite(values).all():
+    if values.shape != (n_rows, n_cols) or not np.isfinite(values).all():
         return None
     return values, header
 
@@ -169,7 +150,7 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list | None]:
             if bulk is not None:
                 return bulk
             src.seek(0)
-            lines = src.read().splitlines()
+            lines = src.read().split("\n")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -431,6 +431,8 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
             weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
         surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
         del s  # the last stack's buffers are freed before the eigensolve
+    if not np.isfinite(surfaces).all():  # eigh does not converge on inf or nan
+        raise DimensionError("surface contains non-finite values")
     flat, projs = surfaces.reshape(count, g * g), np.empty((count, len(spec.projections)))
     for j, f in enumerate(spec.projections):  # each row sums as np.sum(v * f.values) alone
         projs[:, j] = (flat * f.values.ravel()).sum(axis=1) / g**2

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, config_number, config_numbers, config_object
 from .estimator import CurveSample, _bias_weights
 from .fpca import EigenSystem
-from .grid import Grid, Surface, fourier_basis
+from .grid import Grid, Surface, fourier_basis, surface_integral
 from .kernels import KernelSpec
 
 __all__ = [
@@ -202,9 +202,11 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
         noise_surface = (phi.T * s2) @ phi
         coeffs, long_run = _gamma_coeffs(spec)
         c_vals = long_run * noise_surface
+        c = Surface(grid, c_vals) if np.isfinite(c_vals).all() else None
         order = np.argsort(-s2, kind="stable")
         lam = long_run * s2[order]
-        sizes = [np.sum(c_vals), *lam, np.max(np.abs(coeffs)) * np.max(np.abs(noise_surface))]
+        c_int = math.inf if c is None else surface_integral(c)
+        sizes = [c_int, *lam, np.max(np.abs(coeffs)) * np.max(np.abs(noise_surface))]
         if kernel is not None and math.isfinite(kernel.char_exponent):
             bias = (_bias_weights(kernel, len(coeffs) - 1) @ coeffs) * noise_surface
             bias += bias.T  # numpy buffers the overlapping transpose
@@ -213,6 +215,5 @@ def truth(spec: DgpSpec, grid: Grid, kernel: KernelSpec | None = None) -> TruthS
     if not np.all(np.isfinite(sizes)):
         what = f"the {spec.kind} process's truth"
         raise ConfigError(f"{what} overflows a double on {grid.n_points} grid points")
-    c = Surface(grid, c_vals)
     eigen = EigenSystem(grid, lam, phi[order])
     return TruthSet(coeffs, c, eigen, None if bias is None else Surface(grid, bias))
