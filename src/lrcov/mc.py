@@ -406,6 +406,15 @@ def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
         yield rows, s.swapaxes(1, 2)
 
 
+def _finite_surfaces(s: np.ndarray, weights, phi: np.ndarray) -> np.ndarray:
+    """``_window_surfaces`` of a score stack, refused where an estimate overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _window_surfaces(s, weights, phi)
+    if not np.isfinite(out).all():  # eigh does not converge on inf or nan
+        raise DimensionError("surface contains non-finite values")
+    return out
+
+
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G),
     and the plug-in's clamped and fallback flags (n,).
@@ -429,10 +438,8 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
         elif rows.start == 0:  # a fixed or power h does not depend on the sample
             _warn_rate(kernel, _as_h(h[0]), n)
             weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
-        surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
+        surfaces[rows] = _finite_surfaces(s, weights, phi)[:, 0]
         del s  # the last stack's buffers are freed before the eigensolve
-    if not np.isfinite(surfaces).all():  # eigh does not converge on inf or nan
-        raise DimensionError("surface contains non-finite values")
     flat, projs = surfaces.reshape(count, g * g), np.empty((count, len(spec.projections)))
     for j, f in enumerate(spec.projections):  # each row sums as np.sum(v * f.values) alone
         projs[:, j] = (flat * f.values.ravel()).sum(axis=1) / g**2
@@ -447,7 +454,7 @@ def _window_estimates(job: tuple, reps: range) -> np.ndarray:
     phi, g = fourier_basis(spec.grid, len(spec.dgp.sigmas)), spec.grid.n_points
     out = np.empty((len(reps), len(weights), g, g))
     for rows, s in _score_stacks(spec, reps, centered):
-        out[rows] = _window_surfaces(s, weights, phi)
+        out[rows] = _finite_surfaces(s, weights, phi)
     return out
 
 

@@ -31,6 +31,8 @@ from lrcov import (
 from lrcov import io
 from lrcov.cli import main
 
+import installed_checks
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -1103,41 +1105,47 @@ def test_an_output_that_is_the_data_file_exits_3_and_leaves_it(
 
 # ---------------------------------------------------------------- cli: overflow
 
-RATE_WARNING = "warning: h^{} = {} exceeds N = {}; the leading bias approximation degrades\n"
-PARZEN_INF = RATE_WARNING.format(2, "inf", 200)
+@pytest.fixture
+def cli_run(capsys, monkeypatch):
+    """An installed_checks runner: ``main`` in-process, with ``env`` set for the one call."""
 
-# a double overflows to inf where Python's float power raises OverflowError: h^q
-# past 1e154.  The plug-in's constants enter as their ratio, never squared, so curves
-# of size 1e100 and 1e140 give the h of the unscaled curves
-OVERFLOW_PROBES = {
-    "estimate-parzen": (["estimate", "--kernel", "parzen", "--h", "1e200"], 1.0, 0, PARZEN_INF),
-    "fpca-tukey-hanning-power": (
-        ["fpca", "--kernel", "tukey-hanning", "--h", "power:1e200,0.5"], 1.0, 0, PARZEN_INF
-    ),
-    "bandwidth-parzen-pilot": (["bandwidth", "--kernel", "parzen", "--h", "1e200"], 1.0, 0, PARZEN_INF),
-    "estimate-parzen-plugin-pilot": (
-        ["estimate", "--kernel", "parzen", "--h", "plugin:1e200"],
-        1.0,
-        0,
-        PARZEN_INF + RATE_WARNING.format(2, "1e+04", 200),  # the plug-in h, clamped to N/2
-    ),
-    "bandwidth-1e100": (["bandwidth"], 1e100, 0, ""),
-    "bandwidth-1e140": (["bandwidth"], 1e140, 0, ""),
-    "estimate-plugin-1e100": (["estimate", "--h", "plugin"], 1e100, 0, ""),
-    "estimate-plugin-1e140": (["estimate", "--h", "plugin"], 1e140, 0, ""),
-}
+    def run(argv, env):
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        return code, capsys.readouterr().err
+
+    return run
 
 
-@pytest.mark.parametrize(
-    "argv, scale, code, err", OVERFLOW_PROBES.values(), ids=OVERFLOW_PROBES.keys()
-)
-def test_overflowing_powers_warn_or_exit_4(tmp_path, capsys, argv, scale, code, err):
-    data = str(tmp_path / "d.csv")
-    io.write_matrix_csv(data, np.random.default_rng(11).standard_normal((200, 3)) * scale)
-    out = tmp_path / "out"
-    assert main([*argv, "--data", data, "--out", str(out)]) == code
-    assert capsys.readouterr().err == err
-    assert out.exists() == (code == 0)  # a refused run writes nothing
+@pytest.mark.parametrize("name", installed_checks.PROBES)
+def test_overflowing_powers_warn_or_exit_4(tmp_path, monkeypatch, cli_run, name):
+    monkeypatch.chdir(tmp_path)
+    installed_checks.probe(cli_run, name, installed_checks.write_inputs())
+
+
+@pytest.mark.parametrize("check", installed_checks.CHECKS, ids=lambda check: check.__name__)
+def test_installed_check_in_process(tmp_path, monkeypatch, cli_run, check):
+    monkeypatch.chdir(tmp_path)
+    check(cli_run)
+
+
+def test_ci_runs_every_installed_check_as_tier_1_does(tmp_path, monkeypatch):
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert "run: python tests/installed_checks.py" in workflow.read_text().partition("runtime-deps:")[2]
+    defined = [f for name, f in vars(installed_checks).items() if name.startswith("check_")]
+    assert list(installed_checks.CHECKS) == defined
+    ran = []
+    fakes = tuple(lambda run, check=check: ran.append((check, run)) for check in defined)
+    monkeypatch.setattr(installed_checks, "CHECKS", fakes)
+    monkeypatch.chdir(tmp_path)  # restored after main() leaves the cwd in its deleted temp dir
+    installed_checks.main()
+    assert ran == [(check, installed_checks.console_run) for check in defined]
 
 
 # every truth surface is finite although the noise surface's squared entries sum past a double
@@ -1171,18 +1179,22 @@ def test_simulate_truth_whose_entries_sum_past_a_double(tmp_path, capsys, dgp):
 
 
 @pytest.mark.parametrize(
-    "dgp, h, err",
+    "dgp, h, bias_check, err",
     [
         # the plug-in's ratio of finite constants gives a finite h, as the fixed rule does
-        *((HUGE_NOISE, h, "error: sample variance overflows a double\n") for h in (3, "plugin")),
+        *((HUGE_NOISE, h, None, "error: sample variance overflows a double\n") for h in (3, "plugin")),
         # a finite truth whose estimates overflow, refused before the eigensolve
-        *((SIGMA_1E154, h, "error: surface contains non-finite values\n") for h in (3, "plugin")),
+        *((SIGMA_1E154, h, None, installed_checks.NON_FINITE) for h in (3, "plugin")),
+        # and before the bias check's means, without numpy's overflow warnings
+        (SIGMA_1E154, 3, installed_checks.BIAS_CHECK, installed_checks.NON_FINITE),
     ],
-    ids=["fixed", "plugin", "fixed-1e154", "plugin-1e154"],
+    ids=["fixed", "plugin", "fixed-1e154", "plugin-1e154", "bias-check-1e154"],
 )
-def test_mc_verify_huge_noise_exits_4_after_its_truth(tmp_path, capsys, monkeypatch, dgp, h, err):
+def test_mc_verify_huge_noise_exits_4_after_its_truth(
+    tmp_path, capsys, monkeypatch, dgp, h, bias_check, err
+):
     monkeypatch.delenv("LRCOV_THREADS", raising=False)
-    cfg = write(tmp_path / "mc.json", json.dumps(mc_config(dgp=dgp, h=h, eigen_levels=[1])))
+    cfg = write(tmp_path / "mc.json", json.dumps(mc_config(bias_check, dgp=dgp, h=h, eigen_levels=[1])))
     out = tmp_path / "out"
     assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 4
     assert capsys.readouterr().err == err
@@ -1195,7 +1207,7 @@ def test_mc_verify_overflowing_drift_exits_0(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path / "mc.json", json.dumps(mc_config(h=1e200)))
     out = tmp_path / "out"
     assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
-    assert capsys.readouterr().err == RATE_WARNING.format(1, "1e+200", 100)
+    assert capsys.readouterr().err == installed_checks.RATE.format(1, "1e+200", 100)
     levels = json.loads((out / "report.json").read_text())["report"]["eigen_levels"]
     assert [level["predicted_mean_shift"] for level in levels] == [0.0, 0.0]
 

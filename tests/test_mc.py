@@ -16,6 +16,7 @@ from lrcov import (
     ConfigError,
     ContractViolationError,
     DgpSpec,
+    DimensionError,
     ExperimentSpec,
     Grid,
     SeparationError,
@@ -579,6 +580,16 @@ def test_bias_rate_check_refusals(monkeypatch):
     for reps in (0, -3):
         with pytest.raises(ContractViolationError, match=f"at least 1 replications, got {reps}"):
             mse_curve(ma1, [2.0, 4.0], reps)
+
+
+@pytest.mark.parametrize("sigma", [1e154, 2e153])
+def test_h_grid_estimates_that_overflow_are_refused_without_a_warning(sigma):
+    # iid noise whose truth is finite but whose window sums overflow; warnings are errors here
+    spec = scalar_experiment(dgp=DgpSpec(kind="iid", sigmas=(sigma,)), n_obs=100, grid=Grid(4),
+                             projections=(Surface(Grid(4), np.ones((4, 4))),))
+    for check in (bias_rate_check, mse_curve):
+        with pytest.raises(DimensionError, match="surface contains non-finite values"):
+            check(spec, [2.0, 4.0, 8.0], 8)
 
 
 def test_bias_rate_check_iid_reports_no_bias():
