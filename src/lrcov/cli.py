@@ -159,10 +159,17 @@ def _path(value, what: str) -> str:
     return value
 
 
-def _read_data(args):
+def _sample_and_bandwidth(args, kernel, rule: BandwidthRule, p: int = 0):
+    """The --data sample, its bandwidth, plug-in selection and input record, checked in order:
+    the rule against the kernel, then the file, then ``p`` eigen levels against its grid."""
+    rule.check_kernel(kernel)
     if args.data is None:
         raise ConfigError(f"{args.command} requires --data")
-    return io.read_curves(args.data)
+    sample = io.read_curves(args.data)
+    if p > sample.grid.n_points:
+        raise ConfigError(f"p = {p} exceeds the grid size {sample.grid.n_points}")
+    record = {"data": args.data, "n_obs": sample.n_obs, "grid_points": sample.grid.n_points}
+    return (sample, *rule.resolve(sample, kernel), record)
 
 
 def _plugin_constants(sel) -> dict:
@@ -192,11 +199,7 @@ _lag_count = partial(config_number, integer=True, low=0)
 
 
 def _estimate(args, cfg: dict, p: int = 0):
-    """Settings, then data, then bandwidth, then the estimate; shared by estimate and fpca.
-
-    Every setting is checked before the data file is read, and ``p`` eigen
-    levels against the grid size right after it.
-    """
+    """Every setting, then the data and its bandwidth, then the estimate; for estimate and fpca."""
     settings = {
         "kernel": _pick(args, cfg, "kernel", "bartlett"),
         "flat_width": _pick(args, cfg, "flat_width", 0.5, config_number),
@@ -207,18 +210,11 @@ def _estimate(args, cfg: dict, p: int = 0):
     }
     kernel = make_kernel(settings["kernel"], settings["flat_width"])
     rule = replace(BandwidthRule.parse(settings["h"]), m_trunc=settings["m_trunc"])
-    rule.check_kernel(kernel)
-    sample = _read_data(args)
-    if p > sample.grid.n_points:
-        raise ConfigError(f"p = {p} exceeds the grid size {sample.grid.n_points}")
-    bandwidth, sel = rule.resolve(sample, kernel)
+    sample, bandwidth, sel, record = _sample_and_bandwidth(args, kernel, rule, p)
     est = estimate_lrcov(sample, kernel, bandwidth, unbiased=settings["unbiased"])
     if settings["psd"]:
         est = project_psd(est)
-    record = {
-        "data": args.data,
-        "n_obs": sample.n_obs,
-        "grid_points": sample.grid.n_points,
+    record |= {
         "config": settings,
         "kernel": kernel.name,
         "psd_applied": settings["psd"],
@@ -264,13 +260,8 @@ def cmd_bandwidth(args, cfg: dict):
         pilot_h=_pick(args, cfg, "pilot_h", None, config_number),
         m_trunc=_pick(args, cfg, "m_trunc", None, _lag_count),
     )
-    rule.check_kernel(kernel)
-    sample = _read_data(args)
-    _, sel = rule.resolve(sample, kernel)
-    record = {
-        "data": args.data,
-        "n_obs": sample.n_obs,
-        "grid_points": sample.grid.n_points,
+    _, _, sel, record = _sample_and_bandwidth(args, kernel, rule)
+    record |= {
         "config": {
             "kernel": kernel.name,
             "flat_width": flat_width,

@@ -271,12 +271,17 @@ def _window_surfaces(
 
     One (G, G) surface per weight row, for each array of a stack.  When y holds (N, J)
     scores of the basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
-    surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.
+    surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.  Every caller's
+    sum that overflows is refused here, with a DimensionError and no numpy warning.
     """
-    a = _window_sums(y, weights, mean)
-    if phi is not None:
-        a = phi.T @ a @ phi
-    return a + np.swapaxes(a, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _window_sums(y, weights, mean)
+        if phi is not None:
+            a = phi.T @ a @ phi
+        a = a + np.swapaxes(a, -1, -2)
+    if not np.isfinite(a).all():  # eigh does not converge on inf or nan
+        raise DimensionError("surface contains non-finite values")
+    return a
 
 
 def estimate_lrcov(
@@ -346,11 +351,11 @@ def estimate_spectral_density(
     w = _lag_weights(kernel, [h], n, unbiased)[0]
     phase = omega * np.arange(len(w))
     y = sample.values
-    a, b = _window_sums(y, np.stack([w * np.cos(phase), w * np.sin(phase)]), y.mean(axis=0))
     two_pi = 2.0 * math.pi
-    return SpectralDensityEstimate(
-        Surface(sample.grid, (a + a.T) / two_pi), Surface(sample.grid, (b.T - b) / two_pi)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # Surface refuses a sum that overflows
+        a, b = _window_sums(y, np.stack([w * np.cos(phase), w * np.sin(phase)]), y.mean(axis=0))
+        real, imag = (a + a.T) / two_pi, (b.T - b) / two_pi
+    return SpectralDensityEstimate(Surface(sample.grid, real), Surface(sample.grid, imag))
 
 
 def _bias_weights(kernel: KernelSpec, max_lag: int) -> np.ndarray:
@@ -431,7 +436,8 @@ def _plugin_choices(
 
     y stacks centered (N, G) samples, or (N, J) scores of the basis ``phi`` as in
     ``_window_surfaces``.  The pilot and bias sums are the two weight rows of one window
-    sum.  Data that is zero everywhere is refused before the pilot's rate warning.
+    sum.  Constant curves, whose every column's maximum equals its minimum (raw or centred),
+    are refused before the pilot's rate warning.
     """
     n = y.shape[1]
     pilot_h = _as_h(_rate_h(kernel, n) if pilot_h is None else pilot_h)
@@ -444,12 +450,13 @@ def _plugin_choices(
     weights = np.zeros((2, max(len(pilot_w), len(bias_w))))
     weights[0, : len(pilot_w)] = pilot_w
     weights[1, : len(bias_w)] = bias_w
-    if not np.all(np.max(np.abs(y), axis=(1, 2))):
+    if np.any(np.all(np.max(y, axis=1) == np.min(y, axis=1), axis=-1)):
         raise ContractViolationError("zero-variance sample: every curve is constant over time")
     _warn_rate(kernel, pilot_h, n)
     for pilot, bias in _window_surfaces(y, weights, phi):
         grid = Grid(pilot.shape[0])
-        bias = Surface(grid, kernel.char_coefficient * bias)
+        with np.errstate(over="ignore"):  # Surface refuses a bias that overflows
+            bias = Surface(grid, kernel.char_coefficient * bias)
         sel = optimal_bandwidth(Surface(grid, pilot), bias, kernel, n)
         h = sel.bandwidth.h
         lo, hi = 1.0, n / 2.0

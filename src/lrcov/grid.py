@@ -79,8 +79,8 @@ def l2_norm_surface(s: Surface) -> float:
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(s.values))
     if not 1e-150 <= norm < math.inf and np.any(s.values):
-        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(s.values))))[1])
-        norm = scale * float(np.linalg.norm(s.values / scale))
+        e = math.frexp(float(np.max(np.abs(s.values))))[1]  # 1024 for entries past 2^1023
+        return math.ldexp(float(np.linalg.norm(np.ldexp(s.values, -e))) / g, e)
     return norm / g
 
 

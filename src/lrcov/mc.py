@@ -14,15 +14,15 @@ lag-window sum of it is exactly phi^T A phi for the same sum A of the scores: ea
 costs J^2 instead of G^2, in one batched product per stack.  Replication r fills its
 rows from the PCG64 stream of (master_seed, r), and every later step rounds each
 replication's numbers alone, as a stack of one would, so a report is bit-identical
-for any block size, stack size and worker count.
+for any block size, stack size and worker count.  ``_window_surfaces`` refuses a sum that overflows.
 
 The bias-rate check measures the norm of (Monte Carlo mean - truth) on an
 h grid; it subtracts the estimated Monte Carlo noise floor from the squared
 norm and fits the log-log slope by inverse-variance weighted least squares,
 reporting per-point noise bars so a noise-dominated point is visible instead
-of silently corrupting the slope.  It runs the uncentered unbiased-divisor
-estimator on these mean-zero processes, which makes every lag estimate
-exactly unbiased and isolates the kernel-weighting bias being measured.
+of silently corrupting the slope; it and the MSE curve refuse squares that overflow.
+It runs the uncentered unbiased-divisor estimator on these mean-zero processes, which
+makes every lag estimate exactly unbiased and isolates the kernel-weighting bias being measured.
 """
 
 from __future__ import annotations
@@ -406,15 +406,6 @@ def _score_stacks(spec: ExperimentSpec, reps: range, centered: bool = True):
         yield rows, s.swapaxes(1, 2)
 
 
-def _finite_surfaces(s: np.ndarray, weights, phi: np.ndarray) -> np.ndarray:
-    """``_window_surfaces`` of a score stack, refused where an estimate overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _window_surfaces(s, weights, phi)
-    if not np.isfinite(out).all():  # eigh does not converge on inf or nan
-        raise DimensionError("surface contains non-finite values")
-    return out
-
-
 def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     """h (n,), projections (n, n_proj), eigenvalues (n, levels), eigenfunctions (n, levels, G),
     and the plug-in's clamped and fallback flags (n,).
@@ -438,7 +429,7 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
         elif rows.start == 0:  # a fixed or power h does not depend on the sample
             _warn_rate(kernel, _as_h(h[0]), n)
             weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
-        surfaces[rows] = _finite_surfaces(s, weights, phi)[:, 0]
+        surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
         del s  # the last stack's buffers are freed before the eigensolve
     flat, projs = surfaces.reshape(count, g * g), np.empty((count, len(spec.projections)))
     for j, f in enumerate(spec.projections):  # each row sums as np.sum(v * f.values) alone
@@ -454,7 +445,7 @@ def _window_estimates(job: tuple, reps: range) -> np.ndarray:
     phi, g = fourier_basis(spec.grid, len(spec.dgp.sigmas)), spec.grid.n_points
     out = np.empty((len(reps), len(weights), g, g))
     for rows, s in _score_stacks(spec, reps, centered):
-        out[rows] = _finite_surfaces(s, weights, phi)
+        out[rows] = _window_surfaces(s, weights, phi)
     return out
 
 
@@ -601,13 +592,17 @@ def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRa
     sums = np.zeros((len(h_list), g, g))
     sq_sums = np.zeros_like(sums)
     for est in _h_grid_estimates(spec, weights, replications, centered=False):
-        sums += est
-        sq_sums += est**2
-    # one np.sum per h slice: a sum over several axes can round differently
+        with np.errstate(over="ignore"):  # squares that overflow are refused below
+            sums += est
+            sq_sums += est**2
     means = sums / replications
-    err_raw_sq = np.array([np.sum((mean - c_true) ** 2) for mean in means]) / g**2
-    var_fields = (sq_sums - replications * means**2) / (replications - 1)
-    noise_floor = np.array([np.sum(v) for v in var_fields]) / g**2 / replications
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one np.sum per h slice: a sum over several axes can round differently
+        err_raw_sq = np.array([np.sum((mean - c_true) ** 2) for mean in means]) / g**2
+        var_fields = (sq_sums - replications * means**2) / (replications - 1)
+        noise_floor = np.array([np.sum(v) for v in var_fields]) / g**2 / replications
+    if not (np.isfinite(err_raw_sq).all() and np.isfinite(noise_floor).all()):
+        raise DimensionError("squared estimates overflow a double")
     err_deb_sq = err_raw_sq - noise_floor
     usable = err_deb_sq > 0.0
     slope = slope_unweighted = constant_ratio = None
@@ -615,6 +610,9 @@ def bias_rate_check(spec: ExperimentSpec, h_values, replications: int) -> BiasRa
         deb, floor = err_deb_sq[usable], noise_floor[usable]
         x = np.log(np.array(h_list)[usable])
         y_log = 0.5 * np.log(deb)
+        # sigma_ln is a ratio: scaled by a power of two, which is exact, f**2 stays finite
+        e = math.frexp(float(max(deb.max(), floor.max())))[1]
+        deb, floor = np.ldexp(deb, -e), np.ldexp(floor, -e)
         # Python's float ** 2 (libm pow) can round apart from numpy's x * x
         sd_sq = [4.0 * d * f + 2.0 * f**2 for d, f in zip(deb.tolist(), floor.tolist())]
         sigma_ln = np.sqrt(sd_sq) / (2.0 * deb)
@@ -654,5 +652,8 @@ def mse_curve(spec: ExperimentSpec, h_values, replications: int) -> list:
     weights = _lag_weights(spec.kernel, h_list, spec.n_obs, unbiased=False)
     acc = np.zeros(len(h_list))
     for est in _h_grid_estimates(spec, weights, replications, centered=True):
-        acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
+        with np.errstate(over="ignore"):
+            acc += np.sum((est - c_true) ** 2, axis=(1, 2)) / g**2
+    if not np.isfinite(acc).all():
+        raise DimensionError("squared estimates overflow a double")
     return [(h, float(acc[k] / replications)) for k, h in enumerate(h_list)]

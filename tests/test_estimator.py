@@ -391,9 +391,12 @@ def test_plugin_bandwidth_iid_band():
 
 
 def test_plugin_bandwidth_degenerate_input():
-    s = CurveSample(Grid(2), np.ones((10, 2)))  # constant curves, zero variance
-    with pytest.raises(ContractViolationError):
-        plugin_bandwidth(s, BARTLETT, pilot_h=3.0)
+    # constant curves, zero variance: 1.0 averages exactly, while the column mean of 0.1
+    # or 0.7 leaves a rounding of about 1e-17 in the centred curves
+    for value, n in ((1.0, 10), (0.1, 20), (0.1, 40), (0.7, 20), (0.7, 40)):
+        s = CurveSample(Grid(2), np.full((n, 2), value))
+        with pytest.raises(ContractViolationError, match="zero-variance sample"):
+            plugin_bandwidth(s, BARTLETT, pilot_h=3.0)
 
 
 def test_plugin_bandwidth_clamp_and_m_trunc():

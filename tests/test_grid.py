@@ -41,7 +41,7 @@ def test_surface_norm_examples():
 
 def test_surface_norm_survives_squares_that_underflow_or_overflow():
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for size in (1e-170, 1e-300, 5e-324, 1e200, 1e300):
+    for size in (1e-170, 1e-300, 5e-324, 1e200, 1e300, 1.7e308):
         assert l2_norm_surface(Surface(Grid(2), size * signs)) == size
     # ±1e-170 bias of a Bartlett rule: the norm is not 0, and the rule, which reads the
     # ratio of that norm to the integral of C = 1e-170, gives the h of the unit surfaces
@@ -59,7 +59,7 @@ def test_surface_norm_survives_squares_that_underflow_or_overflow():
 def test_surface_norm_scales_exactly_by_powers_of_two():
     s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 4))
     base = l2_norm_surface(Surface(Grid(4), s))
-    for k in range(-600, 601):
+    for k in range(-600, 1024):  # up to entries past 2^1023, whose scale 2^1024 is no double
         values = np.ldexp(s, k)
         got = l2_norm_surface(Surface(Grid(4), values))
         assert got == math.ldexp(base, k)

@@ -1123,6 +1123,10 @@ def cli_run(capsys, monkeypatch):
     return run
 
 
+def test_every_probe_pins_its_whole_stderr():
+    assert all(isinstance(err, str) for _, _, err in installed_checks.PROBES.values())
+
+
 @pytest.mark.parametrize("name", installed_checks.PROBES)
 def test_overflowing_powers_warn_or_exit_4(tmp_path, monkeypatch, cli_run, name):
     monkeypatch.chdir(tmp_path)
@@ -1187,8 +1191,11 @@ def test_simulate_truth_whose_entries_sum_past_a_double(tmp_path, capsys, dgp):
         *((SIGMA_1E154, h, None, installed_checks.NON_FINITE) for h in (3, "plugin")),
         # and before the bias check's means, without numpy's overflow warnings
         (SIGMA_1E154, 3, installed_checks.BIAS_CHECK, installed_checks.NON_FINITE),
+        # finite estimates whose squares overflow, refused before any bias point is formed
+        ({"kind": "iid", "sigmas": [1e100]}, 3, installed_checks.BIAS_CHECK,
+         "error: squared estimates overflow a double\n"),
     ],
-    ids=["fixed", "plugin", "fixed-1e154", "plugin-1e154", "bias-check-1e154"],
+    ids=["fixed", "plugin", "fixed-1e154", "plugin-1e154", "bias-check-1e154", "bias-check-1e100"],
 )
 def test_mc_verify_huge_noise_exits_4_after_its_truth(
     tmp_path, capsys, monkeypatch, dgp, h, bias_check, err

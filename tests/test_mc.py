@@ -582,14 +582,39 @@ def test_bias_rate_check_refusals(monkeypatch):
             mse_curve(ma1, [2.0, 4.0], reps)
 
 
-@pytest.mark.parametrize("sigma", [1e154, 2e153])
-def test_h_grid_estimates_that_overflow_are_refused_without_a_warning(sigma):
+@pytest.mark.parametrize(
+    "sigma, err",
+    [
+        (1e154, "surface contains non-finite values"),
+        (2e153, "surface contains non-finite values"),
+        (1e100, "squared estimates overflow a double"),  # finite estimates whose squares are not
+    ],
+    ids=["1e+154", "2e+153", "1e+100"],
+)
+def test_h_grid_estimates_that_overflow_are_refused_without_a_warning(sigma, err):
     # iid noise whose truth is finite but whose window sums overflow; warnings are errors here
     spec = scalar_experiment(dgp=DgpSpec(kind="iid", sigmas=(sigma,)), n_obs=100, grid=Grid(4),
                              projections=(Surface(Grid(4), np.ones((4, 4))),))
     for check in (bias_rate_check, mse_curve):
-        with pytest.raises(DimensionError, match="surface contains non-finite values"):
+        with pytest.raises(DimensionError, match=err):
             check(spec, [2.0, 4.0, 8.0], 8)
+
+
+def test_bias_rate_check_fits_estimates_whose_noise_floor_squared_passes_a_double():
+    # at seed 6 two points are usable, so the weighted fit runs; noise of 2^200 times the
+    # unit noise scales every estimate by 2^400 exactly, and the noise floor's square past 1e308
+    def report(sigma):
+        spec = scalar_experiment(dgp=DgpSpec(kind="iid", sigmas=(sigma,)), n_obs=100,
+                                 grid=Grid(4), projections=(), master_seed=6)
+        return bias_rate_check(spec, [2.0, 4.0, 8.0], 4)
+
+    unit, huge = report(1.0), report(2.0**200)
+    assert unit.slope is not None
+    assert huge.slope == pytest.approx(unit.slope, rel=1e-9)
+    assert huge.slope_unweighted == pytest.approx(unit.slope_unweighted, rel=1e-9)
+    for p, q in zip(unit.points, huge.points):
+        assert (q.err_raw, q.noise_sd) == (2.0**400 * p.err_raw, 2.0**400 * p.noise_sd)
+        assert q.signal == p.signal
 
 
 def test_bias_rate_check_iid_reports_no_bias():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -413,19 +414,23 @@ def powers_of_ten(low, high):
 @given(
     st.sampled_from(KERNEL_NAMES),
     powers_of_ten(-3.0, 300.0),  # h
-    powers_of_ten(-100.0, 100.0),  # the scale of the curves
+    powers_of_ten(-100.0, 300.0),  # the scale of the curves; at N <= 30 column means stay finite
     st.integers(2, 30),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
 )
 @example("parzen", 1e300, 1.0, 20, 2, 0)  # h^2 overflows
 @example("bartlett", 4.0, 1e100, 20, 2, 0)  # curves whose constants' squares pass a double
+@example("bartlett", 4.0, 1e154, 20, 2, 0)  # window sums that overflow, refused without a warning
+@example("parzen", 1.0, 10**153.5, 2, 3, 2)  # a pilot surface whose entries pass 2^1023
+@example("parzen", 10.0, 10**153.5, 4, 2, 2)  # a finite bias sum times Parzen's constant 6
 def test_any_bandwidth_and_scale_return_or_raise_a_package_error(name, h, scale, n, g, seed):
     sample = CurveSample(Grid(g), np.random.default_rng(seed).normal(size=(n, g)) * scale)
     kernel = make_kernel(name)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for call in (estimate_lrcov, plugin_bandwidth):
+        warnings.simplefilter("error")  # a raw numpy RuntimeWarning fails the test
+        warnings.simplefilter("ignore", UserWarning)  # lrcov's own: h < 1, h^q > N, fallback
+        for call in (estimate_lrcov, plugin_bandwidth, partial(estimate_spectral_density, omega=1.0)):
             try:
                 call(sample, kernel, h)
             except LrcovError:
