@@ -43,7 +43,7 @@ from .estimator import estimate_lrcov, project_psd
 from .fpca import _separation_gaps, eigendecompose, eigenvalue_ci
 from .grid import Grid, surface_integral
 from .kernels import KERNEL_NAMES, make_kernel
-from .mc import BandwidthRule, ExperimentSpec, _effective_workers, bias_rate_check, run_experiment
+from .mc import BandwidthRule, ExperimentSpec, bias_rate_check, run_experiment
 from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = ["main", "build_parser"]
@@ -311,7 +311,6 @@ def cmd_mc_verify(args, cfg: dict):
     if args.seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
         exp_raw = {**exp_raw, "master_seed": args.seed}
     spec = ExperimentSpec.from_dict(exp_raw)
-    _effective_workers(spec.workers, spec.replications)  # a bad LRCOV_THREADS exits 3 here
     # reject a malformed bias_check, and run it, before the experiment burns any time
     bias_cfg = cfg.get("bias_check")
     if bias_cfg is not None:

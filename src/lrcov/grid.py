@@ -70,18 +70,14 @@ class Surface:
 def l2_norm_surface(s: Surface) -> float:
     """L2 norm of a surface; the constant-1 surface has norm 1.
 
-    Below 1e-150, where the squared entries fall near or under the smallest normal
-    double and lose bits, and where they overflow to inf, the entries are first divided
-    by the power of two just above their largest magnitude, so that norm(2^k S) =
-    2^k norm(S) holds on both sides of the rescaling.  Every other norm is unscaled.
+    The entries are divided by the power of two just above their largest magnitude
+    before they are squared, and the norm is scaled back, as in ``surface_integral``,
+    so no square overflows or loses bits below the smallest normal double, and
+    norm(2^k S) = 2^k norm(S).  Scaling by a power of two is exact, so a norm whose
+    squares are normal doubles keeps the bits of the plain one.
     """
-    g = s.grid.n_points
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(s.values))
-    if not 1e-150 <= norm < math.inf and np.any(s.values):
-        e = math.frexp(float(np.max(np.abs(s.values))))[1]  # 1024 for entries past 2^1023
-        return math.ldexp(float(np.linalg.norm(np.ldexp(s.values, -e))) / g, e)
-    return norm / g
+    e = math.frexp(float(np.max(np.abs(s.values))))[1]  # 1024 for entries past 2^1023
+    return math.ldexp(float(np.linalg.norm(np.ldexp(s.values, -e))) / s.grid.n_points, e)
 
 
 def surface_integral(s: Surface) -> float:

@@ -32,7 +32,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor  # perfbench traces it as lrcov.mc's
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from statistics import NormalDist
@@ -54,7 +54,8 @@ from .estimator import (
     estimate_lrcov,  # noqa: F401  perfbench traces lrcov.mc.estimate_lrcov
     plugin_bandwidth,
 )
-from .fpca import _eigen_stack, align_sign, eigenfunction_deviation_msd, eigenvalue_clt_params
+from .fpca import _eigen_stack, _require_separation, align_sign, eigenfunction_deviation_msd
+from .fpca import eigenvalue_clt_params
 from .fpca import eigendecompose  # noqa: F401  perfbench traces lrcov.mc.eigendecompose
 from .grid import Grid, Surface, fourier_basis, l2_norm_surface
 # perfbench traces lrcov.mc.kernel_value, so the name stays importable here
@@ -165,7 +166,7 @@ class BandwidthRule:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """One Monte Carlo experiment: process, estimator settings, and what to record."""
+    """One Monte Carlo experiment, every setting checked when built; LRCOV_THREADS caps workers."""
 
     dgp: DgpSpec
     kernel: KernelSpec
@@ -191,13 +192,25 @@ class ExperimentSpec:
         for f in self.projections:
             if f.grid.n_points != self.grid.n_points:
                 raise ConfigError("projection surface grid does not match experiment grid")
-        truth(self.dgp, self.grid)  # refuses a grid too coarse for the noise, and an overflow
+        lams = truth(self.dgp, self.grid).eigen.eigenvalues  # refuses a coarse grid and an overflow
         components = len(self.dgp.sigmas)
         levels = tuple(int(l) for l in self.eigen_levels)
         if any(not 1 <= l <= components for l in levels):
             raise ConfigError(f"eigen levels must lie in 1..{components}, got {levels}")
         if len(set(levels)) < len(levels):
             raise ConfigError(f"eigen levels must be distinct, got {levels}")
+        for level in levels:  # the corollary's limits need separated eigenvalues
+            _require_separation(lams, level)
+        if self.h_rule.kind != "plugin":  # a power rule's h may overflow at this N
+            Bandwidth(self.h_rule._rule_h(self.n_obs))
+        cap = os.environ.get(WORKER_ENV_VAR)
+        if cap is not None:
+            limit = 0
+            with suppress(ValueError):
+                limit = int(cap)
+            if limit < 1:
+                raise ConfigError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {cap!r}")
+            object.__setattr__(self, "workers", min(self.workers, limit))
         object.__setattr__(self, "projections", tuple(self.projections))
         object.__setattr__(self, "eigen_levels", levels)
 
@@ -327,26 +340,19 @@ def predicted_projection_variance(c: Surface, kernel: KernelSpec, f: Surface) ->
     The limiting covariance of the error at (t, s) and (t', s') is
     ∫K² (C(t,t')C(s,s') + C(t,s')C(s,t')), so against f it is
     ∫K² (<f, CfC> + <f^T, CfC>) / G^4: two matrix products, never the G^4 tensor.
+    C and f are first divided by powers of two, as in ``surface_integral``, so a limit that
+    is a double stays finite where the plain sums overflow; any other is refused.
     """
     if c.grid.n_points != f.grid.n_points:
         raise ContractViolationError("surface grids do not match")
-    fv = f.values
-    cfc = c.values @ fv @ c.values
+    ec, ef = (math.frexp(float(np.max(np.abs(s.values))))[1] for s in (c, f))
+    cv, fv = np.ldexp(c.values, -ec), np.ldexp(f.values, -ef)
+    cfc = cv @ fv @ cv
     pairs = float(np.sum(cfc * fv)) + float(np.sum(cfc * fv.T))
-    return kernel.square_integral * pairs / fv.shape[0] ** 4
-
-
-def _effective_workers(requested: int, replications: int) -> int:
-    cap = os.environ.get(WORKER_ENV_VAR)
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ConfigError(f"{WORKER_ENV_VAR} must be an integer >= 1, got {cap!r}")
-        requested = min(requested, limit)
-    return min(requested, replications)
+    try:
+        return math.ldexp(kernel.square_integral * pairs / fv.shape[0] ** 4, 2 * (ec + ef))
+    except OverflowError:
+        raise DimensionError("predicted projection variance overflows a double") from None
 
 
 def _recorded(worker, job, reps: range) -> tuple:
@@ -453,11 +459,8 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     """Run the replications, center at the Monte Carlo mean, compare to theory."""
     t0 = time.perf_counter()
     truth_set = truth(spec.dgp, spec.grid, spec.kernel)
-    # refuse inseparable eigen levels before any replication runs
-    msds = [eigenfunction_deviation_msd(truth_set.eigen, spec.kernel, l) for l in spec.eigen_levels]
-    workers = _effective_workers(spec.workers, spec.replications)
-    row_doubles = spec.grid.n_points**2
-    blocks = list(_pooled(_replicate_range, spec, spec.replications, workers, row_doubles))
+    workers = min(spec.workers, spec.replications)
+    blocks = list(_pooled(_replicate_range, spec, spec.replications, workers, spec.grid.n_points**2))
     h_arr, a, lams, vhats, clamped, fallback = (np.concatenate(p) for p in zip(*blocks))
 
     n = spec.n_obs
@@ -479,13 +482,14 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
     # the corollary's drift lim N/h^(1+2q), at the bandwidths these replications used
     q = spec.kernel.char_exponent
     drift = n / _pow(float(np.mean(h_arr)), 1.0 + 2.0 * q) if math.isfinite(q) else 0.0
-    for j, (level, msd) in enumerate(zip(spec.eigen_levels, msds)):
-        lam_true = truth_set.eigen.eigenvalues[level - 1]
-        v_true = truth_set.eigen.eigenfunctions[level - 1]
+    eigen, kernel = truth_set.eigen, spec.kernel
+    for j, level in enumerate(spec.eigen_levels):
+        lam_true = eigen.eigenvalues[level - 1]
+        v_true = eigen.eigenfunctions[level - 1]
         errs[:, j] = scale * (lams[:, level - 1] - lam_true)
         diff = align_sign(vhats[:, level - 1], v_true) - v_true
         devs = (n / h_arr) * np.mean(diff**2, axis=1)
-        limit = eigenvalue_clt_params(truth_set.eigen, spec.kernel, truth_set.bias, drift, level)
+        limit = eigenvalue_clt_params(eigen, kernel, truth_set.bias, drift, level)
         mean, var, _, _ = sample_moments(errs[:, j])
         eigen_stats.append(
             EigenLevelStats(
@@ -495,7 +499,7 @@ def run_experiment(spec: ExperimentSpec) -> McReport:
                 predicted_sd=limit.sd,
                 predicted_mean_shift=limit.mean_shift,
                 deviation_mean=float(np.mean(devs)),
-                predicted_deviation=msd,
+                predicted_deviation=eigenfunction_deviation_msd(eigen, kernel, level),
                 deviation_tail_bound=0.0,  # every spectrum here is finite: no tail
             )
         )
@@ -565,7 +569,7 @@ def _checked_h_grid(h_values, replications: int, min_h: int, min_reps: int) -> l
 
 def _h_grid_estimates(spec: ExperimentSpec, weights: np.ndarray, replications: int, centered: bool):
     """Each replication's (n_h, G, G) window estimates, in replication order, from the pool."""
-    job, workers = (spec, weights, centered), _effective_workers(spec.workers, replications)
+    job, workers = (spec, weights, centered), min(spec.workers, replications)
     row_doubles = len(weights) * spec.grid.n_points**2
     return chain.from_iterable(_pooled(_window_estimates, job, replications, workers, row_doubles))
 

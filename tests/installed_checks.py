@@ -56,6 +56,10 @@ CONFIGS = {
                         "bias_check": BIAS_CHECK},
     "bias_1e100.json": {"experiment": dict(MC_100, dgp={"kind": "iid", "sigmas": [1e100]}),
                         "bias_check": BIAS_CHECK},
+    # refused when the experiment is built, before its bias check runs
+    "bias_tied.json": {"experiment": dict(MC_100, dgp={"kind": "iid", "sigmas": [1.0, 1.0]}),
+                       "bias_check": BIAS_CHECK},
+    "bias_power_1e308.json": {"experiment": dict(MC_100, h="power:1e308,0.9"), "bias_check": BIAS_CHECK},
 }
 # w.csv times each scale; estimate.csv, under the name of estimate's output, for the default --out .
 CURVES = {"w.csv": 1.0, "estimate.csv": 1.0, "w1e100.csv": 1e100, "w1e140.csv": 1e140, "w1e154.csv": 1e154}
@@ -95,6 +99,11 @@ PROBES = {
     "mc-verify-bias-check-2e153": ("mc-verify --config bias_2e153.json --out b2e153", 4, NON_FINITE),
     "mc-verify-bias-check-1e100": ("mc-verify --config bias_1e100.json --out b1e100", 4,
                                    "error: squared estimates overflow a double\n"),
+    "mc-verify-bias-check-tied-levels": (
+        "mc-verify --config bias_tied.json --out btied", 5,
+        "error: eigenvalues 1 and 2 separated by 0 (< 1e-08); level-1 inference refused\n"),
+    "mc-verify-bias-check-power-1e308": ("mc-verify --config bias_power_1e308.json --out bpow", 4,
+                                         "error: bandwidth must be positive and finite, got inf\n"),
     "out-is-the-data": ("estimate --data w.csv --h 2 --out w.csv", 3,
                         "error: cannot write to w.csv: [Errno 17] File exists: 'w.csv'\n"),
     # a digit separator is a bad cell, as np.loadtxt reads it, not the number 10

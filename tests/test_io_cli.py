@@ -7,6 +7,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from io import StringIO
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -913,6 +914,106 @@ def test_worker_cap_below_one_exits_3_before_the_bias_check(tmp_path, capsys, mo
     assert err == f"error: LRCOV_THREADS must be an integer >= 1, got '{cap}'\n"
 
 
+@pytest.mark.parametrize(
+    "experiment, cap, code, err",
+    [
+        ({"dgp": {"kind": "iid", "sigmas": [1.0, 1.0]}, "eigen_levels": [1]}, None, 5,
+         "error: eigenvalues 1 and 2 separated by 0 (< 1e-08); level-1 inference refused\n"),
+        ({"h": "power:1e308,0.9"}, None, 4, "error: bandwidth must be positive and finite, got inf\n"),
+        ({}, "soup", 3, "error: LRCOV_THREADS must be an integer >= 1, got 'soup'\n"),
+    ],
+    ids=["tied-levels", "power-1e308", "threads-soup"],
+)
+def test_experiment_refusals_come_before_a_long_bias_check(
+    tmp_path, capsys, monkeypatch, experiment, cap, code, err
+):
+    def refuse(*args):
+        raise AssertionError("a replication ran before the experiment was refused")
+
+    monkeypatch.setattr("lrcov.mc._pooled", refuse)
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    if cap is not None:
+        monkeypatch.setenv("LRCOV_THREADS", cap)
+    cfg = mc_config({"h": [2, 4, 8], "replications": 4000}, n_obs=200, grid_points=8, workers=1)
+    cfg["experiment"].update(experiment)
+    path = write(tmp_path / "mc.json", json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+class Replicated(Exception):
+    """Raised by a patched ``mc._pooled``: the configuration passed every check."""
+
+
+# the exits 4 that only the drawn samples decide; the last is the underflow that mirrors the
+# first: at h near 1e308 the scaled errors are distinct values near 1e-167 whose squares are 0
+DATA_EXITS = (
+    "error: sample variance overflows a double\n",
+    installed_checks.NON_FINITE,
+    "error: squared estimates overflow a double\n",
+    "error: degenerate sample: zero variance\n",
+)
+
+
+@st.composite
+def bias_checked_configs(draw):
+    """A small one-worker mc-verify config with a bias check, and an LRCOV_THREADS value."""
+    sigmas = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]), min_size=1, max_size=3))  # ties too
+    levels = draw(st.lists(st.integers(1, len(sigmas)), unique=True, max_size=len(sigmas)))
+    coef = draw(st.one_of(st.just(1e308), st.floats(1e-2, 1e308)))
+    power = draw(st.floats(0.1, 0.9))
+    experiment = {
+        "dgp": {"kind": "iid", "sigmas": sigmas},
+        "kernel": draw(st.sampled_from(["bartlett", "parzen"])),
+        "n_obs": draw(st.integers(20, 100)),
+        "grid_points": draw(st.integers(2 * (len(sigmas) // 2) + 1, 8)),
+        "h": draw(st.sampled_from([3, f"power:{coef!r},{power!r}"])),
+        "replications": draw(st.integers(8, 16)),
+        "eigen_levels": levels,
+        "master_seed": draw(st.integers(0, 99)),
+        "workers": 1,
+    }
+    bias_check = {"h": [2, 4, 8], "replications": draw(st.integers(2, 16))}
+    cap = draw(st.sampled_from([None, "1", "2", "3", "soup", "0", "-2", "2.5"]))
+    return {"experiment": experiment, "bias_check": bias_check}, cap
+
+
+def mc_verify_outcome(cfg, cap, out, pooled=None) -> tuple:
+    """mc-verify's exit code and stderr on ``cfg`` under LRCOV_THREADS=cap; ``pooled`` patches mc."""
+    err = StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ))  # undoes the changes below
+        os.environ.pop("LRCOV_THREADS", None)
+        if cap is not None:
+            os.environ["LRCOV_THREADS"] = cap
+        if pooled is not None:
+            stack.enter_context(mock.patch("lrcov.mc._pooled", pooled))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        path = write(out.parent / f"{out.name}.json", json.dumps(cfg))
+        code = main(["mc-verify", "--config", path, "--out", str(out)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=bias_checked_configs())
+def test_mc_verify_refuses_a_config_before_any_replication(tmp_path_factory, case):
+    def refuse(*args):
+        raise Replicated
+
+    cfg, cap = case
+    out = tmp_path_factory.mktemp("mc") / "out"
+    try:
+        code, err = mc_verify_outcome(cfg, cap, out, refuse)
+    except Replicated:  # every setting passed: only the samples may still refuse the run
+        code, err = mc_verify_outcome(cfg, cap, out)
+        assert code == 0 or (code == 4 and err.endswith(DATA_EXITS)), (code, err)
+        return
+    assert code in (3, 4, 5), (code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err  # no warning line either
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- cli: bad settings
 
 
@@ -1206,6 +1307,26 @@ def test_mc_verify_huge_noise_exits_4_after_its_truth(
     assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 4
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+def test_mc_verify_projection_limit_past_a_double_sum_is_strict_json(tmp_path, capsys, monkeypatch):
+    # C f C has entries near sigma^4 = 1e306 whose G^2-term sums pass a double; the limit
+    # int K^2 * 2 sigma_1^4 of the constant projection is finite
+    monkeypatch.delenv("LRCOV_THREADS", raising=False)
+    sigma = 3.16e76
+    experiment = dict(mc_config()["experiment"], dgp={"kind": "iid", "sigmas": [sigma, 1.05e76]},
+                      n_obs=60, replications=8)
+    cfg = write(tmp_path / "mc.json", json.dumps({"experiment": experiment}))
+    out = tmp_path / "out"
+    assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""  # no numpy warning either
+
+    def refuse(constant):
+        raise AssertionError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)["report"]
+    limit = report["projections"][0]["predicted_variance"]
+    assert limit == pytest.approx(4.0 / 3.0 * sigma**4, rel=1e-12)
 
 
 def test_mc_verify_overflowing_drift_exits_0(tmp_path, capsys, monkeypatch):

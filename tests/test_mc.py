@@ -198,6 +198,15 @@ def test_predicted_projection_variance_tensor_oracle():
         assert fast == pytest.approx(direct, rel=1e-10)
 
 
+def test_predicted_projection_variance_past_a_double_sum_or_refused():
+    # C f C has entries 16 * 1e308 against f = 1; the limit int K^2 * 2 * 1e308 is a double
+    g, ones = Grid(4), np.ones((4, 4))
+    limit = predicted_projection_variance(Surface(g, 1e154 * ones), BARTLETT, Surface(g, ones))
+    assert limit == pytest.approx(4.0 / 3.0 * 1e308, rel=1e-12)
+    with pytest.raises(DimensionError, match="predicted projection variance overflows a double"):
+        predicted_projection_variance(Surface(g, 1e200 * ones), BARTLETT, Surface(g, ones))
+
+
 def test_predicted_projection_variance_matches_monte_carlo_off_rank_one(monkeypatch):
     # f = I and f = cos 2pi(s - t) are not a (x) a, so the pairing matters here:
     # C(t,s)C(t',s') + C(t,t')C(s,s') would predict 0.0577 and 0.257
@@ -499,9 +508,8 @@ def test_run_experiment_refuses_tied_levels_before_replicating(monkeypatch):
 
     monkeypatch.setattr("lrcov.mc._pooled", refuse)
     tied = DgpSpec(kind="iid", sigmas=(1.0, 1.0))
-    spec = scalar_experiment(dgp=tied, grid=Grid(4), projections=(), eigen_levels=(1,))
-    with pytest.raises(SeparationError):
-        run_experiment(spec)
+    with pytest.raises(SeparationError):  # the spec itself is refused
+        scalar_experiment(dgp=tied, grid=Grid(4), projections=(), eigen_levels=(1,))
 
 
 def test_run_experiment_worker_env_cap(monkeypatch):

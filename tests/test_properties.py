@@ -26,9 +26,11 @@ from lrcov import (
     estimate_spectral_density,
     generate,
     kernel_value,
+    l2_norm_surface,
     make_kernel,
     mse_curve,
     plugin_bandwidth,
+    predicted_projection_variance,
     replication_rng,
     truth,
 )
@@ -466,7 +468,9 @@ def test_plugin_h_is_scale_free(name, k, scale, seed):
 def score_cases(draw):
     """An experiment over any process kind, with J <= G basis components, and its settings."""
     kind = draw(st.sampled_from(("iid", "fma", "far1")))
-    sigmas = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4))
+    # distinct on a 0.01 lattice: the spec refuses eigen levels whose eigenvalues tie
+    hundredths = draw(st.lists(st.integers(10, 200), min_size=1, max_size=4, unique=True))
+    sigmas = [k / 100 for k in hundredths]
     extra = {
         "fma": {"theta": draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=2))},
         "far1": {"rho": draw(st.floats(-0.9, 0.9))},
@@ -671,3 +675,62 @@ def test_component_major_stacks_match_2d_lag_products_and_the_naive_oracle(
             want = estimate_lrcov_naive(sample, kernel, h).surface.values
             case = {"sample": sample, "h": h}
             assert_close(got[r][0], want, case, 1e-10)
+
+
+# ------------------------------------------- power-of-two rescaling keeps the bits
+
+
+def former_l2_norm(s: Surface) -> float:
+    """The norm as it was computed before every norm was rescaled: plain from 1e-150 to inf."""
+    g = s.grid.n_points
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(s.values))
+    if not 1e-150 <= norm < math.inf and np.any(s.values):
+        e = math.frexp(float(np.max(np.abs(s.values))))[1]
+        return math.ldexp(float(np.linalg.norm(np.ldexp(s.values, -e))) / g, e)
+    return norm / g
+
+
+def former_projection_variance(c: Surface, kernel, f: Surface) -> float:
+    """The projection-variance limit from the plain, unscaled sums."""
+    fv = f.values
+    cfc = c.values @ fv @ c.values
+    pairs = float(np.sum(cfc * fv)) + float(np.sum(cfc * fv.T))
+    return kernel.square_integral * pairs / fv.shape[0] ** 4
+
+
+@st.composite
+def scaled_values(draw, max_g: int, low: float, high: float):
+    """A (G, G) normal draw times one power of ten in [low, high], per entry or for all; or zeros."""
+    g = draw(st.integers(1, max_g))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["one", "mixed", "zero"]))
+    if kind == "zero":
+        return np.zeros((g, g))
+    powers = rng.uniform(low, high, size=(g, g) if kind == "mixed" else ())
+    return rng.standard_normal((g, g)) * 10.0**powers
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_values(39, -300.0, 300.0))
+def test_surface_norm_keeps_the_bits_of_the_former_formula(values):
+    s = Surface(Grid(values.shape[0]), values)
+    assert l2_norm_surface(s) == former_l2_norm(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+    st.floats(-30.0, 30.0),
+    st.floats(-30.0, 30.0),
+    st.sampled_from(KERNEL_NAMES),
+    st.booleans(),
+)
+def test_projection_variance_keeps_the_bits_of_the_plain_sums(g, seed, c_power, f_power, name, sym):
+    rng = np.random.default_rng(seed)
+    m, fv = rng.standard_normal((g, g)), rng.standard_normal((g, g)) * 10.0**f_power
+    grid, kernel = Grid(g), make_kernel(name)
+    c = Surface(grid, (m @ m.T) * 10.0**c_power)
+    f = Surface(grid, fv + fv.T if sym else fv)
+    assert predicted_projection_variance(c, kernel, f) == former_projection_variance(c, kernel, f)
