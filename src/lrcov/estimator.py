@@ -205,31 +205,21 @@ def _fft_length(n: int) -> int:
     return int(sizes[sizes >= n].min())
 
 
-def _window_sums(
-    y: np.ndarray, weights: np.ndarray | list, mean: np.ndarray | None = None
-) -> np.ndarray:
+def _window_sums(y: np.ndarray, weights: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
     """Sum over k of weights[r, k] y[:N-k]^T y[k:], one (G, G) slice per row r.
 
-    ``weights`` is (n_w, L+1) with L < N; a (B, N, G) stack takes it, or a list of one
-    per replication, and gives (B, n_w, G, G).  A (G,) ``mean`` is subtracted from y
-    first, as the same float operation as ``y - mean``.  Windows short for their width
-    (``_takes_fft``) apply the rows to one ``lag_products`` call.  The others are a
-    Parseval inner product of half spectra:
+    ``weights`` is (n_w, L+1) with L < N, one layout for every caller: a (B, N, G) stack
+    applies it to each of its arrays and gives (B, n_w, G, G).  A (G,) ``mean`` is
+    subtracted from y first, as the same float operation as ``y - mean``.  Windows short
+    for their width (``_takes_fft``) apply the rows to one ``lag_products`` call.  The
+    others are a Parseval inner product of half spectra:
     with Y_s the real FFT of column s, zero-padded to m >= N + L so the correlation does
     not wrap, and W that of a weight row, A[s, t] = (1/m) sum_f conj(Y_s W) Y_t over the
     full spectrum, in which each half-spectrum bin but 0 and m/2 stands for two.  Each
     block of columns is transformed once; each weight row is then one real GEMM per
     frequency chunk, and no inverse transform is needed.
     """
-    g = y.shape[-1]
-    if isinstance(weights, list):  # products up to the longest lag-product window serve every row
-        lags = [w.shape[1] - 1 for w in weights]
-        products = lag_products(y, max([k for k in lags if not _takes_fft(k, g)], default=0))
-        return np.stack([
-            _window_sums(s, w) if _takes_fft(k, g) else np.tensordot(w, p[: k + 1], axes=1)
-            for s, w, p, k in zip(y, weights, products, lags)
-        ])
-    max_lag = weights.shape[1] - 1
+    g, max_lag = y.shape[-1], weights.shape[1] - 1
     if not _takes_fft(max_lag, g):
         lp = lag_products(y if mean is None else y - mean, max_lag)
         *stack, lags, g, _ = lp.shape
@@ -262,17 +252,15 @@ def _window_sums(
 
 
 def _window_surfaces(
-    y: np.ndarray,
-    weights: np.ndarray | list,
-    phi: np.ndarray | None = None,
-    mean: np.ndarray | None = None,
+    y: np.ndarray, weights: np.ndarray, phi: np.ndarray | None = None, mean: np.ndarray | None = None
 ):
     """The symmetric surfaces A + A^T of the window sums A = ``_window_sums(y, weights, mean)``.
 
-    One (G, G) surface per weight row, for each array of a stack.  When y holds (N, J)
-    scores of the basis ``phi``, a (J, G) array orthonormal under the midpoint rule, each
-    surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.  Every caller's
-    sum that overflows is refused here, with a DimensionError and no numpy warning.
+    One (G, G) surface per row of the (n_w, L+1) weights, for each array of a stack.  When
+    y holds (N, J) scores of the basis ``phi``, a (J, G) array orthonormal under the midpoint
+    rule, each surface is phi^T (A + A^T) phi: the same window sum of the sample y phi.
+    Every caller's sum that overflows is refused here, with a DimensionError and no numpy
+    warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a = _window_sums(y, weights, mean)

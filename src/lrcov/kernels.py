@@ -51,18 +51,18 @@ KERNEL_NAMES = (*_KERNELS, "flat-top")
 def make_kernel(name: str, flat_width: float = 0.5) -> KernelSpec:
     """Build the kernel registry entry for ``name``.
 
-    ``flat_width`` is only consulted for the flat-top kernel, where it sets
-    the half-width of the plateau (strictly between 0 and 1).
+    ``flat_width`` must lie strictly between 0 and 1 for every kernel, and only the
+    flat-top kernel uses it, as the half-width of its plateau.
     """
+    if name not in KERNEL_NAMES:
+        raise ConfigError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
+    if not (0.0 < flat_width < 1.0):
+        raise ConfigError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
     if name in _KERNELS:
         return KernelSpec(name, *_KERNELS[name][1:])
-    if name == "flat-top":
-        if not (0.0 < flat_width < 1.0):
-            raise ConfigError(f"flat-top plateau width must lie in (0, 1), got {flat_width}")
-        # square integral: plateau contributes 2*rho, the two linear ramps 2*(1-rho)/3
-        ksq = 2.0 * flat_width + 2.0 * (1.0 - flat_width) / 3.0
-        return KernelSpec("flat-top", math.inf, math.nan, ksq, flat_width)
-    raise ConfigError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
+    # square integral: plateau contributes 2*rho, the two linear ramps 2*(1-rho)/3
+    ksq = 2.0 * flat_width + 2.0 * (1.0 - flat_width) / 3.0
+    return KernelSpec("flat-top", math.inf, math.nan, ksq, flat_width)
 
 
 def kernel_value(spec: KernelSpec, u):

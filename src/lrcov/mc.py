@@ -304,14 +304,16 @@ def sample_moments(values: np.ndarray) -> tuple[float, float, float, float]:
     n = len(x)
     if n < 2:
         raise ContractViolationError("need at least two values for moments")
+    if np.all(x == x[0]):
+        raise ContractViolationError("degenerate sample: zero variance")
     mean = float(np.mean(x))
     d = x - mean
     with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows is refused
         m2 = float(np.mean(d**2))
     if not math.isfinite(m2):
         raise ContractViolationError("sample variance overflows a double")
-    if m2 == 0.0:
-        raise ContractViolationError("degenerate sample: zero variance")
+    if m2 == 0.0:  # distinct values whose squared deviations are all below the least double
+        raise ContractViolationError("sample variance underflows a double")
     z = d / math.sqrt(m2)  # standardized first: no higher power can overflow
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4)) - 3.0
@@ -424,19 +426,19 @@ def _replicate_range(spec: ExperimentSpec, reps: range) -> tuple:
     plugin = rule.kind == "plugin"
     h = np.empty(count) if plugin else np.full(count, rule._rule_h(n))
     clamped, fallback = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    surfaces = np.empty((count, g, g))
-    for rows, s in _score_stacks(spec, reps):
-        if plugin:
+    if plugin:  # each replication's window is its own h's, on whichever path that window takes
+        surfaces = np.empty((count, g, g))
+        for rows, s in _score_stacks(spec, reps):
             choices = _plugin_choices(s, kernel, rule.pilot_h, rule.m_trunc, phi)
-            for i, sel in zip(range(count)[rows], choices):
+            for i, sel, y in zip(range(count)[rows], choices, s):
                 h[i], clamped[i], fallback[i] = sel.bandwidth.h, sel.clamped, sel.fallback
                 _warn_rate(kernel, _as_h(h[i]), n)
-            weights = [_lag_weights(kernel, [v], n, unbiased=False) for v in h[rows]]
-        elif rows.start == 0:  # a fixed or power h does not depend on the sample
-            _warn_rate(kernel, _as_h(h[0]), n)
-            weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
-        surfaces[rows] = _window_surfaces(s, weights, phi)[:, 0]
-        del s  # the last stack's buffers are freed before the eigensolve
+                surfaces[i] = _window_surfaces(y, _lag_weights(kernel, [h[i]], n, False), phi)[0]
+            del s, y, choices  # the last stack's buffers are freed before the eigensolve
+    else:  # a fixed or power h does not depend on the sample
+        _warn_rate(kernel, _as_h(h[0]), n)
+        weights = _lag_weights(kernel, [h[0]], n, unbiased=False)
+        surfaces = _window_estimates((spec, weights, True), reps)[:, 0]
     flat, projs = surfaces.reshape(count, g * g), np.empty((count, len(spec.projections)))
     for j, f in enumerate(spec.projections):  # each row sums as np.sum(v * f.values) alone
         projs[:, j] = (flat * f.values.ravel()).sum(axis=1) / g**2

@@ -60,6 +60,9 @@ CONFIGS = {
     "bias_tied.json": {"experiment": dict(MC_100, dgp={"kind": "iid", "sigmas": [1.0, 1.0]}),
                        "bias_check": BIAS_CHECK},
     "bias_power_1e308.json": {"experiment": dict(MC_100, h="power:1e308,0.9"), "bias_check": BIAS_CHECK},
+    # a window flat over every lag: the scaled errors are distinct, but their squares underflow
+    "mc_h_1e308.json": {"experiment": dict(MC_SCALAR["experiment"], n_obs=20, h="power:1e+308,0.125",
+                                           replications=8)},
 }
 # w.csv times each scale; estimate.csv, under the name of estimate's output, for the default --out .
 CURVES = {"w.csv": 1.0, "estimate.csv": 1.0, "w1e100.csv": 1e100, "w1e140.csv": 1e140, "w1e154.csv": 1e154}
@@ -104,6 +107,11 @@ PROBES = {
         "error: eigenvalues 1 and 2 separated by 0 (< 1e-08); level-1 inference refused\n"),
     "mc-verify-bias-check-power-1e308": ("mc-verify --config bias_power_1e308.json --out bpow", 4,
                                          "error: bandwidth must be positive and finite, got inf\n"),
+    "mc-verify-h-1e308": ("mc-verify --config mc_h_1e308.json --out mc_h_1e308", 4,
+                          RATE.format(1, "1.45e+308", 20) + "error: sample variance underflows a double\n"),
+    "estimate-bartlett-flat-width": (  # refused for every kernel, not only flat-top
+        "estimate --data w.csv --kernel bartlett --flat-width 5 --h 2 --out fw", 3,
+        "error: flat-top plateau width must lie in (0, 1), got 5.0\n"),
     "out-is-the-data": ("estimate --data w.csv --h 2 --out w.csv", 3,
                         "error: cannot write to w.csv: [Errno 17] File exists: 'w.csv'\n"),
     # a digit separator is a bad cell, as np.loadtxt reads it, not the number 10

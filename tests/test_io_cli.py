@@ -952,7 +952,7 @@ DATA_EXITS = (
     "error: sample variance overflows a double\n",
     installed_checks.NON_FINITE,
     "error: squared estimates overflow a double\n",
-    "error: degenerate sample: zero variance\n",
+    "error: sample variance underflows a double\n",
 )
 
 
@@ -1071,6 +1071,7 @@ BAD_SETTINGS = {
     ),
     "flat-width-string": ("mc-verify", mc_config(flat_width="x")),
     "flat-width-null": ("mc-verify", mc_config(flat_width=None)),
+    "flat-width-bartlett": ("mc-verify", mc_config(flat_width=7.5)),
     "plugin-flat-top": ("mc-verify", mc_config(kernel="flat-top", h="plugin")),
     "plugin-pilot-zero": ("mc-verify", mc_config(h="plugin:0")),
     "out-number": ("mc-verify", {**mc_config(), "out": 5}),
@@ -1119,6 +1120,7 @@ BAD_ESTIMATION_SETTINGS = {
     "flat-width-string": ("estimate", {"flat_width": "x"}),
     "fpca-flat-width-string": ("fpca", {"kernel": "flat-top", "flat_width": "x"}),
     "bandwidth-flat-width-string": ("bandwidth", {"flat_width": "x"}),
+    "flat-width-bartlett": ("estimate", {"kernel": "bartlett", "flat_width": 5}),
     "out-number": ("estimate", {"out": 5}),
     "out-bool": ("fpca", {"out": True}),
     "out-list": ("bandwidth", {"out": ["run"]}),

@@ -40,7 +40,7 @@ from lrcov import (
 )
 from lrcov import io, mc
 from lrcov.estimator import (
-    _lag_weights, _plugin_choices, _window_sums, _window_surfaces,
+    _lag_weights, _plugin_choices, _takes_fft, _window_sums, _window_surfaces,
 )
 from lrcov.fpca import _eigen_stack
 from lrcov.grid import fourier_basis
@@ -257,8 +257,11 @@ def test_sample_moments_standardize_before_powering():
 def test_sample_moments_refusals():
     with pytest.raises(ContractViolationError):
         sample_moments(np.array([1.0]))
-    with pytest.raises(ContractViolationError):
-        sample_moments(np.full(10, 3.0))
+    for constant in (np.full(10, 3.0), np.full(3, 0.1)):  # 0.1's mean does not round to 0.1
+        with pytest.raises(ContractViolationError, match="zero variance"):
+            sample_moments(constant)
+    with pytest.raises(ContractViolationError, match="variance underflows a double"):
+        sample_moments(np.array([1e-170, 2e-170, 3e-170]))
 
 
 def test_ks_distance_quantile_grid():
@@ -830,6 +833,7 @@ def stacked_and_oracle(monkeypatch, run, spec):
         ("iid", "fixed:70", 150, "parzen"),  # a long window: the FFT path, once per replication
         ("fma", "power:1,0.3333333333333333", 2000, "bartlett"),  # blocks split into sub-stacks
         ("far1", "plugin:8", 40, "parzen"),  # a plug-in h clamped to N/2
+        ("far1-rho-0.9", "plugin", 2400, "bartlett"),  # plug-in h on both sides of 64 lags
     ],
 )
 def test_stacked_replications_match_a_per_replication_loop_bit_for_bit(
@@ -837,8 +841,9 @@ def test_stacked_replications_match_a_per_replication_loop_bit_for_bit(
 ):
     # batched matmul agreeing bit for bit with one product per replication is a
     # property of the BLAS build, so the block path is held to it here
+    dgp = KINDS[kind] if kind in KINDS else replace(KINDS["far1"], rho=0.9)
     spec = ExperimentSpec(
-        dgp=KINDS[kind], kernel=make_kernel(kernel), n_obs=n_obs, grid=Grid(5),
+        dgp=dgp, kernel=make_kernel(kernel), n_obs=n_obs, grid=Grid(5),
         h_rule=BandwidthRule.parse(rule), replications=40,
         projections=(Surface(Grid(5), np.ones((5, 5))),), eigen_levels=(1, 2), master_seed=23,
     )
@@ -846,6 +851,12 @@ def test_stacked_replications_match_a_per_replication_loop_bit_for_bit(
     assert canonical(got[0]) == canonical(got[1]) == canonical(want)
     if rule == "plugin:8":
         assert want.h_clamped > 0
+    if kind == "far1-rho-0.9":  # one stack routes its windows down both paths
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the rate warnings
+            h = mc._replicate_range(spec, range(40))[0]
+        stacks = [rows for rows, _ in mc._score_stacks(spec, range(40))]
+        assert {True, False} in [{_takes_fft(int(v), 3) for v in h[rows]} for rows in stacks]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -302,7 +302,7 @@ def test_the_patch_point_sends_every_window_down_one_path(threshold, fft, lags, 
     y = rng.standard_normal((40, g))
     weights = rng.standard_normal((2, lags + 1))
     with mock.patch.object(estimator, "_FFT_MIN_WORK", threshold):
-        for args in ((y, weights), (y[None], weights), (y[None], [weights])):
+        for args in ((y, weights), (y[None], weights)):
             with mock.patch("numpy.fft.rfft", wraps=np.fft.rfft) as rfft:
                 estimator._window_sums(*args)
             assert rfft.called == fft
@@ -315,10 +315,9 @@ def test_monte_carlo_windows_keep_the_bits_of_lag_products(j, lags):
     rng = np.random.default_rng(10 * j + lags)
     y = rng.standard_normal((4, j, 2000)).swapaxes(1, 2)
     weights = rng.standard_normal((2, lags + 1))
-    for got in (estimator._window_sums(y, weights), estimator._window_sums(y, [weights] * 4)):
-        for s, a in zip(y, got):
-            want = np.tensordot(weights, estimator.lag_products(s[None], lags)[0], axes=1)
-            assert a.tobytes() == want.tobytes()
+    for s, a in zip(y, estimator._window_sums(y, weights)):
+        want = np.tensordot(weights, estimator.lag_products(s[None], lags)[0], axes=1)
+        assert a.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, unbiased", [("bartlett", False), ("parzen", True)])
@@ -618,20 +617,6 @@ def test_block_projections_round_each_row_as_a_sum_of_its_own(g, n_proj, count, 
     assert len(surfaces) == count
     want = np.array([[np.sum(v * f.values) for f in spec.projections] for v in surfaces]) / g**2
     assert projs.tobytes() == want.tobytes()
-
-
-def test_per_replication_windows_of_a_stack_match_each_replication_alone():
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal((4, 3, 200)).swapaxes(1, 2)  # laid out as a Monte Carlo block's
-    weights = [rng.standard_normal((1, lags + 1)) for lags in (0, 12, 80, 7)]  # 80: the FFT path
-    got = estimator._window_sums(y, weights)
-    for s, w, a in zip(y, weights, got):
-        lags = w.shape[1] - 1
-        if lags < 64:  # a stack of one
-            want = np.tensordot(w, estimator.lag_products(s[None], lags)[0], axes=1)
-        else:
-            want = estimator._window_sums(s, w)
-        assert a.tobytes() == want.tobytes()
 
 
 @PROPERTY
