@@ -5,8 +5,9 @@ the number of columns defines the evaluation grid; optional single header
 row).  A command writes its results into the output directory only after it
 succeeds, and last writes metadata.json, which holds the full resolved
 configuration: its presence marks a complete run.  An output directory that
-cannot be written, or an output that is the --data file, is a configuration
-error.
+cannot be written or holds another command's metadata.json, or an output that
+is the --data file, is a configuration error; a JSON output that holds a
+non-finite number is a numeric one.
 
 Exit codes are stable: 0 success, 2 data parse failure, 3 invalid
 configuration, 4 numeric contract violation, 5 statistical precondition
@@ -48,18 +49,8 @@ from .simulate import DgpSpec, generate, replication_rng, truth
 
 __all__ = ["main", "build_parser"]
 
-EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_CONFIG = 3
-EXIT_NUMERIC = 4
-EXIT_SEPARATION = 5
-# the first class an error is an instance of gives its exit code
-_EXIT_CODES = (
-    (DataFormatError, EXIT_DATA),
-    (ConfigError, EXIT_CONFIG),
-    (SeparationError, EXIT_SEPARATION),
-    (LrcovError, EXIT_NUMERIC),
-)
+# the first class an error is an instance of gives its exit code; success is 0
+_EXIT_CODES = ((DataFormatError, 2), (ConfigError, 3), (SeparationError, 5), (LrcovError, 4))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,55 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help_text: str, needs_data: bool):
+    for name, (_, help_text, reads_data, _, settings) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
         sp.add_argument("--out", metavar="DIR", help="output directory (default .)")
-        if needs_data:
+        if reads_data:
             sp.add_argument("--data", metavar="PATH", help="input CSV, one curve per row")
-        return sp
-
-    def add_kernel_flags(sp):
-        sp.add_argument("--kernel", choices=KERNEL_NAMES, help="smoothing kernel")
-        sp.add_argument(
-            "--flat-width", dest="flat_width", type=float, metavar="RHO",
-            help="flat-top plateau width in (0, 1)",
-        )
-
-    est = add_command("estimate", "estimate the long-run covariance surface", True)
-    add_kernel_flags(est)
-    est.add_argument("--h", metavar="RULE",
-                     help="bandwidth: NUMBER, fixed:H, power:COEF,EXP, or plugin")
-    est.add_argument("--unbiased", action="store_const", const=True, default=None,
-                     help="divide lag i by N-i instead of N")
-    est.add_argument("--psd", action="store_const", const=True, default=None,
-                     help="project the estimate onto the PSD cone")
-
-    fp = add_command("fpca", "eigenvalues and eigenfunctions with confidence intervals", True)
-    add_kernel_flags(fp)
-    fp.add_argument("--h", metavar="RULE", help="bandwidth rule")
-    fp.add_argument("--unbiased", action="store_const", const=True, default=None)
-    fp.add_argument("--psd", action="store_const", const=True, default=None,
-                    help="project the estimate onto the PSD cone before decomposing")
-    fp.add_argument("--p", type=int, help="number of leading eigen levels (default 1)")
-    fp.add_argument("--level", type=float, help="confidence level (default 0.95)")
-
-    bw = add_command("bandwidth", "data-driven plug-in bandwidth", True)
-    add_kernel_flags(bw)
-    bw.add_argument("--h", dest="pilot_h", type=float, metavar="PILOT", help="pilot bandwidth")
-
-    sim = add_command("simulate", "generate a synthetic sample plus its exact truth", False)
-    sim.add_argument("--seed", type=int, help="master seed")
-
-    mc = add_command("mc-verify", "Monte Carlo check of the distributional claims", False)
-    mc.add_argument("--seed", type=int, help="override the experiment master seed")
-
+        for key in settings:
+            flag = dict(_SETTINGS[key][2] or {})
+            if flag:
+                sp.add_argument(flag.pop("name", "--" + key.replace("_", "-")), dest=key, **flag)
     return parser
 
 
-def _load_config(args, required, optional) -> dict:
+def _load_config(args) -> dict:
     """The --config object (empty without one), with every required key and only known ones."""
+    _, _, _, required, settings = _COMMANDS[args.command]
     raw = {}
     if args.config is not None:
         try:
@@ -139,15 +97,14 @@ def _load_config(args, required, optional) -> dict:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
-    return config_object(raw, f"{args.command} config", required, (*optional, "out"))
+    optional = [key for key in (*settings, "out") if key != "master_seed"]  # a flag alone
+    return config_object(raw, f"{args.command} config", required, optional)
 
 
-def _pick(args, cfg: dict, key: str, default, check=lambda value, what: value):
-    """The flag beats the config and the config beats the default.
-
-    A config value passes ``check`` even when a flag overrides it, and so
-    does the flag; without ``check`` the value is checked where it is used.
-    """
+def _pick(args, cfg: dict, key: str):
+    """The flag beats the config and the config beats the default; both pass the check."""
+    default, check, _ = _SETTINGS[key]
+    check = check or (lambda value, what: value)
     value = check(cfg[key], key) if key in cfg else default
     flag = getattr(args, key, None)
     return value if flag is None else check(flag, key)
@@ -157,6 +114,35 @@ def _path(value, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
     return value
+
+
+_STORE_TRUE = {"action": "store_const", "const": True}
+_COUNT = partial(config_number, integer=True, low=0)
+# setting: (default, check, its flag's argparse keywords); its config key is its name, and
+# "name" names a flag other than --NAME.  A check also runs on a config value that a flag
+# overrides; kernel and h have none, as make_kernel and BandwidthRule.parse check them in use.
+_SETTINGS = {
+    "kernel": ("bartlett", None, {"choices": KERNEL_NAMES, "help": "smoothing kernel"}),
+    "flat_width": (0.5, config_number,
+                   {"type": float, "metavar": "RHO", "help": "flat-top plateau width in (0, 1)"}),
+    "h": ("power:1,0.3333", None,
+          {"metavar": "RULE", "help": "bandwidth: NUMBER, fixed:H, power:COEF,EXP, or plugin"}),
+    "unbiased": (False, config_flag, {**_STORE_TRUE, "help": "divide lag i by N-i instead of N"}),
+    "psd": (False, config_flag, {**_STORE_TRUE, "help": "project the estimate onto the PSD cone"}),
+    "m_trunc": (None, _COUNT, None),
+    "p": (1, partial(_COUNT, low=1),
+          {"type": int, "help": "number of leading eigen levels (default 1)"}),
+    # fpca checks the (0, 1) range on the level in use, not on a config value a flag overrides
+    "level": (0.95, config_number, {"type": float, "help": "confidence level (default 0.95)"}),
+    "pilot_h": (None, config_number,  # bandwidth's --h
+                {"name": "--h", "type": float, "metavar": "PILOT", "help": "pilot bandwidth"}),
+    "seed": (0, _COUNT, {"type": int, "help": "master seed"}),
+    # mc-verify's --seed overrides experiment.master_seed and is not a config key
+    "master_seed": (None, None, {"name": "--seed", "type": int, "metavar": "SEED",
+                                 "help": "override the experiment master seed"}),
+    "bias_check": (None, None, None),  # checked by cmd_mc_verify
+    "out": (".", _path, None),  # the --out of every command
+}
 
 
 def _sample_and_bandwidth(args, kernel, rule: BandwidthRule, p: int = 0):
@@ -194,20 +180,12 @@ def _selection_trace(rule: BandwidthRule, h: float, sel) -> dict:
     return trace
 
 
-_ESTIMATE_KEYS = ("kernel", "flat_width", "h", "unbiased", "psd", "m_trunc")
-_lag_count = partial(config_number, integer=True, low=0)
+_ESTIMATE = ("kernel", "flat_width", "h", "unbiased", "psd", "m_trunc")
 
 
 def _estimate(args, cfg: dict, p: int = 0):
     """Every setting, then the data and its bandwidth, then the estimate; for estimate and fpca."""
-    settings = {
-        "kernel": _pick(args, cfg, "kernel", "bartlett"),
-        "flat_width": _pick(args, cfg, "flat_width", 0.5, config_number),
-        "h": _pick(args, cfg, "h", "power:1,0.3333"),
-        "unbiased": _pick(args, cfg, "unbiased", False, config_flag),
-        "psd": _pick(args, cfg, "psd", False, config_flag),
-        "m_trunc": _pick(args, cfg, "m_trunc", None, _lag_count),
-    }
+    settings = {key: _pick(args, cfg, key) for key in _ESTIMATE}
     kernel = make_kernel(settings["kernel"], settings["flat_width"])
     rule = replace(BandwidthRule.parse(settings["h"]), m_trunc=settings["m_trunc"])
     sample, bandwidth, sel, record = _sample_and_bandwidth(args, kernel, rule, p)
@@ -229,8 +207,7 @@ def cmd_estimate(args, cfg: dict):
 
 
 def cmd_fpca(args, cfg: dict):
-    p = _pick(args, cfg, "p", 1, partial(config_number, integer=True, low=1))
-    conf = _pick(args, cfg, "level", 0.95, config_number)
+    p, conf = _pick(args, cfg, "p"), _pick(args, cfg, "level")
     if not 0.0 < conf < 1.0:
         raise ConfigError(f"confidence level must lie in (0, 1), got {conf}")
     est, record = _estimate(args, cfg, p)
@@ -253,23 +230,15 @@ def cmd_fpca(args, cfg: dict):
 
 
 def cmd_bandwidth(args, cfg: dict):
-    flat_width = _pick(args, cfg, "flat_width", 0.5, config_number)
-    kernel = make_kernel(_pick(args, cfg, "kernel", "bartlett"), flat_width)
+    flat_width = _pick(args, cfg, "flat_width")
+    kernel = make_kernel(_pick(args, cfg, "kernel"), flat_width)
     rule = BandwidthRule(
-        "plugin",
-        pilot_h=_pick(args, cfg, "pilot_h", None, config_number),
-        m_trunc=_pick(args, cfg, "m_trunc", None, _lag_count),
+        "plugin", pilot_h=_pick(args, cfg, "pilot_h"), m_trunc=_pick(args, cfg, "m_trunc")
     )
     _, _, sel, record = _sample_and_bandwidth(args, kernel, rule)
-    record |= {
-        "config": {
-            "kernel": kernel.name,
-            "flat_width": flat_width,
-            "pilot_h": sel.pilot_h,
-            "m_trunc": sel.m_trunc,
-        },
-        "clamped": sel.clamped,
-    }
+    config = {"kernel": kernel.name, "flat_width": flat_width,
+              "pilot_h": sel.pilot_h, "m_trunc": sel.m_trunc}
+    record |= {"config": config, "clamped": sel.clamped}
     return record, {"bandwidth.json": {"h_plugin": sel.bandwidth.h, **_plugin_constants(sel)}}
 
 
@@ -277,7 +246,7 @@ def cmd_simulate(args, cfg: dict):
     n_obs = config_number(cfg["n_obs"], "n_obs", integer=True, low=2)
     grid_points = config_number(cfg["grid_points"], "grid_points", integer=True, low=1)
     dgp = DgpSpec.from_dict(cfg["dgp"])
-    seed = _pick(args, cfg, "seed", 0, partial(config_number, integer=True, low=0))
+    seed = _pick(args, cfg, "seed")
     grid = Grid(grid_points)
     truth_set = truth(dgp, grid)  # refuses more noise components than the grid resolves
     sample = generate(dgp, n_obs, grid, replication_rng(seed, 0))
@@ -307,12 +276,12 @@ def _qq_table(values: np.ndarray, quantiles: np.ndarray):
 
 
 def cmd_mc_verify(args, cfg: dict):
-    exp_raw = cfg["experiment"]
-    if args.seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
-        exp_raw = {**exp_raw, "master_seed": args.seed}
+    exp_raw, seed = cfg["experiment"], _pick(args, cfg, "master_seed")
+    if seed is not None and isinstance(exp_raw, dict):  # from_dict refuses a non-object
+        exp_raw = {**exp_raw, "master_seed": seed}
     spec = ExperimentSpec.from_dict(exp_raw)
     # reject a malformed bias_check, and run it, before the experiment burns any time
-    bias_cfg = cfg.get("bias_check")
+    bias_cfg = _pick(args, cfg, "bias_check")
     if bias_cfg is not None:
         config_object(bias_cfg, "bias_check", required=("h", "replications"))
         try:
@@ -350,25 +319,27 @@ def cmd_mc_verify(args, cfg: dict):
     return {"config": {"experiment": exp_raw, "bias_check": bias_cfg}}, files
 
 
-# name: (command, required config keys, optional ones besides "out").  A command
-# takes the flags and the config and returns (record, files): the record goes to
-# metadata.json, and each file is a dict (JSON), an array (CSV) or an
-# (array, header) pair (CSV with a header row).
+# name: (function, help, reads --data, required config keys, the settings it reads).  A function
+# takes the flags and the config and returns (record, files): the record goes to metadata.json,
+# and each file is a dict (JSON), an array (CSV) or an (array, header) pair (CSV with a header).
 _COMMANDS = {
-    "estimate": (cmd_estimate, (), _ESTIMATE_KEYS),
-    "fpca": (cmd_fpca, (), (*_ESTIMATE_KEYS, "p", "level")),
-    "bandwidth": (cmd_bandwidth, (), ("kernel", "flat_width", "pilot_h", "m_trunc")),
-    "simulate": (cmd_simulate, ("dgp", "n_obs", "grid_points"), ("seed",)),
-    "mc-verify": (cmd_mc_verify, ("experiment",), ("bias_check",)),
+    "estimate": (cmd_estimate, "estimate the long-run covariance surface", True, (), _ESTIMATE),
+    "fpca": (cmd_fpca, "eigenvalues and eigenfunctions with confidence intervals", True, (),
+             (*_ESTIMATE, "p", "level")),
+    "bandwidth": (cmd_bandwidth, "data-driven plug-in bandwidth", True, (),
+                  ("kernel", "flat_width", "pilot_h", "m_trunc")),
+    "simulate": (cmd_simulate, "generate a synthetic sample plus its exact truth", False,
+                 ("dgp", "n_obs", "grid_points"), ("seed",)),
+    "mc-verify": (cmd_mc_verify, "Monte Carlo check of the distributional claims", False,
+                  ("experiment",), ("master_seed", "bias_check")),
 }
 
 
 def _run(args) -> None:
     """Run one command, then write its files and, last, its metadata.json into ``out``."""
-    command, required, optional = _COMMANDS[args.command]
-    cfg = _load_config(args, required, optional)
-    out = _pick(args, cfg, "out", ".", _path)
-    record, files = command(args, cfg)
+    cfg = _load_config(args)
+    out = _pick(args, cfg, "out")
+    record, files = _COMMANDS[args.command][0](args, cfg)
     files["metadata.json"] = {"command": args.command, **record}
     data = getattr(args, "data", None)
     if data is not None and os.path.exists(data):
@@ -376,6 +347,12 @@ def _run(args) -> None:
             path = f"{out}/{name}"
             if os.path.exists(path) and os.path.samefile(path, data):
                 raise ConfigError(f"output {path} would overwrite the --data file {data}")
+    meta = f"{out}/metadata.json"  # a rerun replaces its own record, and no other
+    if os.path.lexists(meta) and _recorded_command(meta) != args.command:
+        raise ConfigError(f"{meta} was not written by {args.command}; give it its own --out")
+    for name, content in files.items():
+        if isinstance(content, dict):
+            io.json_text(content, name)  # refuses a non-finite number before --out is made
     try:
         os.makedirs(out, exist_ok=True)
         for name, content in files.items():
@@ -388,6 +365,15 @@ def _run(args) -> None:
                 io.write_matrix_csv(path, content)
     except OSError as exc:
         raise ConfigError(f"cannot write to {out}: {exc}") from None
+
+
+def _recorded_command(path: str):
+    """The command a metadata.json records; None if it is unreadable or records none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh).get("command")
+    except (OSError, ValueError, AttributeError):
+        return None
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -403,7 +389,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             _run(parser.parse_args(argv))
-            return EXIT_OK
+            return 0
         except LrcovError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

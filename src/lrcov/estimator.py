@@ -336,6 +336,7 @@ def estimate_spectral_density(
         raise ContractViolationError(f"frequency must lie in [0, 2*pi), got {omega}")
     h = _as_h(bandwidth)
     n = sample.n_obs
+    _warn_rate(kernel, h, n)
     w = _lag_weights(kernel, [h], n, unbiased)[0]
     phase = omega * np.arange(len(w))
     y = sample.values

@@ -2,7 +2,8 @@
 
 Numbers are written with shortest round-trip decimal formatting (``repr``),
 so parse(write(x)) returns x bit-exactly and output files are stable across
-platforms.  Parsing is strict: ragged rows and unparsable or non-finite cells
+platforms.  JSON is strict: a non-finite number is refused, never written as
+``NaN``.  Parsing is strict: ragged rows and unparsable or non-finite cells
 are reported with 1-based row/column positions instead of being coerced.
 Rows end only at a newline (``\n``, ``\r\n`` or ``\r``), as in ``np.loadtxt``.
 A clean file is parsed in one ``np.loadtxt`` call; anything that call refuses
@@ -19,7 +20,7 @@ from io import StringIO
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ContractViolationError, DataFormatError
 from .estimator import CurveSample
 from .grid import Grid, Surface
 
@@ -193,8 +194,16 @@ def write_surface_csv(path: str, surface: Surface) -> None:
     write_matrix_csv(path, surface.values)
 
 
+def json_text(payload: dict, what: str) -> str:
+    """``payload`` as strict JSON; ``what`` names it when a non-finite number is refused."""
+    try:  # default: numpy arrays and the numpy scalars json cannot write become Python values
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda o: o.tolist()) + "\n"
+    except ValueError:
+        raise ContractViolationError(f"{what} holds a non-finite number") from None
+
+
 def write_json(path: str, payload: dict) -> None:
+    text = json_text(payload, path)
     with open(path, "w", encoding="utf-8") as fh:
-        # default: numpy arrays and the numpy scalars json cannot write become Python values
-        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
-        fh.write("\n")
+        fh.write(text)

@@ -29,6 +29,7 @@ MC_PLUGIN = {"experiment": dict(MC["experiment"], dgp=FAR1, kernel="parzen", h="
 # iid on one point, as the A2 gate: the one-component path
 MC_SCALAR = {"experiment": {"dgp": {"kind": "iid", "sigmas": [1.0]}, "kernel": "bartlett", "n_obs": 200,
                             "grid_points": 1, "h": "power:1,0.3333333333333333", "projections": ["ones"]}}
+COMMANDS = ("estimate", "fpca", "bandwidth", "simulate", "mc-verify")
 CLI_RUNS = (
     "simulate --config sim.json --out sim",
     "estimate --data sim/sample.csv --h plugin --out est",
@@ -151,9 +152,12 @@ def probe(run, name: str, inputs: dict) -> None:
 
 
 def check_cli(run) -> None:
-    """Every command exits 0 on a tiny config; mc-verify runs its plug-in and h-grid workers on two."""
+    """Every parser prints its help; every command exits 0 on a tiny config; mc-verify runs its
+    plug-in and h-grid workers on two."""
     write_inputs()
-    for command in ("--help", *CLI_RUNS):
+    for command in ("", *COMMANDS):
+        assert run([*command.split(), "--help"], THREADS) == (0, ""), command
+    for command in CLI_RUNS:
         assert run(command.split(), THREADS)[0] == 0, command
     for out in ("mc", "mc_plugin"):
         assert '"workers": 2' in Path(out, "report.json").read_text(), out

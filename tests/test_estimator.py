@@ -148,6 +148,16 @@ def test_estimate_warns_when_h_exceeds_rate_condition():
         estimate_lrcov(s, make_kernel("parzen"), 30.0)  # h^2 > N
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0, math.pi])
+def test_spectral_density_warns_past_the_rate_as_the_estimate_does(omega):
+    s = scalar_sample(*np.random.default_rng(4).normal(size=50))
+    rate = r"^h\^2 = 64 exceeds N = 50; the leading bias approximation degrades$"
+    for call in (estimate_lrcov, lambda *a: estimate_spectral_density(*a, omega)):
+        with pytest.warns(UserWarning, match=rate) as caught:
+            call(s, make_kernel("parzen"), 8.0)
+        assert [Path(w.filename).name for w in caught] == ["test_estimator.py"]  # at the call
+
+
 def test_bandwidth_below_one_flagged():
     s = scalar_sample(1.0, 2.0, 3.0)
     with pytest.warns(UserWarning):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcov import (
+    ContractViolationError,
     DataFormatError,
     DgpSpec,
     DimensionError,
@@ -30,7 +31,7 @@ from lrcov import (
     replication_rng,
 )
 from lrcov import io
-from lrcov.cli import main
+from lrcov.cli import _COMMANDS, _SETTINGS, main
 
 import installed_checks
 
@@ -386,23 +387,30 @@ def test_write_json_preserves_types(tmp_path):
         {
             "f": np.float64(1.5),
             "f32": np.float32(0.1),
-            "nan": math.nan,
             "flag": np.bool_(True),
             "off": False,
             "arr": np.arange(3),
-            "nested": {"n": np.int64(7), "row": (np.float32(0.5), np.nan)},
+            "nested": {"n": np.int64(7), "row": (np.float32(0.5), np.float64(2.0))},
         },
     )
     text = Path(p).read_text()
     assert text.endswith("\n")
-    assert f'"f32": {float(np.float32(0.1))!r}' in text and '"nan": NaN' in text
+    assert f'"f32": {float(np.float32(0.1))!r}' in text
     back = json.loads(text)
     assert back["f"] == 1.5
-    assert back["f32"] == float(np.float32(0.1)) and math.isnan(back["nan"])
-    assert back["nested"]["row"][0] == 0.5 and math.isnan(back["nested"]["row"][1])
+    assert back["f32"] == float(np.float32(0.1))
+    assert back["nested"]["row"] == [0.5, 2.0]
     assert back["flag"] is True and back["off"] is False
     assert back["arr"] == [0, 1, 2]
     assert back["nested"]["n"] == 7
+
+
+@pytest.mark.parametrize("value", [math.nan, np.float64(math.inf), np.array([1.0, -np.inf])])
+def test_write_json_refuses_a_non_finite_number_and_writes_nothing(tmp_path, value):
+    p = tmp_path / "t.json"
+    with pytest.raises(ContractViolationError, match=r"t\.json holds a non-finite number$"):
+        io.write_json(str(p), {"ok": 1.0, "nested": {"row": [2.0, value]}})
+    assert not p.exists()
 
 
 # ---------------------------------------------------------------- cli: estimate
@@ -743,6 +751,15 @@ def test_every_json_output_is_strict_json(tmp_path, capsys):
     assert docs["bandwidth-fallback/bandwidth.json"]["fallback_used"] is True
     assert docs["bandwidth-fallback/bandwidth.json"]["c0_hat"] is None
     assert docs["estimate-fallback/metadata.json"]["h_selection"]["plugin"]["c0_hat"] is None
+
+
+def test_a_non_finite_number_in_a_json_output_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("lrcov.cli.surface_integral", lambda surface: math.inf)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write(tmp_path / "s.json", json.dumps(SIM_CFG)),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: truth.json holds a non-finite number\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- cli: simulate
@@ -1153,6 +1170,115 @@ def test_bad_settings_exit_3_before_the_data_is_read(
     assert not out.exists()
 
 
+# ---------------------------------------------------------------- cli: flag, config, default
+
+# every key each command's config accepts
+CONFIG_KEYS = {
+    "estimate": {"kernel", "flat_width", "h", "unbiased", "psd", "m_trunc", "out"},
+    "fpca": {"kernel", "flat_width", "h", "unbiased", "psd", "m_trunc", "p", "level", "out"},
+    "bandwidth": {"kernel", "flat_width", "pilot_h", "m_trunc", "out"},
+    "simulate": {"dgp", "n_obs", "grid_points", "seed", "out"},
+    "mc-verify": {"experiment", "bias_check", "out"},
+}
+PRECEDENCE_EXPERIMENT = {"dgp": {"kind": "iid", "sigmas": [1.0]}, "kernel": "bartlett", "n_obs": 60,
+                         "grid_points": 1, "h": 3, "replications": 8}
+# each command's smallest config; the data commands read a 60 x 4 sample
+BASE_CONFIGS = {
+    "estimate": {}, "fpca": {}, "bandwidth": {},
+    "simulate": {key: value for key, value in SIM_CFG.items() if key != "seed"},
+    "mc-verify": {"experiment": PRECEDENCE_EXPERIMENT},
+}
+# setting: (its default as metadata.json records it, a config value, a flag value and what it
+# records (None: a flag without a value), a config value its check refuses).  A flag replaces
+# kernel, h and mc-verify's experiment.master_seed before anything checks the config value.
+PRECEDENCE = {
+    "kernel": ("bartlett", "parzen", ("tukey-hanning", "tukey-hanning"), "gauss"),
+    "flat_width": (0.5, 0.3, ("0.7", 0.7), "x"),
+    "h": ("power:1,0.3333", 3, ("5", "5"), "power:1"),
+    "unbiased": (False, True, (None, True), "no"),
+    "psd": (False, True, (None, True), 1),
+    "p": (1, 2, ("3", 3), 2.5),
+    "level": (0.95, 0.9, ("0.8", 0.8), "abc"),
+    "pilot_h": ("rate", 4.0, ("6", 6.0), "4"),  # bandwidth records its resolved pilot
+    "seed": (0, 3, ("7", 7), -1),
+    "master_seed": (None, 2, ("77", 77), -1),
+}
+UNCHECKED_UNDER_A_FLAG = {"kernel", "h", "master_seed"}
+
+
+# each (command, setting) pair with a flag, as the tables declare them
+FLAGGED = [(command, key) for command, row in _COMMANDS.items() for key in row[4] if _SETTINGS[key][2]]
+
+
+def test_the_tables_declare_every_flag_the_precedence_test_covers():
+    assert {key for _, key in FLAGGED} == set(PRECEDENCE) and len(FLAGGED) == 17
+
+
+def run_with(tmp_path, command, key, config_value=None, flag=(), name="run"):
+    """``command`` with ``key`` set in its config (None: not set) and ``flag`` added."""
+    cfg = json.loads(json.dumps(BASE_CONFIGS[command]))
+    if config_value is not None and key == "master_seed":  # the config key is experiment's
+        cfg["experiment"]["master_seed"] = config_value
+    elif config_value is not None:
+        cfg[key] = config_value
+    argv = [command, "--config", write(tmp_path / f"{name}.json", json.dumps(cfg)), *flag]
+    if command in ("estimate", "fpca", "bandwidth"):
+        data = tmp_path / "d.csv"
+        if not data.exists():
+            io.write_matrix_csv(str(data), np.random.default_rng(47).standard_normal((60, 4)))
+        argv += ["--data", str(data)]
+    out = tmp_path / name
+    code = main([*argv, "--out", str(out)])
+    return code, json.loads((out / "metadata.json").read_text())["config"] if code == 0 else None, out
+
+
+@pytest.mark.parametrize("command, key", FLAGGED)
+def test_the_flag_beats_the_config_and_the_config_beats_the_default(tmp_path, capsys, command, key):
+    default, config_value, (flag_value, flag_records), bad = PRECEDENCE[key]
+    flag_name = "--h" if key == "pilot_h" else "--seed" if key == "master_seed" else (
+        "--" + key.replace("_", "-"))
+    flag = [flag_name] if flag_value is None else [flag_name, flag_value]
+
+    def recorded(config):
+        return config["experiment"].get(key) if key == "master_seed" else config[key]
+
+    code, config, _ = run_with(tmp_path, command, key, name="default")
+    assert code == 0, capsys.readouterr().err
+    if default == "rate":
+        default = plugin_bandwidth(io.read_curves(str(tmp_path / "d.csv")), make_kernel("bartlett")).pilot_h
+    assert recorded(config) == default
+    code, config, _ = run_with(tmp_path, command, key, config_value, name="config")
+    assert (code, recorded(config)) == (0, config_value)
+    under_flag = False if flag_value is None else config_value  # a bare flag can only say true
+    code, config, _ = run_with(tmp_path, command, key, under_flag, flag, name="flag")
+    assert (code, recorded(config)) == (0, flag_records)
+    code, _, out = run_with(tmp_path, command, key, bad, flag, name="bad")
+    err = capsys.readouterr().err
+    if key in UNCHECKED_UNDER_A_FLAG:
+        assert code == 0, err
+    else:
+        assert code == 3 and err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", CONFIG_KEYS)
+def test_each_command_accepts_exactly_its_own_config_keys(tmp_path, capsys, command):
+    every = set().union(*CONFIG_KEYS.values()) | set(PRECEDENCE)
+    for key in sorted(every - CONFIG_KEYS[command]):  # bandwidth refuses h: its --h is pilot_h
+        cfg = write(tmp_path / "cfg.json", json.dumps({**BASE_CONFIGS[command], key: 1}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3, key
+        assert capsys.readouterr().err == f"error: unknown {command} config keys: ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_level_range_is_checked_on_the_level_in_use(tmp_path, capsys):
+    code, config, _ = run_with(tmp_path, "fpca", "level", 1.5, ["--level", "0.9"])
+    assert (code, config["level"]) == (0, 0.9)
+    code, _, out = run_with(tmp_path, "fpca", "level", 1.5, name="config")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == "error: confidence level must lie in (0, 1), got 1.5\n"
+
+
 # each command's argv without --out, and one file it writes
 WRITING_RUNS = {
     "estimate": (["estimate", "--h", "2"], "estimate.csv"),
@@ -1184,6 +1310,44 @@ def test_unwritable_out_exits_3_without_a_traceback(tmp_path, capsys, command, c
     assert err.startswith(f"error: cannot write to {out}: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert afile.read_text() == "taken\n"
+
+
+def test_a_second_command_into_one_out_exits_3_and_leaves_it(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", write(tmp_path / "s.json", json.dumps(SIM_CFG)),
+                 "--out", str(run)]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["estimate", "--data", str(run / "sample.csv"), "--h", "2", "--out", str(run)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {run}/metadata.json was not written by estimate; give it its own --out\n")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_a_rerun_into_its_own_out_overwrites_it(tmp_path):
+    data, out = str(tmp_path / "d.csv"), str(tmp_path / "est")
+    io.write_matrix_csv(data, np.random.default_rng(48).standard_normal((60, 3)))
+    surfaces = []
+    for h in ("2", "5"):
+        assert main(["estimate", "--data", data, "--h", h, "--out", out]) == 0
+        surfaces.append(Path(out, "estimate.csv").read_bytes())
+        assert json.loads(Path(out, "metadata.json").read_text())["config"]["h"] == h
+    assert surfaces[0] != surfaces[1]
+
+
+@pytest.mark.parametrize("record", [b"{not json", b"\xff", b"[]", b'{"command": "simulate"}', None])
+def test_an_unreadable_or_foreign_record_counts_as_another_run(tmp_path, capsys, record):
+    out = tmp_path / "run"
+    meta = out / "metadata.json"
+    if record is None:  # a directory in its place
+        meta.mkdir(parents=True)
+    else:
+        out.mkdir()
+        meta.write_bytes(record)
+    data = str(tmp_path / "d.csv")
+    io.write_matrix_csv(data, np.random.default_rng(48).standard_normal((60, 3)))
+    assert main(["estimate", "--data", data, "--h", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith("was not written by estimate; give it its own --out\n")
+    assert sorted(os.listdir(out)) == ["metadata.json"]
 
 
 @pytest.mark.parametrize("out", [None, "link"])  # the default --out ., and the cwd by a symlink

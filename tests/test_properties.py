@@ -471,7 +471,9 @@ def score_cases(draw):
     hundredths = draw(st.lists(st.integers(10, 200), min_size=1, max_size=4, unique=True))
     sigmas = [k / 100 for k in hundredths]
     extra = {
-        "fma": {"theta": draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=2))},
+        # 1 + sum(theta) = 0 zeroes every eigenvalue, a tie the spec refuses
+        "fma": {"theta": draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=2)
+                              .filter(lambda theta: abs(1 + sum(theta)) > 0.01))},
         "far1": {"rho": draw(st.floats(-0.9, 0.9))},
     }.get(kind, {})
     g = 2 * (len(sigmas) // 2) + 1 + draw(st.integers(0, 4))  # the basis must resolve on G
