@@ -17,6 +17,7 @@ failure (eigenvalue separation).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -51,6 +52,10 @@ __all__ = ["main", "build_parser"]
 
 # the first class an error is an instance of gives its exit code; success is 0
 _EXIT_CODES = ((DataFormatError, 2), (ConfigError, 3), (SeparationError, 5), (LrcovError, 4))
+
+# glibc keeps up to twice the largest freed block mapped, so a caller running commands in-process
+# would hold a footprint set by the order of earlier frees; malloc_trim hands it back to the OS
+_malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim", None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,14 +308,9 @@ def cmd_mc_verify(args, cfg: dict):
         files[f"qq_eigen_{level}.csv"] = _qq_table(report.eigen_error_samples[:, j], quantiles)
     if bias_cfg is not None:
         payload["bias_check"] = bias_report.to_dict()
-        rows = [
-            [
-                *astuple(p),
-                math.log(p.h),
-                math.log(p.err_debiased) if p.err_debiased > 0 else math.nan,
-            ]
-            for p in bias_report.points
-        ]
+        rows = [[*astuple(p), math.log(p.h),
+                 math.log(p.err_debiased) if p.err_debiased > 0 else math.nan]
+                for p in bias_report.points]
         files["bias.csv"] = (
             np.array(rows),
             ["h", "err_raw", "err_debiased", "noise_sd", "signal", "log_h", "log_err"],
@@ -393,6 +393,9 @@ def main(argv=None) -> int:
         except LrcovError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        finally:
+            if _malloc_trim is not None:
+                _malloc_trim(0)
 
 
 if __name__ == "__main__":

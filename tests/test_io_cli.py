@@ -30,7 +30,7 @@ from lrcov import (
     plugin_bandwidth,
     replication_rng,
 )
-from lrcov import io
+from lrcov import cli, io
 from lrcov.cli import _COMMANDS, _SETTINGS, main
 
 import installed_checks
@@ -539,6 +539,21 @@ def test_exit_code_data_error(tmp_path, capsys):
         assert rc == 2
         assert "row 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_every_command_releases_the_heap_once_as_it_ends(tmp_path, capsys, monkeypatch):
+    # an in-process caller's footprint must not keep what an earlier command freed
+    calls = []
+    monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+    data = write(tmp_path / "d.csv", "1,2\n3,4\n5,7\n")
+    for argv, rc in [
+        (["estimate", "--data", data, "--h", "1", "--out", str(tmp_path / "ok")], 0),
+        (["estimate", "--data", write(tmp_path / "bad.csv", "1,2\n3\n"), "--h", "1"], 2),
+        (["estimate", "--bogus"], 3),
+    ]:
+        assert main(argv) == rc
+    assert calls == [0, 0, 0]
+    capsys.readouterr()
 
 
 def test_exit_code_config_errors(tmp_path, capsys):
